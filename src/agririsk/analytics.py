@@ -157,6 +157,10 @@ def exceedance_quantile(dist: LossDistribution, eps: float) -> float:
             f"grid too small for requested tail: truncation mass {dist.truncation_mass:.3e} >= {eps}"
         )
     tail = 1.0 - dist.cdf
+    if tail[-1] > eps:  # tail is nonincreasing, so no grid point qualifies
+        raise ModelError(
+            f"exceedance probability {eps} is below the smallest the pmf resolves, {tail[-1]:.3e}"
+        )
     return int(np.argmax(tail <= eps)) * dist.unit
 
 

@@ -2,9 +2,10 @@
 
 Exposures are discretized onto an integer grid of unit size L. The
 aggregate indemnity distribution is then computed two independent ways:
-Panjer recursions over the banded severities (Poisson counts, or gamma-mixed
-negative binomial counts per sector) and inversion of the closed-form
-probability generating function at the complex roots of unity via FFT.
+the (a, b, 0) Panjer recursion over the banded severities (Poisson counts,
+or gamma-mixed negative binomial counts per sector) and inversion of the
+closed-form probability generating function at the complex roots of unity
+via FFT.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy import signal
 
 from .errors import InputError, ModelError
 from .portfolio import SectoredPortfolio
@@ -163,12 +163,6 @@ class BandedPortfolio:
     def expected_loss(self) -> float:
         return self.expected_loss_units * self.unit
 
-    def sector(self, name: str) -> BandedSector:
-        for s in self.sectors:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 @dataclass(frozen=True, eq=False)
 class LossDistribution:
@@ -271,6 +265,15 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
     )
 
 
+def _band_arrays(bands) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique levels of the bands with positive expected loss, and their summed epsilon."""
+    bands = tuple(bands)
+    levels = np.array([b.v for b in bands], dtype=np.int64)
+    summed = np.bincount(levels, weights=[b.epsilon for b in bands])
+    vs = np.flatnonzero(summed)
+    return vs, summed[vs]
+
+
 def poisson_rate(banded: BandedPortfolio) -> float:
     """Total expected number of defaults over all bands of all sectors."""
     return sum(s.expected_count for s in banded.sectors)
@@ -281,12 +284,12 @@ def severity_polynomial(bands: tuple[Band, ...] | list[Band]) -> np.ndarray:
 
     Coefficient at degree v is mu_v / sum(mu); degree 0 carries no mass.
     """
-    total = sum(b.mu for b in bands) if bands else 0.0
-    if total <= 0.0:
+    vs, eps = _band_arrays(bands)
+    if not vs.size:
         raise ModelError("degenerate sector: every band has zero expected defaults")
+    mu = eps / vs
     f = np.zeros(max(b.v for b in bands) + 1)
-    for b in bands:
-        f[b.v] += b.mu / total
+    f[vs] = mu / mu.sum()
     return f
 
 
@@ -318,36 +321,35 @@ def _check_grid(grid_size: int, minimum: int, what: str) -> None:
         raise ModelError(f"grid_size {grid_size} too small for {what}: need at least {minimum}")
 
 
-def _panjer_poisson(vs: np.ndarray, eps: np.ndarray, grid_size: int) -> np.ndarray:
-    # g_n = (1/n) sum_j eps_j g_{n-v_j}  with eps_j = mu_j v_j, g_0 = exp(-mu)
-    mu_total = float((eps / vs).sum())
+def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_size: int) -> np.ndarray:
+    """Compound pmf of bands at levels vs by the (a, b, 0) Panjer recursion.
+
+    g_n = sum_j (a + b v_j / n) f_j g_{n - v_j} over the levels v_j <= n, with
+    severity f_j = mu_j / sum(mu), which has no mass at 0. Gamma-mixed counts
+    are negative binomial: a = rho, b = rho (alpha - 1), g_0 = (1 - rho)^alpha.
+    Poisson counts (params None, or an unmixed sector) are a = 0, b = sum(mu),
+    so b f_j v_j = eps_j and g_0 = exp(-sum(mu)).
+    """
+    mu = eps / vs
+    if params is None or params.is_poisson:
+        fa, fbv = np.zeros(vs.size), eps
+        log_g0 = -float(mu.sum())
+    else:
+        alpha, rho = params.alpha, params.rho
+        if not 0.0 < rho < 1.0:
+            raise ModelError(f"rho must lie in (0, 1), got {rho!r}")
+        f = mu / mu.sum()
+        fa, fbv = rho * f, rho * (alpha - 1.0) * f * vs
+        log_g0 = alpha * math.log1p(-rho)
     g = np.zeros(grid_size)
-    g[0] = math.exp(-mu_total)
+    g[0] = math.exp(log_g0)
     if g[0] == 0.0:
-        raise ModelError("Poisson mass at zero underflowed; rescale the unit")
+        raise ModelError("claim-count mass at zero underflowed; rescale the unit")
     for n in range(1, grid_size):
         k = int(vs.searchsorted(n, side="right"))
         if k:
-            g[n] = float(np.dot(eps[:k], g[n - vs[:k]])) / n
-    return g
-
-
-def _panjer_negbin(vs: np.ndarray, f: np.ndarray, params: SectorParams, grid_size: int) -> np.ndarray:
-    # (a, b, 0) class with a = rho, b = rho*(alpha - 1); severity f has no mass at 0
-    alpha, rho = params.alpha, params.rho
-    if not 0.0 < rho < 1.0:
-        raise ModelError(f"rho must lie in (0, 1), got {rho!r}")
-    g = np.zeros(grid_size)
-    g[0] = math.exp(alpha * math.log1p(-rho))
-    if g[0] == 0.0:
-        raise ModelError("negative-binomial mass at zero underflowed; rescale the unit")
-    fa = rho * f
-    fbv = rho * (alpha - 1.0) * f * vs.astype(float)
-    for n in range(1, grid_size):
-        k = int(vs.searchsorted(n, side="right"))
-        if k:
-            idx = n - vs[:k]
-            g[n] = float(np.dot(fa[:k], g[idx])) + float(np.dot(fbv[:k], g[idx])) / n
+            prev = g[n - vs[:k]]
+            g[n] = float(np.dot(fa[:k], prev)) + float(np.dot(fbv[:k], prev)) / n
     return g
 
 
@@ -358,33 +360,8 @@ def loss_dist_poisson(banded: BandedPortfolio, grid_size: int) -> LossDistributi
     generating function; sector gamma parameters are ignored on this path.
     """
     _check_grid(grid_size, banded.max_v + 1, "the largest band")
-    merged: dict[int, float] = {}
-    for s in banded.sectors:
-        for b in s.bands:
-            if b.epsilon > 0.0:
-                merged[b.v] = merged.get(b.v, 0.0) + b.epsilon
-    if not merged:
-        pmf = np.zeros(grid_size)
-        pmf[0] = 1.0
-        return _finalize_pmf(pmf, banded.unit)
-    vs = np.array(sorted(merged), dtype=np.int64)
-    eps = np.array([merged[v] for v in sorted(merged)])
-    return _finalize_pmf(_panjer_poisson(vs, eps, grid_size), banded.unit)
-
-
-def _sector_pmf(sector: BandedSector, grid_size: int) -> np.ndarray | None:
-    active = [b for b in sector.bands if b.epsilon > 0.0]
-    if not active:
-        return None
-    vs = np.array(sorted(b.v for b in active), dtype=np.int64)
-    eps_by_v: dict[int, float] = {}
-    for b in active:
-        eps_by_v[b.v] = eps_by_v.get(b.v, 0.0) + b.epsilon
-    eps = np.array([eps_by_v[int(v)] for v in vs])
-    if sector.params.is_poisson:
-        return _panjer_poisson(vs, eps, grid_size)
-    f_dense = severity_polynomial(tuple(Band(int(v), e) for v, e in zip(vs, eps)))
-    return _panjer_negbin(vs, f_dense[vs], sector.params, grid_size)
+    vs, eps = _band_arrays(b for s in banded.sectors for b in s.bands)
+    return _finalize_pmf(_panjer(vs, eps, None, grid_size), banded.unit)
 
 
 def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
@@ -395,11 +372,11 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
     volatility fall back to the exact Poisson limit.
     """
     _check_grid(grid_size, banded.max_v + 1, "the largest band")
-    parts = [
-        _finalize_pmf(pmf, banded.unit)
-        for pmf in (_sector_pmf(s, grid_size) for s in banded.sectors)
-        if pmf is not None
-    ]
+    parts = []
+    for sector in banded.sectors:
+        vs, eps = _band_arrays(sector.bands)
+        if vs.size:
+            parts.append(_finalize_pmf(_panjer(vs, eps, sector.params, grid_size), banded.unit))
     if not parts:
         point = np.zeros(grid_size)
         point[0] = 1.0
@@ -420,14 +397,10 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     _check_grid(grid_size, 2 * (banded.max_v + 1), "alias-safe FFT inversion")
     log_g = np.zeros(grid_size, dtype=complex)
     for sector in banded.sectors:
-        active = tuple(b for b in sector.bands if b.epsilon > 0.0)
-        if not active:
+        count = sector.expected_count
+        if count == 0.0:
             continue
-        f = severity_polynomial(active)
-        padded = np.zeros(grid_size)
-        padded[: f.size] = f
-        q = np.fft.fft(padded)
-        count = sum(b.mu for b in active)
+        q = np.fft.fft(severity_polynomial(sector.bands), grid_size)
         params = sector.params
         if params.is_poisson:
             log_g += count * (q - 1.0)
@@ -456,5 +429,7 @@ def convolve(a: LossDistribution, b: LossDistribution) -> LossDistribution:
     if a.unit != b.unit:
         raise ModelError(f"unit mismatch: {a.unit!r} vs {b.unit!r}")
     n = max(a.pmf.size, b.pmf.size)
-    raw = signal.convolve(a.pmf, b.pmf, method="auto")[:n]
+    # a power of two >= len(a) + len(b) - 1, so the circular product does not wrap
+    size = 1 << (a.pmf.size + b.pmf.size - 2).bit_length()
+    raw = np.fft.irfft(np.fft.rfft(a.pmf, size) * np.fft.rfft(b.pmf, size), size)[:n]
     return _finalize_pmf(raw, a.unit)

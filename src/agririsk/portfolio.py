@@ -31,6 +31,16 @@ _OPTIONAL_COLUMNS = ("expected_loss", "rating")
 # crop/livestock ratios are renormalized when their sum misses 1 by more than this
 RATIO_RENORM_TOL = 1e-9
 
+# ObligorRecord fields that must be finite numbers (expected_loss_declared may be None)
+_NUMERIC_FIELDS = (
+    "exposure",
+    "mean_loss_rate",
+    "loss_rate_stddev",
+    "crop_ratio",
+    "livestock_ratio",
+    "expected_loss_declared",
+)
+
 
 @dataclass(frozen=True)
 class ObligorRecord:
@@ -53,6 +63,10 @@ class ObligorRecord:
     def __post_init__(self):
         if not self.id:
             raise InputError("obligor id must be non-empty")
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"obligor {self.id}: {name} must be finite, got {value}")
         if not self.exposure > 0:
             raise InputError(f"obligor {self.id}: exposure must be > 0, got {self.exposure}")
         if not 0.0 <= self.mean_loss_rate <= 1.0:
@@ -79,7 +93,6 @@ class Portfolio:
 
     obligors: tuple[ObligorRecord, ...]
     currency_unit: str = "EUR million"
-    as_of: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "obligors", tuple(self.obligors))
@@ -157,10 +170,6 @@ class Sector:
     mean_rate: float
     stddev_rate: float
     subs: tuple[SubExposure, ...]
-
-    @property
-    def total_amount(self) -> float:
-        return sum(s.amount for s in self.subs)
 
 
 @dataclass(frozen=True)

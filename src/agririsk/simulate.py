@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import exceedance_quantile
-from .engine import BandedPortfolio, LossDistribution
-from .errors import InputError
+from .engine import BandedPortfolio, LossDistribution, _band_arrays
+from .errors import InputError, ModelError
 from .portfolio import MC_MODES, SectoredPortfolio
 
 # Draws are generated in fixed-size chunks with child seeds spawned from the
@@ -102,13 +102,11 @@ def simulate(
     plans = []
     if cfg.mode == "poisson-banded":
         for s in banded.sectors:
-            active = [b for b in s.bands if b.epsilon > 0.0]
-            if not active:
+            vs, eps = _band_arrays(s.bands)
+            if not vs.size:
                 continue
-            payouts = np.array([b.v for b in active], dtype=float) * banded.unit
-            mus = np.array([b.mu for b in active])
             alpha = None if s.params.is_poisson else s.params.alpha
-            plans.append((alpha, mus, payouts))
+            plans.append((alpha, eps / vs, vs * banded.unit))
     else:
         by_name = {s.name: s for s in banded.sectors}
         for s in sectored.sectors:
@@ -205,11 +203,10 @@ def _quantile_band(dist: LossDistribution, eps: float, se_prob: float) -> tuple[
     # invert the analytic tail at eps +/- 3 standard errors; on a jagged
     # lattice pmf this is the honest fluctuation range of the MC quantile
     lo = exceedance_quantile(dist, min(eps + 3.0 * se_prob, 1.0 - 1e-12))
-    hi_eps = eps - 3.0 * se_prob
-    if hi_eps <= max(dist.truncation_mass, 0.0):
-        hi = float((dist.pmf.size - 1) * dist.unit)  # tail not resolvable at this n
-    else:
-        hi = exceedance_quantile(dist, hi_eps)
+    try:
+        hi = exceedance_quantile(dist, eps - 3.0 * se_prob)
+    except ModelError:  # tail not resolvable at this n: nonpositive, truncated or below the pmf
+        hi = float((dist.pmf.size - 1) * dist.unit)
     return lo, hi
 
 

@@ -40,6 +40,11 @@ class TestExceedanceQuantile:
         with pytest.raises(ModelError):
             ar.exceedance_quantile(point_mass(1), 0.0)
 
+    def test_level_below_pmf_resolution_rejected(self, bundled_dist):
+        # no grid point has P(loss > x) <= 1e-15; the answer is not 0
+        with pytest.raises(ModelError, match="smallest the pmf resolves"):
+            ar.exceedance_quantile(bundled_dist, 1e-15)
+
     def test_nonincreasing_in_eps(self, bundled_dist):
         levels = [0.2, 0.1, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001]
         quantiles = [ar.exceedance_quantile(bundled_dist, lvl) for lvl in levels]

@@ -13,6 +13,13 @@ def test_subprocess_imports_this_checkout(tmp_path):
     assert Path(result.stdout.strip()).resolve().is_relative_to(SRC.resolve())
 
 
+def test_import_loads_no_scipy(tmp_path):
+    code = "import sys, agririsk, agririsk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = run_python(["-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 class TestValidate:
     def test_bundled_dataset(self, tmp_path):
         result = run_cli(["validate"], tmp_path)
@@ -37,6 +44,13 @@ class TestValidate:
         (tmp_path / "junk.csv").write_bytes(b"\xff\xfe\x00\x01binary")
         result = run_cli(["validate", "--input", "junk.csv"], tmp_path)
         assert result.returncode == 2
+
+    def test_non_finite_number_exit_2(self, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(f"{HEADER}\nAAA,A,100,0.10,nan,1,0,10.0\n")
+        result = run_cli(["validate", "--input", "nan.csv"], tmp_path)
+        assert result.returncode == 2
+        assert "loss_rate_stddev must be finite" in result.stderr
 
     def test_inconsistent_expected_loss_exit_1(self, tmp_path):
         bad = tmp_path / "off.csv"

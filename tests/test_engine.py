@@ -205,6 +205,22 @@ class TestLossDistSector:
             assert tails[0][q] <= tails[1][q] <= tails[2][q]
 
 
+class TestHandBuiltSectors:
+    # unsorted, a repeated level and a zero-loss band; MERGED is the same sector sorted and merged
+    RAW = [(3, 0.4), (1, 0.5), (3, 0.2), (5, 0.0)]
+    MERGED = [(1, 0.5), (3, 0.4 + 0.2)]
+
+    @pytest.mark.parametrize("cv", [0.0, 0.8])
+    @pytest.mark.parametrize("backend", [ar.loss_dist_sector, ar.loss_dist_fft, ar.loss_dist_poisson])
+    def test_unsorted_repeated_and_zero_bands_match_merged(self, backend, cv):
+        params = params_for(self.MERGED, cv)
+        raw_bands = tuple(ar.Band(v, eps) for v, eps in self.RAW)
+        raw = ar.BandedPortfolio(1.0, (ar.BandedSector("s", params, raw_bands),), {})
+        merged = one_sector(params, self.MERGED)
+        tv = 0.5 * np.abs(backend(raw, 64).pmf - backend(merged, 64).pmf).sum()
+        assert tv <= 1e-12
+
+
 class TestLossDistFft:
     def test_poisson_single_band_matches_direct_formula(self):
         lam = 2.0

@@ -83,6 +83,17 @@ class TestRecordInvariants:
         with pytest.raises(InputError):
             make_obligor(crop_ratio=1.2)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "column",
+        ["exposure", "mean_loss_rate", "loss_rate_stddev", "crop_ratio", "livestock_ratio", "expected_loss"],
+    )
+    def test_non_finite_cell_rejected(self, column, text):
+        cells = BGR_ROW.split(",")
+        cells[HEADER.split(",").index(column)] = text
+        with pytest.raises(InputError, match=rf"row 2: obligor BGR: {column}\w* must be finite"):
+            ar.parse_portfolio(f"{HEADER}\n{','.join(cells)}\n")
+
     def test_empty_portfolio_rejected(self):
         with pytest.raises(InputError, match="empty portfolio"):
             ar.Portfolio(obligors=())

@@ -5,6 +5,7 @@ import pytest
 
 import agririsk as ar
 from agririsk.errors import InputError
+from agririsk.simulate import _quantile_band
 
 from conftest import make_banded
 from test_engine import params_for, poisson_sector
@@ -162,3 +163,8 @@ class TestCompare:
         assert summary["seed"] == 21
         assert summary["clamp_count"] == 0
         assert "0.1" in summary["quantiles"]
+
+    def test_unresolvable_band_edge_is_the_top_grid_point(self, bundled_dist):
+        # eps - 3 se = 1e-15 lies below every tail probability the pmf resolves
+        _, hi = _quantile_band(bundled_dist, 0.01, (0.01 - 1e-15) / 3.0)
+        assert hi == (bundled_dist.pmf.size - 1) * bundled_dist.unit
