@@ -50,13 +50,6 @@ class ContributionTable:
     total_expected_loss: float
     totals: tuple[float, ...]
 
-    def contribution(self, obligor_id: str, level: float) -> float:
-        col = self.levels.index(level)
-        for row in self.rows:
-            if row.obligor_id == obligor_id:
-                return row.contributions[col]
-        raise KeyError(obligor_id)
-
 
 @dataclass(frozen=True)
 class RiskReport:

@@ -22,7 +22,6 @@ from .portfolio import SectoredPortfolio
 # tolerances shared with the test-suite contracts
 NEGATIVE_PMF_CLAMP = 1e-14  # FFT round-off below -1e-14 is treated as failure
 _GRID_SNAP = 1e-9  # relative slack when amount/unit lands on an integer
-_RHO_SERIES_CUTOFF = 1e-4  # below this, log(1 - rho*Q) is expanded in series
 
 
 @dataclass(frozen=True)
@@ -185,13 +184,15 @@ class LossDistribution:
         return np.arange(self.pmf.size) * self.unit
 
     def prob_exceeds(self, amount: float) -> float:
-        """P(loss > amount); includes any truncated tail mass."""
+        """P(loss > amount) on the grid, nonnegative and nonincreasing in amount.
+
+        Beyond the grid this is the survival at its last point, which holds
+        any truncated mass; round-off below zero reads as 0.
+        """
         idx = int(math.floor(amount / self.unit))
         if idx < 0:
             return 1.0
-        if idx >= self.pmf.size:
-            return self.truncation_mass
-        return float(1.0 - self.cdf[idx])
+        return max(0.0, float(1.0 - self.cdf[min(idx, self.pmf.size - 1)]))
 
     def to_csv(self) -> str:
         lines = ["loss_units,loss_money,pmf,cdf"]
@@ -384,6 +385,16 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
     return reduce(convolve, parts)
 
 
+def _log1p(z: np.ndarray) -> np.ndarray:
+    """Complex log(1 + z), accurate to relative round-off as |z| -> 0 for Re z >= 0.
+
+    numpy's complex log1p loses digits at small |z|; here the modulus goes
+    through the real log1p and the argument through arctan2.
+    """
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
 def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     """Aggregate loss pmf by evaluating log G at the grid_size roots of unity.
 
@@ -395,32 +406,21 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     if grid_size < 1 or grid_size & (grid_size - 1):
         raise ModelError(f"grid_size must be a power of two, got {grid_size}")
     _check_grid(grid_size, 2 * (banded.max_v + 1), "alias-safe FFT inversion")
-    log_g = np.zeros(grid_size, dtype=complex)
+    # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
+    log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
     for sector in banded.sectors:
         count = sector.expected_count
         if count == 0.0:
             continue
-        q = np.fft.fft(severity_polynomial(sector.bands), grid_size)
+        q = np.fft.rfft(severity_polynomial(sector.bands), grid_size)
         params = sector.params
         if params.is_poisson:
             log_g += count * (q - 1.0)
-        elif params.rho <= _RHO_SERIES_CUTOFF:
-            # alpha*(log(1-rho) - log(1-rho*q)) cancels catastrophically for
-            # tiny rho; use log(1-rho) - log(1-rho*q) = sum_m rho^m (q^m-1)/m
-            acc = np.zeros(grid_size, dtype=complex)
-            rho_m = 1.0
-            q_m = np.ones(grid_size, dtype=complex)
-            for m in range(1, 5):
-                rho_m *= params.rho
-                q_m = q_m * q
-                acc += (rho_m / m) * (q_m - 1.0)
-            log_g += params.alpha * acc
         else:
-            denom = 1.0 - params.rho * q
-            if np.any(np.abs(denom) < 1e-300):
-                raise ModelError("internal invariant violation: 1 - rho*Q(z) vanished on |z| = 1")
-            log_g += params.alpha * (math.log1p(-params.rho) - np.log(denom))
-    pmf = np.fft.ifft(np.exp(log_g)).real
+            # alpha*(log(1-rho) - log(1-rho*Q)) with beta = rho/(1-rho); |Q| <= 1 keeps
+            # Re(1-Q) >= 0, so the log1p is accurate and finite however small beta is
+            log_g -= params.alpha * _log1p(params.beta * (1.0 - q))
+    pmf = np.fft.irfft(np.exp(log_g), grid_size)
     return _finalize_pmf(pmf, banded.unit)
 
 

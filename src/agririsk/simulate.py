@@ -22,6 +22,10 @@ from .portfolio import MC_MODES, SectoredPortfolio
 # Draws are generated in fixed-size chunks with child seeds spawned from the
 # master seed, so results stay identical under any future worker partitioning.
 CHUNK_DRAWS = 65536
+# Within a chunk each sector's (draws x columns) rate matrix is built and drawn
+# in row blocks of at most this many variates, which bounds memory whatever the
+# column count; row-blocked draws consume the RNG stream in the same order.
+BLOCK_VARIATES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -126,19 +130,19 @@ def simulate(
         m = min(CHUNK_DRAWS, cfg.n_draws - lo)
         acc = np.zeros(m)
         for alpha, per_unit, payouts in plans:
-            scale = _gamma_scalings(rng, alpha, m) if alpha is not None else None
-            if cfg.mode == "poisson-banded":
-                lam = np.tile(per_unit, (m, 1)) if scale is None else np.outer(scale, per_unit)
-                counts = rng.poisson(lam)
-                acc += counts @ payouts
-            else:
-                probs = np.tile(per_unit, (m, 1)) if scale is None else np.outer(scale, per_unit)
-                over = probs > 1.0
-                if over.any():
-                    clamped += int(over.sum())
-                    np.minimum(probs, 1.0, out=probs)
-                uniforms = rng.random((m, per_unit.size))
-                acc += (uniforms < probs) @ payouts
+            scale = _gamma_scalings(rng, alpha, m) if alpha is not None else np.ones(m)
+            rows = max(1, BLOCK_VARIATES // per_unit.size)
+            for r in range(0, m, rows):
+                rates = np.outer(scale[r : r + rows], per_unit)
+                if cfg.mode == "poisson-banded":
+                    hits = rng.poisson(rates)
+                else:
+                    over = rates > 1.0
+                    if over.any():
+                        clamped += int(over.sum())
+                        np.minimum(rates, 1.0, out=rates)
+                    hits = rng.random(rates.shape) < rates
+                acc[r : r + rows] += hits @ payouts
         losses[lo : lo + m] = acc
     losses.sort()
     return EmpiricalDistribution(

@@ -238,13 +238,23 @@ class TestLossDistFft:
         panjer = ar.loss_dist_sector(banded, 1024)
         assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
 
-    def test_tiny_rho_series_branch_matches_panjer(self):
+    # rho = 1.3e-9, 5.2e-5 (just below 1e-4) and 5.3e-13
+    @pytest.mark.parametrize("cv", [5e-5, 1e-2, 1e-6])
+    def test_tiny_rho_series_branch_matches_panjer(self, cv):
         bands = [(1, 0.3), (4, 0.9)]
-        params = params_for(bands, 5e-5)
+        params = params_for(bands, cv)
         assert 0.0 < params.rho < 1e-4
         banded = one_sector(params, bands)
         fft = ar.loss_dist_fft(banded, 512)
         panjer = ar.loss_dist_sector(banded, 512)
+        assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
+
+    def test_low_volatility_large_count_matches_panjer(self):
+        # rho = 5.2e-4: alpha*(log(1-rho) - log(1-rho*Q)) cancels to a pmf entry of -4e-14
+        bands = [(1, 300.0), (4, 900.0)]
+        banded = one_sector(params_for(bands, 1e-3), bands)
+        fft = ar.loss_dist_fft(banded, 16384)
+        panjer = ar.loss_dist_sector(banded, 16384)
         assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
 
     def test_non_power_of_two_rejected(self):
@@ -266,6 +276,35 @@ class TestLossDistFft:
         raw = np.array([0.5, -1e-10, 0.5])
         with pytest.raises(ModelError, match="clamp"):
             ar.engine._finalize_pmf(raw, 1.0)
+
+
+class TestLog1p:
+    @staticmethod
+    def points(lo: float, hi: float) -> np.ndarray:
+        # moduli log-spaced over [lo, hi], arguments over the half plane Re z >= 0
+        rng = np.random.default_rng(0)
+        r = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), 2000)
+        return r * np.exp(1j * rng.uniform(-math.pi / 2, math.pi / 2, r.size))
+
+    def test_matches_log_away_from_zero(self):
+        w = 1.0 + self.points(1e-2, 1e2)
+        z = w - 1.0  # exact, so the reference log(w) carries no rounding of 1 + z
+        ref = np.log(w)
+        assert np.max(np.abs(ar.engine._log1p(z) - ref) / np.abs(ref)) <= 1e-14
+
+    def test_matches_series_near_zero(self):
+        z = self.points(1e-300, 1e-6)
+        ref = z - z**2 / 2 + z**3 / 3 - z**4 / 4
+        assert np.max(np.abs(ar.engine._log1p(z) - ref) / np.abs(ref)) <= 1e-14
+
+
+class TestProbExceeds:
+    def test_nonnegative_and_nonincreasing_past_the_grid(self, bundled_dist):
+        top = bundled_dist.pmf.size * bundled_dist.unit
+        amounts = np.concatenate([np.linspace(-1.0, top, 4001), [top + 0.5, 2 * top, 10 * top]])
+        probs = np.array([bundled_dist.prob_exceeds(a) for a in amounts])
+        assert probs.min() >= 0.0
+        assert np.all(np.diff(probs) <= 0.0)
 
 
 class TestConvolve:

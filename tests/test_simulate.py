@@ -1,11 +1,13 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import agririsk as ar
 from agririsk.errors import InputError
-from agririsk.simulate import _quantile_band
+from agririsk.simulate import CHUNK_DRAWS, _quantile_band
 
 from conftest import make_banded
 from test_engine import params_for, poisson_sector
@@ -113,6 +115,36 @@ class TestSimulate:
             ar.SimConfig(n_draws=0, seed=1)
         with pytest.raises(InputError):
             ar.SimConfig(n_draws=10, seed=1, mode="quasi")
+
+
+class TestBlockedDraws:
+    def test_bernoulli_chunk_memory_is_bounded(self):
+        # one full chunk over 256 sub-exposures; a (draws x subs) float matrix is 134 MB
+        subs = 256
+        rows = "".join(f"O{i},O{i},{10 + i % 7},0.02,0.01,0.5,0.5\n" for i in range(subs))
+        p = ar.parse_portfolio(
+            "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio\n" + rows
+        )
+        sectored, banded = pipeline(p, mode="single")
+        cfg = ar.SimConfig(n_draws=CHUNK_DRAWS, seed=7, mode="bernoulli-exact")
+        tracemalloc.start()
+        try:
+            ar.simulate(banded, cfg, sectored)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_DRAWS * subs * 8
+
+    @pytest.mark.parametrize("mode", ["poisson-banded", "bernoulli-exact"])
+    def test_blocked_draws_match_one_block(self, bundled_portfolio, monkeypatch, mode):
+        sectored, banded = pipeline(bundled_portfolio)
+        cfg = ar.SimConfig(n_draws=3000, seed=13, mode=mode)
+        whole = ar.simulate(banded, cfg, sectored)
+        # the module, not the simulate function that the package exports under its name
+        monkeypatch.setattr(importlib.import_module("agririsk.simulate"), "BLOCK_VARIATES", 1000)
+        blocked = ar.simulate(banded, cfg, sectored)
+        np.testing.assert_allclose(blocked.samples, whole.samples, rtol=1e-12, atol=0.0)
+        assert blocked.clamp_count == whole.clamp_count
 
 
 class TestEmpiricalQuantile:
