@@ -7,7 +7,7 @@ import agririsk as ar
 
 portfolio = ar.load_portfolio(ar.bundled_dataset_path())
 
-print(f"obligors: {len(portfolio)}  ({portfolio.currency_unit})")
+print(f"obligors: {len(portfolio)}  (EUR million)")
 print(f"total exposure      : {portfolio.total_exposure:12.2f}")
 print(f"total expected loss : {portfolio.total_expected_loss:12.2f}")
 print()

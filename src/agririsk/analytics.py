@@ -90,31 +90,6 @@ class RiskReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RiskReport":
-        payload = json.loads(text)
-        contrib = payload["contributions"]
-        return cls(
-            config=payload["config"],
-            findings=tuple(ValidationFinding(**f) for f in payload["findings"]),
-            moments=Moments(**payload["moments"]),
-            quantiles=tuple(QuantileRow(**q) for q in payload["quantiles"]),
-            contributions=ContributionTable(
-                levels=tuple(contrib["levels"]),
-                rows=tuple(
-                    ContributionRow(
-                        obligor_id=r["id"],
-                        name=r["name"],
-                        expected_loss=r["expected_loss"],
-                        contributions=tuple(r["contributions"]),
-                    )
-                    for r in contrib["rows"]
-                ),
-                total_expected_loss=contrib["total_expected_loss"],
-                totals=tuple(contrib["totals"]),
-            ),
-        )
-
     def quantiles_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -246,10 +221,11 @@ def build_report(
     merged_config.setdefault("unit", banded.unit)
     merged_config.setdefault("grid_size", int(dist.pmf.size))
     merged_config.setdefault("truncation_mass", float(dist.truncation_mass))
+    table = risk_contributions(banded, dist, levels, names)
     return RiskReport(
         config=merged_config,
         findings=tuple(findings),
         moments=moments(dist),
-        quantiles=tuple(QuantileRow(float(lvl), exceedance_quantile(dist, float(lvl))) for lvl in levels),
-        contributions=risk_contributions(banded, dist, levels, names),
+        quantiles=tuple(QuantileRow(lvl, var) for lvl, var in zip(table.levels, table.totals)),
+        contributions=table,
     )

@@ -109,8 +109,6 @@ def _input_path(args: argparse.Namespace) -> Path:
 def _run_pipeline(args: argparse.Namespace, parser: argparse.ArgumentParser):
     levels = _parse_levels(args.levels, parser)
     overrides = _parse_sector_rates(args.sector_rate, parser)
-    if args.unit <= 0:
-        parser.error(f"--unit must be > 0, got {args.unit}")
     if args.grid != "auto":
         try:
             grid = int(args.grid)

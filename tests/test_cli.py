@@ -60,6 +60,27 @@ class TestValidate:
         assert "expected_loss_mismatch" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--unit", "nan"],
+        ["analyze", "--unit", "inf"],
+        ["analyze", "--sector-rate", "crop=nan,0.01"],
+        ["analyze", "--sector-rate", "crop=inf,0.01"],
+        ["analyze", "--sector-rate", "crop=0.03,nan"],
+        ["validate", "--input", "off.csv", "--tolerance", "nan"],
+        ["validate", "--input", "off.csv", "--tolerance", "inf"],
+    ],
+)
+def test_non_finite_flag_exit_2(tmp_path, args):
+    # declared expected loss 5x off (gap 0.8 of it): an error finding at any tolerance below 0.8
+    (tmp_path / "off.csv").write_text(f"{HEADER}\nAAA,A,100,0.10,0.01,1,0,50.0\n")
+    result = run_cli(args, tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    assert "finite" in result.stderr
+
+
 class TestAnalyze:
     def test_default_run_writes_reports(self, tmp_path):
         result = run_cli(["analyze"], tmp_path)
@@ -88,6 +109,11 @@ class TestAnalyze:
         a = (tmp_path / "a" / "quantiles.csv").read_bytes()
         b = (tmp_path / "b" / "quantiles.csv").read_bytes()
         assert a == b
+
+    def test_nonpositive_unit_exit_2(self, tmp_path):
+        result = run_cli(["analyze", "--unit", "0"], tmp_path)
+        assert result.returncode == 2
+        assert "unit must be" in result.stderr
 
     def test_bad_level_exit_2(self, tmp_path):
         result = run_cli(["analyze", "--levels", "1.5"], tmp_path)

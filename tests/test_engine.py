@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,9 +401,21 @@ class TestSerialization:
         assert first[0] == "0"
         assert float(first[2]) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
-    def test_json_dict_round_trip(self):
-        d = ar.loss_dist_poisson(poisson_sector([(1, 1.0)]), 8)
-        payload = d.to_json_dict()
-        assert payload["unit"] == 1.0
-        assert payload["truncation_mass"] == d.truncation_mass
-        np.testing.assert_allclose(payload["pmf"], d.pmf)
+    def test_csv_peak_memory_and_rows(self):
+        # 2**16 rows span several write chunks; the whole grid's row strings
+        # must never be held at once next to the joined text
+        pmf = np.random.default_rng(7).random(1 << 16)
+        d = ar.LossDistribution(unit=0.1, pmf=pmf / pmf.sum(), truncation_mass=0.0)
+        cdf = d.cdf
+        tracemalloc.start()
+        try:
+            text = d.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
+        rows = (
+            f"{n},{n * d.unit!r},{float(d.pmf[n])!r},{float(cdf[n])!r}\n"
+            for n in range(d.pmf.size)
+        )
+        assert text == "loss_units,loss_money,pmf,cdf\n" + "".join(rows)

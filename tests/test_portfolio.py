@@ -61,10 +61,6 @@ class TestParse:
         with pytest.raises(InputError, match="unknown column"):
             ar.parse_portfolio(f"{HEADER},surprise\nAAA,A,100,0.1,0.0,1.0,0.0,10.0,x\n")
 
-    def test_serialize_round_trip_is_identity(self, bundled_portfolio):
-        again = ar.parse_portfolio(ar.serialize_portfolio(bundled_portfolio))
-        assert again == bundled_portfolio
-
     def test_rates_are_fractions_not_percent(self):
         with pytest.raises(InputError, match="mean_loss_rate"):
             ar.parse_portfolio(f"{HEADER}\nAAA,A,100,3.12,0.0,1.0,0.0,\n")
