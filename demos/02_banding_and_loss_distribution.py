@@ -39,8 +39,8 @@ dist_panjer = ar.loss_dist_sector(banded, grid)
 t_panjer = time.perf_counter() - t0
 
 tv = 0.5 * np.abs(dist_fft.pmf - dist_panjer.pmf).sum()
-print(f"fft    {t_fft:6.2f}s   truncation {dist_fft.truncation_mass:.2e}")
-print(f"panjer {t_panjer:6.2f}s   truncation {dist_panjer.truncation_mass:.2e}")
+print(f"fft    {t_fft:6.2f}s   truncation {dist_fft.truncation_mass:.2e}   tail_bound {dist_fft.tail_bound:.2e}")
+print(f"panjer {t_panjer:6.2f}s   truncation {dist_panjer.truncation_mass:.2e}   tail_bound {dist_panjer.tail_bound:.2e}")
 print(f"total variation between backends: {tv:.2e}")
 print()
 

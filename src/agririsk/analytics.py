@@ -120,9 +120,10 @@ def exceedance_quantile(dist: LossDistribution, eps: float) -> float:
     """Smallest grid point x with P(loss > x) <= eps."""
     if not 0.0 < eps < 1.0:
         raise ModelError(f"exceedance probability must be in (0, 1), got {eps}")
-    if dist.truncation_mass >= eps:
+    if dist.truncation_mass >= eps or dist.tail_bound >= eps:
         raise ModelError(
-            f"grid too small for requested tail: truncation mass {dist.truncation_mass:.3e} >= {eps}"
+            f"grid too small for requested tail: truncation mass {dist.truncation_mass:.3e}, "
+            f"tail bound {dist.tail_bound:.3e}, level {eps}"
         )
     tail = 1.0 - dist.cdf
     if tail[-1] > eps:  # tail is nonincreasing, so no grid point qualifies
@@ -221,6 +222,7 @@ def build_report(
     merged_config.setdefault("unit", banded.unit)
     merged_config.setdefault("grid_size", int(dist.pmf.size))
     merged_config.setdefault("truncation_mass", float(dist.truncation_mass))
+    merged_config.setdefault("tail_bound", float(dist.tail_bound))
     table = risk_contributions(banded, dist, levels, names)
     return RiskReport(
         config=merged_config,

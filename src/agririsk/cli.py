@@ -182,6 +182,7 @@ def cmd_dist(args, parser) -> int:
     print(f"mean {mom.mean!r}")
     print(f"variance {mom.variance!r}")
     print(f"truncation_mass {dist.truncation_mass!r}")
+    print(f"tail_bound {dist.tail_bound!r}")
     print(f"wrote distribution.csv to {out}")
     return 0
 

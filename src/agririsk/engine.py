@@ -11,7 +11,7 @@ via FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -24,6 +24,11 @@ NEGATIVE_PMF_CLAMP = 1e-14  # FFT round-off below -1e-14 is treated as failure
 _GRID_SNAP = 1e-9  # relative slack when amount/unit lands on an integer
 
 _CSV_CHUNK_ROWS = 1 << 14  # grid rows formatted per join in LossDistribution.to_csv
+
+TAIL_EPS = 1e-12  # auto grid: Chernoff bound on P(loss >= grid) at most this
+MAX_GRID = 1 << 26  # largest grid any backend allocates: 512 MiB per float64 array
+_EXPM1_CAP = 700.0  # t * max_v bound keeping expm1(t v) finite
+_SEARCH_STEPS = 64  # bisection and golden-section steps: brackets shrink to < 1e-13
 
 
 @dataclass(frozen=True)
@@ -170,12 +175,15 @@ class LossDistribution:
     """Aggregate loss pmf on the grid {0, L, 2L, ...}.
 
     Mass beyond the grid is tracked as truncation_mass, never renormalized
-    away: renormalizing would silently distort quantiles.
+    away: renormalizing would silently distort quantiles. tail_bound is a
+    Chernoff bound on P(loss >= grid size), which also bounds the FFT's
+    aliasing error; 0.0 marks a distribution built without one.
     """
 
     unit: float
     pmf: np.ndarray
     truncation_mass: float
+    tail_bound: float = 0.0
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -202,7 +210,7 @@ class LossDistribution:
         return "".join(chunks)
 
 
-def _finalize_pmf(raw: np.ndarray, unit: float) -> LossDistribution:
+def _finalize_pmf(raw: np.ndarray, unit: float, tail_bound: float = 0.0) -> LossDistribution:
     pmf = np.asarray(raw, dtype=float)
     worst = float(pmf.min())
     if worst < -NEGATIVE_PMF_CLAMP:
@@ -212,7 +220,7 @@ def _finalize_pmf(raw: np.ndarray, unit: float) -> LossDistribution:
     total = float(pmf.sum())
     if total > 1.0 + 1e-9:
         raise ModelError(f"pmf sums to {total!r} > 1 + 1e-9")
-    return LossDistribution(unit=unit, pmf=pmf, truncation_mass=1.0 - total)
+    return LossDistribution(unit=unit, pmf=pmf, truncation_mass=1.0 - total, tail_bound=tail_bound)
 
 
 def units_ceiling(amount: float, unit: float) -> int:
@@ -302,17 +310,110 @@ def analytic_moments(banded: BandedPortfolio) -> tuple[float, float]:
     return mean_u * banded.unit, var_u * banded.unit**2
 
 
+def _golden_min(fn, hi: float) -> float:
+    """Least value golden-section search finds for a unimodal fn on (0, hi]."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, hi
+    c, d = b - r * b, r * b
+    fc, fd = fn(c), fn(d)
+    for _ in range(_SEARCH_STEPS):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = fn(d)
+    return min(fc, fd)
+
+
+class _Cumulant:
+    """Cumulant generating function K(t) = log E[exp(t S)] of the loss S in grid units.
+
+    K(t) sums -alpha_k log(1 - beta_k d_k(t)) over gamma sectors and
+    mu_k d_k(t) over unmixed ones, where d_k(t) = M_k(t) - 1 =
+    sum_v f_kv expm1(t v). All bands sit in flat arrays: every unmixed band
+    carries its expected count and index 0, gamma sector k's bands carry
+    weight f_kv and index k >= 1, so one bincount gives every d_k.
+    mixed=False treats every band as unmixed Poisson. Markov's inequality
+    gives P(S >= n) <= exp(K(t) - t n) for every t in (0, t_max], where
+    t_max stays below each gamma pole beta_k d_k = 1 and t max_v <= 700.
+    """
+
+    def __init__(self, banded: BandedPortfolio, mixed: bool = True):
+        levels, weights, index = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+        alpha, beta = [], []
+        for sector in banded.sectors:
+            vs, eps = _band_arrays(sector.bands)
+            mu = eps / vs
+            gamma = mixed and not sector.params.is_poisson
+            levels.append(vs)
+            weights.append(mu / mu.sum() if gamma else mu)
+            index.append(np.full(vs.size, len(alpha) + 1 if gamma else 0))
+            if gamma:
+                alpha.append(sector.params.alpha)
+                beta.append(sector.params.beta)
+        self.v, self.w, self.index = np.concatenate(levels), np.concatenate(weights), np.concatenate(index)
+        self.alpha, self.beta = np.array(alpha), np.array(beta)
+        self.t_max = self._t_max()
+
+    def _d(self, t: float) -> np.ndarray:
+        return np.bincount(self.index, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
+
+    def _below_poles(self, t: float) -> bool:
+        return bool(np.all(self.beta * self._d(t)[1:] < 1.0))
+
+    def _t_max(self) -> float:
+        if not self.v.size:
+            return 0.0
+        lo, hi = 0.0, _EXPM1_CAP / float(self.v.max())
+        if self._below_poles(hi):
+            return hi
+        for _ in range(_SEARCH_STEPS):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if self._below_poles(mid) else (lo, mid)
+        return lo
+
+    def __call__(self, t: float) -> float:
+        d = self._d(t)
+        return float(d[0] - self.alpha @ np.log1p(-self.beta * d[1:]))
+
+    def grid_need(self) -> float:
+        """Least n the bound certifies at TAIL_EPS: min over t of (K(t) + log(1/TAIL_EPS)) / t."""
+        if not self.v.size:
+            return 0.0
+        log_inv_eps = -math.log(TAIL_EPS)
+        return _golden_min(lambda t: (self(t) + log_inv_eps) / t, self.t_max)
+
+    def tail_bound(self, n: int) -> float:
+        """min over t of exp(K(t) - t n), an upper bound on P(S >= n), at most 1."""
+        if not self.v.size:
+            return 0.0
+        return math.exp(min(0.0, _golden_min(lambda t: self(t) - t * n, self.t_max)))
+
+
 def auto_grid_size(banded: BandedPortfolio) -> int:
-    """Smallest power of two covering 4x (mean + 20 stddev) in grid units."""
-    mean, var = analytic_moments(banded)
-    qhat_units = (mean + 20.0 * math.sqrt(var)) / banded.unit
-    need = max(4.0 * qhat_units, 2.0 * (banded.max_v + 1), 16.0)
+    """Smallest power of two N with a Chernoff bound on P(loss >= N) of at most TAIL_EPS.
+
+    N is also at least 2 (max_v + 1), the FFT's alias padding, and 16.
+    """
+    need = max(_Cumulant(banded).grid_need(), 2.0 * (banded.max_v + 1), 16.0)
+    if not need <= MAX_GRID:
+        raise ModelError(
+            f"the loss tail needs a grid of {need:.4g} points, above the {MAX_GRID}-point limit; "
+            "use a larger unit (--unit)"
+        )
     return 1 << math.ceil(math.log2(need))
 
 
 def _check_grid(grid_size: int, minimum: int, what: str) -> None:
     if grid_size < minimum:
         raise ModelError(f"grid_size {grid_size} too small for {what}: need at least {minimum}")
+    if grid_size > MAX_GRID:
+        raise ModelError(
+            f"grid_size {grid_size} is above the {MAX_GRID}-point limit; use a larger unit (--unit)"
+        )
 
 
 def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_size: int) -> np.ndarray:
@@ -355,7 +456,8 @@ def loss_dist_poisson(banded: BandedPortfolio, grid_size: int) -> LossDistributi
     """
     _check_grid(grid_size, banded.max_v + 1, "the largest band")
     vs, eps = _band_arrays(b for s in banded.sectors for b in s.bands)
-    return _finalize_pmf(_panjer(vs, eps, None, grid_size), banded.unit)
+    bound = _Cumulant(banded, mixed=False).tail_bound(grid_size)
+    return _finalize_pmf(_panjer(vs, eps, None, grid_size), banded.unit, bound)
 
 
 def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
@@ -375,7 +477,7 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
         point = np.zeros(grid_size)
         point[0] = 1.0
         return _finalize_pmf(point, banded.unit)
-    return reduce(convolve, parts)
+    return replace(reduce(convolve, parts), tail_bound=_Cumulant(banded).tail_bound(grid_size))
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:
@@ -414,7 +516,7 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
             # Re(1-Q) >= 0, so the log1p is accurate and finite however small beta is
             log_g -= params.alpha * _log1p(params.beta * (1.0 - q))
     pmf = np.fft.irfft(np.exp(log_g), grid_size)
-    return _finalize_pmf(pmf, banded.unit)
+    return _finalize_pmf(pmf, banded.unit, _Cumulant(banded).tail_bound(grid_size))
 
 
 def convolve(a: LossDistribution, b: LossDistribution) -> LossDistribution:

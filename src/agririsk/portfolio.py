@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -29,6 +30,7 @@ _OPTIONAL_COLUMNS = ("expected_loss", "rating")
 
 # crop/livestock ratios are renormalized when their sum misses 1 by more than this
 RATIO_RENORM_TOL = 1e-9
+_MAX_LOG_FACTOR = math.log(sys.float_info.max)  # largest -rate * horizon whose exp is finite
 
 # ObligorRecord fields that must be finite numbers (expected_loss_declared may be None)
 _NUMERIC_FIELDS = (
@@ -125,8 +127,14 @@ class DiscountSpec:
     horizon: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.rate) and math.isfinite(self.horizon)):
+            raise InputError(f"discount rate and horizon must be finite, got {self.rate} and {self.horizon}")
         if self.horizon < 0:
             raise InputError(f"discount horizon must be >= 0, got {self.horizon}")
+        if self.rate <= -1.0:
+            raise InputError(f"discount rate must be > -1, got {self.rate}")
+        if -self.rate * self.horizon > _MAX_LOG_FACTOR:
+            raise InputError(f"discount factor overflows at rate {self.rate} over horizon {self.horizon}")
 
     @property
     def factor(self) -> float:

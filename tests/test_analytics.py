@@ -37,6 +37,13 @@ class TestExceedanceQuantile:
         with pytest.raises(ModelError, match="grid too small"):
             ar.exceedance_quantile(dist, 0.05)
 
+    def test_tail_bound_blocks_levels_at_or_below_it(self):
+        pmf = np.array([0.5, 0.5])
+        dist = ar.LossDistribution(unit=1.0, pmf=pmf, truncation_mass=0.0, tail_bound=0.05)
+        assert ar.exceedance_quantile(dist, 0.1) == 1.0
+        with pytest.raises(ModelError, match="tail bound 5.000e-02, level 0.05"):
+            ar.exceedance_quantile(dist, 0.05)
+
     def test_level_outside_unit_interval_rejected(self):
         with pytest.raises(ModelError):
             ar.exceedance_quantile(point_mass(1), 0.0)
@@ -168,6 +175,13 @@ class TestBuildReport:
         return ar.build_report(
             bundled_portfolio, bundled_banded, bundled_dist, levels, config, findings
         )
+
+    def test_config_records_grid_and_its_bounds(self, bundled_portfolio, bundled_banded, bundled_dist):
+        config = self.build(bundled_portfolio, bundled_banded, bundled_dist, [0.1]).config
+        assert config["grid_size"] == bundled_dist.pmf.size
+        assert config["truncation_mass"] == bundled_dist.truncation_mass
+        assert config["tail_bound"] == bundled_dist.tail_bound
+        assert 0.0 < config["tail_bound"] <= ar.engine.TAIL_EPS
 
     def test_empty_levels(self, bundled_portfolio, bundled_banded, bundled_dist):
         report = self.build(bundled_portfolio, bundled_banded, bundled_dist, [])

@@ -81,6 +81,15 @@ def test_non_finite_flag_exit_2(tmp_path, args):
     assert "finite" in result.stderr
 
 
+# discount factors e^1000 (overflows) and e^100 (a grid beyond numpy's array limits)
+@pytest.mark.parametrize("rate", ["-1000", "-100"])
+def test_discount_rate_at_or_below_minus_one_exit_2(tmp_path, rate):
+    result = run_cli(["analyze", "--unit", "10", "--rate", rate, "--horizon", "1"], tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    assert "discount rate must be > -1" in result.stderr
+
+
 class TestAnalyze:
     def test_default_run_writes_reports(self, tmp_path):
         result = run_cli(["analyze"], tmp_path)
@@ -118,6 +127,13 @@ class TestAnalyze:
     def test_bad_level_exit_2(self, tmp_path):
         result = run_cli(["analyze", "--levels", "1.5"], tmp_path)
         assert result.returncode == 2
+
+    def test_grid_too_small_for_a_level_exit_1(self, tmp_path):
+        # at 16384 points the 1% quantile read 11151 instead of 11577
+        result = run_cli(["analyze", "--unit", "1", "--grid", "16384"], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert "tail bound" in result.stderr and "level 0.01" in result.stderr
+        assert not (tmp_path / "out" / "quantiles.csv").exists()
 
     def test_non_power_of_two_fft_grid_exit_1(self, tmp_path):
         result = run_cli(["analyze", "--grid", "100000", "--backend", "fft"], tmp_path)
@@ -170,3 +186,10 @@ class TestDist:
         result = run_cli(["dist", "--unit", "10"], tmp_path)
         line = next(l for l in result.stdout.splitlines() if l.startswith("truncation_mass"))
         assert abs(float(line.split()[1])) < 1e-9
+
+    def test_tail_bound_printed_after_truncation_mass(self, tmp_path):
+        result = run_cli(["dist", "--unit", "10"], tmp_path)
+        lines = result.stdout.splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("truncation_mass"))
+        assert lines[at + 1].startswith("tail_bound ")
+        assert 0.0 < float(lines[at + 1].split()[1]) <= 1e-12

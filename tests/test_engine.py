@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from scipy.stats import nbinom
 import agririsk as ar
 from agririsk.errors import InputError, ModelError
 
-from conftest import make_banded
+from conftest import REPO_ROOT, make_banded
 
 # regression constant: sum of eps_j / v_j on the bundled dataset, single
 # sector, unit = 1; recomputed independently in test_bundled_single_sector_rate
@@ -277,6 +278,88 @@ class TestLossDistFft:
         raw = np.array([0.5, -1e-10, 0.5])
         with pytest.raises(ModelError, match="clamp"):
             ar.engine._finalize_pmf(raw, 1.0)
+
+
+class TestTailBound:
+    BANDS_A = [(1, 0.5), (3, 0.9), (7, 0.35)]
+    BANDS_B = [(2, 0.6), (5, 0.8)]
+    CASES = {
+        "poisson": [("a", params_for(BANDS_A, 0.0), BANDS_A)],
+        "gamma": [("a", params_for(BANDS_A, 0.8), BANDS_A)],
+        "mixed": [("a", params_for(BANDS_A, 0.8), BANDS_A), ("b", params_for(BANDS_B, 0.0), BANDS_B)],
+    }
+
+    # tails from 1e-2 down to 1e-17; deeper, the round-off of convolving sectors (~1e-15) swamps them
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bound_covers_the_exact_tail(self, case, n):
+        banded = make_banded(self.CASES[case])
+        exact = float(ar.loss_dist_sector(banded, 8 * n).pmf[n:].sum())  # P(S >= n)
+        bound = ar.loss_dist_sector(banded, n).tail_bound
+        assert exact <= bound <= 1.0
+        assert ar.loss_dist_fft(banded, n).tail_bound == bound
+        poisson_exact = float(ar.loss_dist_poisson(banded, 8 * n).pmf[n:].sum())
+        assert poisson_exact <= ar.loss_dist_poisson(banded, n).tail_bound <= 1.0
+
+    def test_zero_risk_portfolio(self):
+        banded = poisson_sector([(1, 0.0), (5, 0.0)])
+        assert ar.auto_grid_size(banded) == 16
+        assert ar.loss_dist_fft(banded, 16).tail_bound == 0.0
+
+    def test_auto_grid_above_limit_refused_before_allocating(self, bundled_portfolio):
+        # exposures times e^10: the tail needs about 2**28 points at unit 10
+        grown = ar.discount_exposures(bundled_portfolio, ar.DiscountSpec(-0.2, 50.0))
+        banded = ar.band_exposures(ar.assign_sectors(grown, ar.SectorAssignment()), 10.0)
+        with pytest.raises(ModelError, match="67108864-point limit; use a larger unit"):
+            ar.auto_grid_size(banded)
+
+    @pytest.mark.parametrize("backend", [ar.loss_dist_sector, ar.loss_dist_fft, ar.loss_dist_poisson])
+    def test_explicit_grid_above_limit_refused(self, monkeypatch, backend):
+        monkeypatch.setattr(ar.engine, "MAX_GRID", 1024)
+        with pytest.raises(ModelError, match="1024-point limit"):
+            backend(poisson_sector([(1, 1.0)]), 2048)
+
+
+def _old_auto_grid(banded: ar.BandedPortfolio) -> int:
+    """The grid rule the Chernoff bound replaced: a power of two >= 4 (mean + 20 stddev)."""
+    mean, var = ar.analytic_moments(banded)
+    need = max(4.0 * (mean + 20.0 * math.sqrt(var)) / banded.unit, 2.0 * (banded.max_v + 1), 16.0)
+    return 1 << math.ceil(math.log2(need))
+
+
+FROZEN_QUANTILES = json.loads((REPO_ROOT / "perfbench" / "eu22_quantiles.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "mode, unit",
+    [
+        ("single", 1.0),
+        ("single", 10.0),
+        ("crop-livestock", 1.0),
+        ("crop-livestock", 2.0),
+        ("crop-livestock", 10.0),
+        ("per-obligor", 2.0),
+        ("per-obligor", 10.0),
+    ],
+)
+def test_auto_grid_on_bundled_configs(bundled_portfolio, mode, unit):
+    banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), unit)
+    grid = ar.auto_grid_size(banded)
+    assert grid <= _old_auto_grid(banded)
+    fft = ar.loss_dist_fft(banded, grid)
+    panjer = ar.loss_dist_sector(banded, grid)
+    assert fft.tail_bound <= 1e-12 and panjer.tail_bound <= 1e-12
+    # against 4x the grid, counting the reference's mass beyond this one
+    ref = ar.loss_dist_fft(banded, 4 * grid).pmf
+    assert 0.5 * (float(np.abs(fft.pmf - ref[:grid]).sum()) + float(ref[grid:].sum())) <= 1e-12
+    assert 0.5 * float(np.abs(fft.pmf - panjer.pmf).sum()) <= 1e-8
+    checked = 0
+    for backend, dist in (("fft", fft), ("panjer", panjer)):
+        frozen = FROZEN_QUANTILES.get(f"{mode}/{unit!r}/{backend}")
+        if frozen is not None:
+            assert [[lvl, ar.exceedance_quantile(dist, lvl)] for lvl, _ in frozen] == frozen
+            checked += 1
+    assert checked
 
 
 class TestLog1p:

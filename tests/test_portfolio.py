@@ -144,6 +144,17 @@ class TestDiscount:
         with pytest.raises(InputError):
             ar.DiscountSpec(0.05, -1.0)
 
+    @pytest.mark.parametrize(
+        "rate, horizon",
+        [(math.nan, 1.0), (0.05, math.inf), (-math.inf, 1.0), (-1.0, 1.0), (-1000.0, 1.0), (-0.5, 2000.0)],
+    )
+    def test_non_finite_rate_at_most_minus_one_or_overflowing_factor_rejected(self, rate, horizon):
+        with pytest.raises(InputError):
+            ar.DiscountSpec(rate, horizon)
+
+    def test_rate_just_above_minus_one_accepted(self):
+        assert ar.DiscountSpec(-0.999, 1.0).factor == pytest.approx(math.exp(0.999), rel=1e-15)
+
     def test_other_fields_unchanged(self, bundled_portfolio):
         out = ar.discount_exposures(bundled_portfolio, ar.DiscountSpec(0.03, 2.0))
         for before, after in zip(bundled_portfolio, out):
