@@ -20,7 +20,7 @@ TRUNCATION_CAVEAT = 1e-9
 class Moments:
     mean: float
     variance: float
-    truncation_caveat: bool  # set when truncated tail mass may bias the figures
+    truncation_caveat: bool  # set when truncated or aliased tail mass may bias the figures
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,11 @@ class RiskReport:
 
 
 def exceedance_quantile(dist: LossDistribution, eps: float) -> float:
-    """Smallest grid point x with P(loss > x) <= eps."""
+    """Smallest grid point x with P(loss > x) <= eps, certified against the tail bound.
+
+    The pmf's survival can fall short of the true one by tail_bound (the
+    FFT's aliased mass), so x is returned only when both still fit in eps.
+    """
     if not 0.0 < eps < 1.0:
         raise ModelError(f"exceedance probability must be in (0, 1), got {eps}")
     if dist.truncation_mass >= eps or dist.tail_bound >= eps:
@@ -130,34 +134,33 @@ def exceedance_quantile(dist: LossDistribution, eps: float) -> float:
         raise ModelError(
             f"exceedance probability {eps} is below the smallest the pmf resolves, {tail[-1]:.3e}"
         )
-    return int(np.argmax(tail <= eps)) * dist.unit
+    x = int(np.argmax(tail <= eps))
+    if tail[x] + dist.tail_bound > eps:
+        raise ModelError(f"grid too small to certify: survival {tail[x]:.3e} at {x * dist.unit!r} "
+                         f"plus tail bound {dist.tail_bound:.3e} exceeds level {eps}")
+    return x * dist.unit
 
 
 def moments(dist: LossDistribution) -> Moments:
-    """Mean and variance of the grid pmf, flagged when truncated mass could bias them."""
+    """Mean and variance of the grid pmf, flagged when truncated or aliased mass could bias them."""
     n = np.arange(dist.pmf.size, dtype=float)
     mean_units = float(np.dot(n, dist.pmf))
     second = float(np.dot(n * n, dist.pmf))
     return Moments(
         mean=mean_units * dist.unit,
         variance=(second - mean_units**2) * dist.unit**2,
-        truncation_caveat=dist.truncation_mass > TRUNCATION_CAVEAT,
+        truncation_caveat=max(dist.truncation_mass, dist.tail_bound) > TRUNCATION_CAVEAT,
     )
 
 
-def _variance_contributions(banded: BandedPortfolio) -> dict[str, float]:
-    # VC_i = sum over i's bands of eps*v*unit^2  +  cv_k^2 * (eps_i * unit) * (sector eps * unit)
-    sector_eps = {s.name: s.expected_loss_units for s in banded.sectors}
-    sector_cv = {s.name: s.params.cv for s in banded.sectors}
-    unit = banded.unit
-    out: dict[str, float] = {}
-    for oid, refs in banded.obligor_bands.items():
-        vc = 0.0
-        for ref in refs:
-            vc += ref.epsilon * ref.v * unit**2
-            vc += sector_cv[ref.sector] ** 2 * (ref.epsilon * unit) * (sector_eps[ref.sector] * unit)
-        out[oid] = vc
-    return out
+def _variance_contributions(banded: BandedPortfolio) -> np.ndarray:
+    # per obligor, in sub order: eps*v*unit^2 then cv_k^2 * (eps*unit) * (sector k's eps*unit), per sub
+    unit, k, eps = banded.unit, banded.sub_sector, banded.sub_epsilon
+    cv2 = np.array([s.params.cv**2 for s in banded.sectors])
+    sector_eps = np.array([s.expected_loss_units for s in banded.sectors])
+    terms = np.stack((eps * banded.sub_level * unit**2, cv2[k] * (eps * unit) * (sector_eps[k] * unit)))
+    n = len(banded.obligor_ids)
+    return np.bincount(np.repeat(banded.sub_obligor, 2), weights=terms.T.ravel(), minlength=n)
 
 
 def risk_contributions(
@@ -173,36 +176,25 @@ def risk_contributions(
     the portfolio VaR at every level.
     """
     levels = tuple(float(lvl) for lvl in levels)
-    for lvl in levels:
-        if not 0.0 < lvl < 1.0:
-            raise ModelError(f"levels must be in (0, 1), got {lvl}")
     names = names or {}
-    unit = banded.unit
-    expected = {
-        oid: sum(ref.epsilon for ref in refs) * unit
-        for oid, refs in banded.obligor_bands.items()
-    }
-    el_total = sum(expected.values())
+    expected = np.bincount(banded.sub_obligor, weights=banded.sub_epsilon, minlength=len(banded.obligor_ids))
+    expected *= banded.unit
     vc = _variance_contributions(banded)
-    vc_total = sum(vc.values())
+    el_total = sum(expected.tolist())
+    vc_total = sum(vc.tolist())
     if vc_total <= 0.0:
         raise ModelError("degenerate portfolio: total variance contribution is zero")
 
     vars_at = [exceedance_quantile(dist, lvl) for lvl in levels]
-    rows = []
-    for oid in banded.obligor_bands:
-        share = vc[oid] / vc_total
-        rows.append(
-            ContributionRow(
-                obligor_id=oid,
-                name=names.get(oid, oid),
-                expected_loss=expected[oid],
-                contributions=tuple(expected[oid] + (v - el_total) * share for v in vars_at),
-            )
-        )
+    unexpected = np.array(vars_at) - el_total
+    contributions = expected[:, None] + unexpected[None, :] * (vc / vc_total)[:, None]
+    rows = tuple(
+        ContributionRow(obligor_id=oid, name=names.get(oid, oid), expected_loss=el, contributions=tuple(c))
+        for oid, el, c in zip(banded.obligor_ids, expected.tolist(), contributions.tolist())
+    )
     return ContributionTable(
         levels=levels,
-        rows=tuple(rows),
+        rows=rows,
         total_expected_loss=el_total,
         totals=tuple(vars_at),
     )

@@ -190,8 +190,8 @@ def cmd_dist(args, parser) -> int:
 def cmd_simulate(args, parser) -> int:
     if args.n_draws < 1:
         parser.error(f"--n-draws must be >= 1, got {args.n_draws}")
-    discounted, _, sectored, banded, dist, levels, config = _run_pipeline(args, parser)
     cfg = SimConfig(n_draws=args.n_draws, seed=args.seed, mode=args.mc_mode)
+    discounted, _, sectored, banded, dist, levels, config = _run_pipeline(args, parser)
     empirical = mc_simulate(banded, cfg, sectored)
     comparison = mc_compare(dist, empirical, levels, total_exposure=discounted.total_exposure)
     out = Path(args.out)

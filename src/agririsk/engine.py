@@ -11,7 +11,7 @@ via FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -22,6 +22,7 @@ from .portfolio import SectoredPortfolio
 # tolerances shared with the test-suite contracts
 NEGATIVE_PMF_CLAMP = 1e-14  # FFT round-off below -1e-14 is treated as failure
 _GRID_SNAP = 1e-9  # relative slack when amount/unit lands on an integer
+_MAX_LEVEL = 2.0**62  # band levels are int64
 
 _CSV_CHUNK_ROWS = 1 << 14  # grid rows formatted per join in LossDistribution.to_csv
 
@@ -142,32 +143,30 @@ class BandedSector:
         return max((b.v for b in self.bands), default=0)
 
 
-@dataclass(frozen=True)
-class ObligorBandRef:
-    """One obligor sub-exposure's banded position, kept for contribution reporting."""
-
-    sector: str
-    v: int
-    epsilon: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandedPortfolio:
+    """Banded sectors plus a table of every sub-exposure's banded position.
+
+    The sub_* arrays run over sub-exposures in sector order: the obligor's
+    index in obligor_ids, the sector's index in sectors, the band level and
+    epsilon. Hand-built portfolios may leave them empty.
+    """
+
     unit: float
     sectors: tuple[BandedSector, ...]
-    obligor_bands: dict[str, tuple[ObligorBandRef, ...]]
+    obligor_ids: tuple[str, ...] = ()
+    sub_obligor: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    sub_sector: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    sub_level: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    sub_epsilon: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def max_v(self) -> int:
         return max((s.max_v for s in self.sectors), default=0)
 
     @property
-    def expected_loss_units(self) -> float:
-        return sum(s.expected_loss_units for s in self.sectors)
-
-    @property
     def expected_loss(self) -> float:
-        return self.expected_loss_units * self.unit
+        return sum(s.expected_loss_units for s in self.sectors) * self.unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,16 +222,16 @@ def _finalize_pmf(raw: np.ndarray, unit: float, tail_bound: float = 0.0) -> Loss
     return LossDistribution(unit=unit, pmf=pmf, truncation_mass=1.0 - total, tail_bound=tail_bound)
 
 
-def units_ceiling(amount: float, unit: float) -> int:
-    """Band level for a sub-exposure: ceiling(amount/unit), snapped to exact multiples."""
-    q = amount / unit
-    nearest = round(q)
+def units_ceiling(amount, unit: float):
+    """Band level ceiling(amount/unit), snapped to exact multiples: an int, or int64s for an array."""
+    q = np.asarray(amount, dtype=float) / unit
+    if not np.all(q < _MAX_LEVEL):
+        raise ModelError(f"an exposure spans {np.max(q):.4g} units; use a larger unit (--unit)")
+    nearest = np.round(q)
     # 300/100 must give 3 even when the quotient lands at 3.0000000000000004
-    if abs(q - nearest) <= _GRID_SNAP * max(1.0, abs(q)):
-        v = int(nearest)
-    else:
-        v = int(math.ceil(q))
-    return max(v, 1)
+    snapped = np.abs(q - nearest) <= _GRID_SNAP * np.maximum(1.0, np.abs(q))
+    v = np.maximum(np.where(snapped, nearest, np.ceil(q)), 1.0).astype(np.int64)
+    return int(v) if v.ndim == 0 else v
 
 
 def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
@@ -245,26 +244,32 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
     """
     if not (math.isfinite(unit) and unit > 0.0):
         raise InputError(f"unit must be finite and > 0, got {unit}")
-    sectors: list[BandedSector] = []
-    per_obligor: dict[str, list[ObligorBandRef]] = {oid: [] for oid in sectored.obligor_ids}
-    for sector in sectored.sectors:
-        merged: dict[int, float] = {}
-        for sub in sector.subs:
-            if sub.amount <= 0.0:
-                raise ModelError(f"sub-exposure of {sub.obligor_id} in {sector.name!r} is not positive")
-            v = units_ceiling(sub.amount, unit)
-            epsilon = sub.amount * sub.loss_rate / unit
-            merged[v] = merged.get(v, 0.0) + epsilon
-            per_obligor[sub.obligor_id].append(ObligorBandRef(sector.name, v, epsilon))
-        bands = tuple(Band(v, merged[v]) for v in sorted(merged))
-        expected_count = sum(b.mu for b in bands)
-        params = SectorParams.from_rate_stats(sector.mean_rate, sector.stddev_rate, expected_count)
-        sectors.append(BandedSector(sector.name, params, bands))
-    return BandedPortfolio(
-        unit=unit,
-        sectors=tuple(sectors),
-        obligor_bands={oid: tuple(refs) for oid, refs in per_obligor.items()},
-    )
+    index = {oid: i for i, oid in enumerate(sectored.obligor_ids)}
+    rows = [(k, index[x.obligor_id], x.amount, x.loss_rate) for k, s in enumerate(sectored.sectors)
+            for x in s.subs]
+    sector, obligor, amount, rate = np.array(rows, dtype=float).reshape(-1, 4).T
+    sector, obligor = sector.astype(np.int64), obligor.astype(np.int64)
+    if not np.all(amount > 0.0):
+        i = int(np.argmin(amount > 0.0))
+        name = sectored.sectors[sector[i]].name
+        raise ModelError(f"sub-exposure of {sectored.obligor_ids[obligor[i]]} in {name!r} is not positive")
+    level = units_ceiling(amount, unit)
+    epsilon = amount * rate / unit
+
+    # one merge over (sector, level); the stable sort keeps each band's subs in input order
+    order = np.lexsort((level, sector))
+    key = np.stack((sector[order], level[order]))
+    starts = np.diff(key, axis=1, prepend=-1).any(axis=0)
+    band_eps = np.bincount(np.cumsum(starts) - 1, weights=epsilon[order])
+    band_sector, band_level = key[:, starts]
+    bands = list(map(Band, band_level.tolist(), band_eps.tolist()))
+    ends = np.cumsum(np.bincount(band_sector, minlength=len(sectored.sectors))).tolist()
+    sectors = []
+    for s, lo, hi in zip(sectored.sectors, [0] + ends, ends):
+        count = sum(b.mu for b in bands[lo:hi])
+        params = SectorParams.from_rate_stats(s.mean_rate, s.stddev_rate, count)
+        sectors.append(BandedSector(s.name, params, tuple(bands[lo:hi])))
+    return BandedPortfolio(unit, tuple(sectors), sectored.obligor_ids, obligor, sector, level, epsilon)
 
 
 def _band_arrays(bands) -> tuple[np.ndarray, np.ndarray]:

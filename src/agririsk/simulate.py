@@ -37,6 +37,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_draws < 1:
             raise InputError(f"n_draws must be >= 1, got {self.n_draws}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MC_MODES:
             raise InputError(f"unknown MC mode {self.mode!r}; expected one of {MC_MODES}")
 

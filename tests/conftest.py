@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import agririsk as ar
@@ -61,11 +62,20 @@ def make_banded(sectors, unit: float = 1.0) -> ar.BandedPortfolio:
     reporting stays well-defined.
     """
     banded_sectors = []
-    obligor_bands = {}
-    for name, params, bands in sectors:
+    obligor_ids, subs = [], []
+    for k, (name, params, bands) in enumerate(sectors):
         band_objs = tuple(ar.Band(v, eps) for v, eps in sorted(bands))
         banded_sectors.append(ar.BandedSector(name, params, band_objs))
         for i, (v, eps) in enumerate(sorted(bands)):
-            oid = f"{name}-{i}"
-            obligor_bands[oid] = (ar.engine.ObligorBandRef(name, v, eps),)
-    return ar.BandedPortfolio(unit=unit, sectors=tuple(banded_sectors), obligor_bands=obligor_bands)
+            subs.append((len(obligor_ids), k, v, eps))
+            obligor_ids.append(f"{name}-{i}")
+    obligor, sector, level, epsilon = (np.array(col) for col in zip(*subs))
+    return ar.BandedPortfolio(
+        unit=unit,
+        sectors=tuple(banded_sectors),
+        obligor_ids=tuple(obligor_ids),
+        sub_obligor=obligor,
+        sub_sector=sector,
+        sub_level=level,
+        sub_epsilon=epsilon.astype(float),
+    )

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,23 @@ class TestExceedanceQuantile:
         with pytest.raises(ModelError, match="tail bound 5.000e-02, level 0.05"):
             ar.exceedance_quantile(dist, 0.05)
 
+    def test_survival_plus_tail_bound_must_reach_the_level(self):
+        # survival 0.125 at x = 1: certified at 0.25 (0.125 + 0.0625 <= 0.25), refused at 0.15
+        pmf = np.array([0.5, 0.375, 0.125])
+        dist = ar.LossDistribution(unit=2.0, pmf=pmf, truncation_mass=0.0, tail_bound=0.0625)
+        assert ar.exceedance_quantile(dist, 0.25) == 2.0
+        with pytest.raises(ModelError, match="plus tail bound 6.250e-02 exceeds level 0.15"):
+            ar.exceedance_quantile(dist, 0.15)
+        assert ar.exceedance_quantile(replace(dist, tail_bound=0.0), 0.15) == 2.0
+
+    def test_fft_quantiles_refused_where_aliasing_could_move_them(self, bundled_banded):
+        # crop-livestock at unit 1: tail bound 5.9e-5 at 32768 points; 0.1 keeps its auto-grid value
+        dist = ar.loss_dist_fft(bundled_banded, 32768)
+        assert ar.exceedance_quantile(dist, 0.1) == 5489.0
+        for level in (0.05, 0.01):
+            with pytest.raises(ModelError, match="certify"):
+                ar.exceedance_quantile(dist, level)
+
     def test_level_outside_unit_interval_rejected(self):
         with pytest.raises(ModelError):
             ar.exceedance_quantile(point_mass(1), 0.0)
@@ -76,6 +94,13 @@ class TestMoments:
         pmf = np.array([0.5, 0.4])
         dist = ar.LossDistribution(unit=1.0, pmf=pmf, truncation_mass=0.1)
         assert ar.moments(dist).truncation_caveat
+
+    def test_truncation_caveat_counts_the_tail_bound(self, bundled_banded, bundled_dist):
+        # at 32768 points the FFT pmf mean is 4.5e-5 relative off the analytic mean
+        small = ar.loss_dist_fft(bundled_banded, 32768)
+        assert abs(small.truncation_mass) <= ar.analytics.TRUNCATION_CAVEAT < small.tail_bound
+        assert ar.moments(small).truncation_caveat
+        assert not ar.moments(bundled_dist).truncation_caveat
 
     def test_bundled_mean_reproduces_table_total(self, bundled_dist):
         assert ar.moments(bundled_dist).mean == pytest.approx(1525.03, abs=0.5)
@@ -132,7 +157,7 @@ class TestRiskContributions:
             r.obligor_id: r.contributions[0] - r.expected_loss for r in table.rows
         }
         vc = ar.analytics._variance_contributions(bundled_banded)
-        assert max(unexpected, key=unexpected.get) == max(vc, key=vc.get)
+        assert max(unexpected, key=unexpected.get) == bundled_banded.obligor_ids[int(np.argmax(vc))]
 
     def test_scaling_congruence(self, bundled_portfolio):
         levels = [0.1, 0.01]
@@ -159,6 +184,15 @@ class TestRiskContributions:
                 assert row_scaled.contributions[column] == pytest.approx(
                     scale * row_base.contributions[column], rel=1e-12
                 )
+
+    @pytest.mark.parametrize("mode", ar.portfolio.SECTOR_MODES)
+    def test_expected_loss_per_obligor(self, bundled_portfolio, mode):
+        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode))
+        banded = ar.band_exposures(sectored, 10.0)
+        table = ar.risk_contributions(banded, ar.loss_dist_fft(banded, ar.auto_grid_size(banded)), [0.1])
+        assert [r.obligor_id for r in table.rows] == [o.id for o in bundled_portfolio]
+        for row, o in zip(table.rows, bundled_portfolio):
+            assert row.expected_loss == pytest.approx(o.exposure * o.mean_loss_rate, rel=1e-12)
 
     def test_zero_variance_rejected(self):
         bands = [(1, 0.0)]

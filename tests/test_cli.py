@@ -81,6 +81,13 @@ def test_non_finite_flag_exit_2(tmp_path, args):
     assert "finite" in result.stderr
 
 
+def test_negative_seed_exit_2(tmp_path):
+    result = run_cli(["simulate", "--unit", "10", "--n-draws", "1000", "--seed", "-1"], tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    assert "seed must be >= 0" in result.stderr
+
+
 # discount factors e^1000 (overflows) and e^100 (a grid beyond numpy's array limits)
 @pytest.mark.parametrize("rate", ["-1000", "-100"])
 def test_discount_rate_at_or_below_minus_one_exit_2(tmp_path, rate):
@@ -129,10 +136,18 @@ class TestAnalyze:
         assert result.returncode == 2
 
     def test_grid_too_small_for_a_level_exit_1(self, tmp_path):
-        # at 16384 points the 1% quantile read 11151 instead of 11577
+        # at 16384 points the 1% quantile read 11151 instead of 11577; the first level refused is 10%
         result = run_cli(["analyze", "--unit", "1", "--grid", "16384"], tmp_path)
         assert result.returncode == 1, result.stdout
-        assert "tail bound" in result.stderr and "level 0.01" in result.stderr
+        assert "tail bound" in result.stderr and "level 0.1" in result.stderr
+        assert not (tmp_path / "out" / "quantiles.csv").exists()
+
+    def test_uncertified_quantiles_exit_1(self, tmp_path):
+        # tail bound 2.27e-2 at 16384 points: 10% and 5% read 5460 and 7049 instead of 5489 and 7095
+        result = run_cli(["analyze", "--unit", "1", "--grid", "16384", "--levels", "0.1,0.05"], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert "Traceback" not in result.stderr
+        assert "plus tail bound 2.266e-02 exceeds level 0.1" in result.stderr
         assert not (tmp_path / "out" / "quantiles.csv").exists()
 
     def test_non_power_of_two_fft_grid_exit_1(self, tmp_path):

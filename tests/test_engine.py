@@ -48,6 +48,16 @@ class TestUnitsCeiling:
     def test_small_amounts_land_in_band_one(self):
         assert ar.units_ceiling(0.2, 100.0) == 1
 
+    def test_array_matches_scalar_calls(self):
+        amounts = [250.0, 300.0, 4.35 * 20, 0.2, 1e6 + 0.5]
+        levels = ar.units_ceiling(np.array(amounts), 0.05)
+        assert levels.tolist() == [ar.units_ceiling(a, 0.05) for a in amounts]
+        assert isinstance(ar.units_ceiling(250.0, 100.0), int)
+
+    def test_level_beyond_int64_refused(self):
+        with pytest.raises(ModelError, match="larger unit"):
+            ar.units_ceiling(800.0, 1e-300)
+
 
 class TestBanding:
     def test_bulgaria_band(self, bundled_portfolio):
@@ -69,8 +79,13 @@ class TestBanding:
         banded = ar.band_exposures(sectored, 100.0)
         assert [b.v for b in banded.sectors[0].bands] == [3]
         assert banded.sectors[0].bands[0].epsilon == pytest.approx((250 * 0.1 + 201 * 0.2) / 100)
-        assert len(banded.obligor_bands["A"]) == 1
-        assert len(banded.obligor_bands["B"]) == 1
+        assert banded.obligor_ids == ("A", "B")
+        assert banded.sub_obligor.tolist() == [0, 1]
+        assert banded.sub_level.tolist() == [3, 3]
+        assert banded.sub_epsilon.tolist() == pytest.approx([250 * 0.1 / 100, 201 * 0.2 / 100])
+        table = ar.risk_contributions(banded, ar.loss_dist_fft(banded, 64), [0.1])
+        assert [r.obligor_id for r in table.rows] == ["A", "B"]
+        assert [r.expected_loss for r in table.rows] == pytest.approx([250 * 0.1, 201 * 0.2])
 
     def test_banding_preserves_expected_loss(self, bundled_portfolio, bundled_banded):
         assert bundled_banded.expected_loss == pytest.approx(
@@ -87,6 +102,22 @@ class TestBanding:
         }
         got_levels = {(s.name, b.v) for s in banded.sectors for b in s.bands}
         assert got_levels == expected_levels
+
+    @pytest.mark.parametrize("mode", ar.portfolio.SECTOR_MODES)
+    def test_sub_table_sums_to_the_bands(self, bundled_portfolio, mode):
+        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode))
+        banded = ar.band_exposures(sectored, 1.0)
+        assert banded.obligor_ids == sectored.obligor_ids
+        assert banded.sub_sector.tolist() == [k for k, s in enumerate(sectored.sectors) for _ in s.subs]
+        for k, (sector, banded_sector) in enumerate(zip(sectored.sectors, banded.sectors)):
+            at = banded.sub_sector == k
+            assert [banded.obligor_ids[i] for i in banded.sub_obligor[at]] == [
+                sub.obligor_id for sub in sector.subs
+            ]
+            merged = {}
+            for v, eps in zip(banded.sub_level[at].tolist(), banded.sub_epsilon[at].tolist()):
+                merged[v] = merged.get(v, 0.0) + eps
+            assert [(b.v, b.epsilon) for b in banded_sector.bands] == sorted(merged.items())
 
     def test_nonpositive_unit_rejected(self, bundled_portfolio):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("single"))
@@ -217,7 +248,7 @@ class TestHandBuiltSectors:
     def test_unsorted_repeated_and_zero_bands_match_merged(self, backend, cv):
         params = params_for(self.MERGED, cv)
         raw_bands = tuple(ar.Band(v, eps) for v, eps in self.RAW)
-        raw = ar.BandedPortfolio(1.0, (ar.BandedSector("s", params, raw_bands),), {})
+        raw = ar.BandedPortfolio(1.0, (ar.BandedSector("s", params, raw_bands),))
         merged = one_sector(params, self.MERGED)
         tv = 0.5 * np.abs(backend(raw, 64).pmf - backend(merged, 64).pmf).sum()
         assert tv <= 1e-12

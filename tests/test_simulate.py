@@ -115,6 +115,8 @@ class TestSimulate:
             ar.SimConfig(n_draws=0, seed=1)
         with pytest.raises(InputError):
             ar.SimConfig(n_draws=10, seed=1, mode="quasi")
+        with pytest.raises(InputError, match="seed"):
+            ar.SimConfig(n_draws=10, seed=-1)
 
 
 class TestBlockedDraws:
