@@ -30,6 +30,8 @@ TAIL_EPS = 1e-12  # auto grid: Chernoff bound on P(loss >= grid) at most this
 MAX_GRID = 1 << 26  # largest grid any backend allocates: 512 MiB per float64 array
 _EXPM1_CAP = 700.0  # t * max_v bound keeping expm1(t v) finite
 _SEARCH_STEPS = 64  # bisection and golden-section steps: brackets shrink to < 1e-13
+_LOG_G0_FLOOR = -700.0  # Panjer splits the count where log g_0 is lower: subnormal g_0 loses digits
+_BLOCK_CELLS = 1 << 16  # Panjer block rows shrink so that one gather holds at most this many floats
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,16 @@ class BandedPortfolio:
     sub_sector: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     sub_level: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     sub_epsilon: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @cached_property
+    def _cumulant(self) -> "_Cumulant":
+        """K(t) of the sector model, built once for the grid rule and every backend's tail bound."""
+        return _Cumulant(self)
+
+    @cached_property
+    def _poisson_cumulant(self) -> "_Cumulant":
+        """K(t) with every band unmixed, for loss_dist_poisson's tail bound."""
+        return _Cumulant(self, mixed=False)
 
     @property
     def max_v(self) -> int:
@@ -347,20 +359,19 @@ class _Cumulant:
     """
 
     def __init__(self, banded: BandedPortfolio, mixed: bool = True):
-        levels, weights, index = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
-        alpha, beta = [], []
-        for sector in banded.sectors:
-            vs, eps = _band_arrays(sector.bands)
-            mu = eps / vs
-            gamma = mixed and not sector.params.is_poisson
-            levels.append(vs)
-            weights.append(mu / mu.sum() if gamma else mu)
-            index.append(np.full(vs.size, len(alpha) + 1 if gamma else 0))
-            if gamma:
-                alpha.append(sector.params.alpha)
-                beta.append(sector.params.beta)
-        self.v, self.w, self.index = np.concatenate(levels), np.concatenate(weights), np.concatenate(index)
-        self.alpha, self.beta = np.array(alpha), np.array(beta)
+        rows = [(k, b.v, b.epsilon) for k, s in enumerate(banded.sectors) for b in s.bands]
+        sector, v, eps = np.array(rows, dtype=float).reshape(-1, 3).T
+        # repeated levels need no merge: K(t) sums over bands; zero-loss bands would only lower t_max
+        keep = eps > 0.0
+        sector, self.v = sector[keep].astype(np.int64), v[keep]
+        mu = eps[keep] / self.v
+        gamma = np.array([mixed and not s.params.is_poisson for s in banded.sectors], dtype=bool)
+        self.index = np.where(gamma, np.cumsum(gamma), 0)[sector]
+        totals = np.bincount(sector, weights=mu, minlength=gamma.size)
+        self.w = np.where(gamma[sector], mu / totals[sector], mu)
+        params = [s.params for s, is_gamma in zip(banded.sectors, gamma) if is_gamma]
+        self.alpha = np.array([p.alpha for p in params])
+        self.beta = np.array([p.beta for p in params])
         self.t_max = self._t_max()
 
     def _d(self, t: float) -> np.ndarray:
@@ -403,7 +414,7 @@ def auto_grid_size(banded: BandedPortfolio) -> int:
 
     N is also at least 2 (max_v + 1), the FFT's alias padding, and 16.
     """
-    need = max(_Cumulant(banded).grid_need(), 2.0 * (banded.max_v + 1), 16.0)
+    need = max(banded._cumulant.grid_need(), 2.0 * (banded.max_v + 1), 16.0)
     if not need <= MAX_GRID:
         raise ModelError(
             f"the loss tail needs a grid of {need:.4g} points, above the {MAX_GRID}-point limit; "
@@ -429,27 +440,49 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_s
     are negative binomial: a = rho, b = rho (alpha - 1), g_0 = (1 - rho)^alpha.
     Poisson counts (params None, or an unmixed sector) are a = 0, b = sum(mu),
     so b f_j v_j = eps_j and g_0 = exp(-sum(mu)).
+
+    g_n reads only g_{n - v_j} with v_j >= v_min, so each block of v_min
+    points (fewer where a block would gather over _BLOCK_CELLS entries) is
+    one gather from a zero-padded g (negative indices read 0) and one
+    product with the stacked (a f_j, b f_j v_j). Where g_0 would fall
+    below exp(-700) the count is the sum of m independent pieces, each with
+    rate (or gamma shape) divided by m: the recursion runs for one piece and
+    the piece is convolved with itself m - 1 times, which is exact.
     """
+    if not vs.size:  # no band carries loss: a point mass at zero
+        point = np.zeros(grid_size)
+        point[0] = 1.0
+        return point
     mu = eps / vs
-    if params is None or params.is_poisson:
-        fa, fbv = np.zeros(vs.size), eps
+    poisson = params is None or params.is_poisson
+    if poisson:
         log_g0 = -float(mu.sum())
     else:
         alpha, rho = params.alpha, params.rho
         if not 0.0 < rho < 1.0:
             raise ModelError(f"rho must lie in (0, 1), got {rho!r}")
-        f = mu / mu.sum()
-        fa, fbv = rho * f, rho * (alpha - 1.0) * f * vs
         log_g0 = alpha * math.log1p(-rho)
-    g = np.zeros(grid_size)
-    g[0] = math.exp(log_g0)
-    if g[0] == 0.0:
-        raise ModelError("claim-count mass at zero underflowed; rescale the unit")
-    for n in range(1, grid_size):
-        k = int(vs.searchsorted(n, side="right"))
-        if k:
-            prev = g[n - vs[:k]]
-            g[n] = float(np.dot(fa[:k], prev)) + float(np.dot(fbv[:k], prev)) / n
+    pieces = max(1, math.ceil(log_g0 / _LOG_G0_FLOOR))
+    if poisson:
+        fa, fbv = np.zeros(vs.size), eps / pieces
+    else:
+        f = mu / mu.sum()
+        fa, fbv = rho * f, rho * (alpha / pieces - 1.0) * f * vs
+    coef = np.stack((fa, fbv), axis=1)
+    v_min, v_max = int(vs[0]), int(vs[-1])
+    block = max(1, min(v_min, _BLOCK_CELLS // vs.size))
+    # v_max zeros before g, and room after it for the last block to run whole
+    padded = np.zeros(v_max + grid_size + block)
+    g = padded[v_max:]
+    g[0] = math.exp(log_g0 / pieces)
+    offsets = v_max + np.arange(block)[:, None] - vs  # row i, column j reads g[n + i - v_j]
+    ns = np.arange(grid_size + block, dtype=float)
+    for n in range(1, grid_size, block):
+        terms = padded.take(offsets + n) @ coef
+        g[n:n + block] = terms[:, 0] + terms[:, 1] / ns[n:n + block]
+    g = piece = g[:grid_size]
+    for _ in range(pieces - 1):
+        g = _convolve_pmfs(g, piece)
     return g
 
 
@@ -461,7 +494,7 @@ def loss_dist_poisson(banded: BandedPortfolio, grid_size: int) -> LossDistributi
     """
     _check_grid(grid_size, banded.max_v + 1, "the largest band")
     vs, eps = _band_arrays(b for s in banded.sectors for b in s.bands)
-    bound = _Cumulant(banded, mixed=False).tail_bound(grid_size)
+    bound = banded._poisson_cumulant.tail_bound(grid_size)
     return _finalize_pmf(_panjer(vs, eps, None, grid_size), banded.unit, bound)
 
 
@@ -482,7 +515,7 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
         point = np.zeros(grid_size)
         point[0] = 1.0
         return _finalize_pmf(point, banded.unit)
-    return replace(reduce(convolve, parts), tail_bound=_Cumulant(banded).tail_bound(grid_size))
+    return replace(reduce(convolve, parts), tail_bound=banded._cumulant.tail_bound(grid_size))
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:
@@ -521,15 +554,19 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
             # Re(1-Q) >= 0, so the log1p is accurate and finite however small beta is
             log_g -= params.alpha * _log1p(params.beta * (1.0 - q))
     pmf = np.fft.irfft(np.exp(log_g), grid_size)
-    return _finalize_pmf(pmf, banded.unit, _Cumulant(banded).tail_bound(grid_size))
+    return _finalize_pmf(pmf, banded.unit, banded._cumulant.tail_bound(grid_size))
+
+
+def _convolve_pmfs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution of two pmfs on the unit grid, cut to the longer one's length."""
+    n = max(a.size, b.size)
+    # a power of two >= len(a) + len(b) - 1, so the circular product does not wrap
+    size = 1 << (a.size + b.size - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 def convolve(a: LossDistribution, b: LossDistribution) -> LossDistribution:
     """Distribution of the sum of two independent losses on the same unit grid."""
     if a.unit != b.unit:
         raise ModelError(f"unit mismatch: {a.unit!r} vs {b.unit!r}")
-    n = max(a.pmf.size, b.pmf.size)
-    # a power of two >= len(a) + len(b) - 1, so the circular product does not wrap
-    size = 1 << (a.pmf.size + b.pmf.size - 2).bit_length()
-    raw = np.fft.irfft(np.fft.rfft(a.pmf, size) * np.fft.rfft(b.pmf, size), size)[:n]
-    return _finalize_pmf(raw, a.unit)
+    return _finalize_pmf(_convolve_pmfs(a.pmf, b.pmf), a.unit)

@@ -254,6 +254,63 @@ class TestHandBuiltSectors:
         assert tv <= 1e-12
 
 
+def scalar_panjer(vs, eps, params, grid_size):
+    """Reference (a, b, 0) recursion: one Python step per grid point, summing the levels v_j <= n."""
+    mu = eps / vs
+    if params is None or params.is_poisson:
+        fa, fbv = np.zeros(vs.size), eps
+        log_g0 = -float(mu.sum())
+    else:
+        alpha, rho = params.alpha, params.rho
+        f = mu / mu.sum()
+        fa, fbv = rho * f, rho * (alpha - 1.0) * f * vs
+        log_g0 = alpha * math.log1p(-rho)
+    g = np.zeros(grid_size)
+    g[0] = math.exp(log_g0)
+    for n in range(1, grid_size):
+        k = int(vs.searchsorted(n, side="right"))
+        if k:
+            prev = g[n - vs[:k]]
+            g[n] = float(np.dot(fa[:k], prev)) + float(np.dot(fbv[:k], prev)) / n
+    return g
+
+
+class TestBlockedPanjer:
+    CASES = {
+        "v_min 1": ([(1, 0.5), (3, 0.9), (7, 0.35)], 512),
+        "grid not a multiple of v_min": ([(3, 0.6), (4, 1.1), (9, 0.4)], 500),
+        "single band": ([(5, 2.0)], 256),
+        "zero-loss bands": ([(2, 0.0), (6, 0.0)], 64),
+        "v_min above half the grid": ([(40, 3.0), (45, 1.5)], 64),
+        "block capped by its gather size": ([(v, 0.01 * v) for v in range(300, 600)], 1500),
+    }
+
+    @pytest.mark.parametrize("cv", [0.0, 0.8])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_scalar_recursion(self, case, cv):
+        bands, grid = self.CASES[case]
+        params = params_for(bands, cv) if cv else None
+        vs, eps = ar.engine._band_arrays(ar.Band(v, e) for v, e in bands)
+        expected = scalar_panjer(vs, eps, params, grid)
+        got = ar.engine._panjer(vs, eps, params, grid)
+        assert got.shape == expected.shape
+        live = expected >= 1e-300
+        assert np.all(np.abs(got[live] - expected[live]) <= 1e-13 * expected[live])
+        assert np.all(np.abs(got[~live]) <= 1e-300)
+
+    @pytest.mark.parametrize(
+        "backend, cv", [(ar.loss_dist_poisson, 0.0), (ar.loss_dist_sector, 0.0), (ar.loss_dist_sector, 0.01)]
+    )
+    def test_large_count_splits_instead_of_underflowing(self, backend, cv):
+        # 1100 expected defaults: g_0 = exp(-1100) (cv 0.01: exp(-1044)) is below the float range
+        bands = [(1, 400.0), (2, 800.0), (3, 900.0)]
+        banded = one_sector(params_for(bands, cv), bands)
+        grid = ar.auto_grid_size(banded)
+        dist = backend(banded, grid)
+        fft = ar.loss_dist_fft(banded, grid)
+        assert 0.5 * float(np.abs(dist.pmf - fft.pmf).sum()) <= 1e-8
+
+
 class TestLossDistFft:
     def test_poisson_single_band_matches_direct_formula(self):
         lam = 2.0
