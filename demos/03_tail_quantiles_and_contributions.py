@@ -11,10 +11,9 @@ import agririsk as ar
 
 LEVELS = [0.1, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001]
 
-portfolio = ar.load_portfolio(ar.bundled_dataset_path())
-sectored = ar.assign_sectors(portfolio, ar.SectorAssignment("crop-livestock"))
-banded = ar.band_exposures(sectored, unit=1.0)
-dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
+# bundled dataset, crop-livestock sectors, unit 1, FFT backend, auto grid
+run = ar.run_pipeline()
+dist = run.dist
 
 mom = ar.moments(dist)
 print(f"mean indemnity payment: {mom.mean:10.2f}")
@@ -24,7 +23,7 @@ for eps in LEVELS:
     print(f"  P(loss > q) <= {eps:<7} q = {ar.exceedance_quantile(dist, eps):10.0f}")
 print()
 
-table = ar.risk_contributions(banded, dist, [0.1, 0.05, 0.01], {o.id: o.name for o in portfolio})
+table = ar.risk_contributions(run.banded, dist, [0.1, 0.05, 0.01], {o.id: o.name for o in run.portfolio})
 print("risk contributions (million):")
 print(f"  {'id':<5} {'expected':>10} {'at 0.1':>12} {'at 0.05':>12} {'at 0.01':>12}")
 for row in sorted(table.rows, key=lambda r: r.contributions[-1], reverse=True)[:8]:

@@ -14,17 +14,15 @@ N_DRAWS = 200_000
 SEED = 20110505
 LEVELS = [0.1, 0.05, 0.01]
 
-portfolio = ar.load_portfolio(ar.bundled_dataset_path())
-sectored = ar.assign_sectors(portfolio, ar.SectorAssignment("crop-livestock"))
-banded = ar.band_exposures(sectored, unit=1.0)
-dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
+# bundled dataset, crop-livestock sectors, unit 1, FFT backend, auto grid
+run = ar.run_pipeline()
 
 print(f"{N_DRAWS} draws, seed {SEED}")
 print()
 
 for mode in ("poisson-banded", "bernoulli-exact"):
-    emp = ar.simulate(banded, ar.SimConfig(N_DRAWS, SEED, mode), sectored)
-    report = ar.compare(dist, emp, LEVELS, total_exposure=portfolio.total_exposure)
+    emp = ar.simulate(run.banded, ar.SimConfig(N_DRAWS, SEED, mode), run.sectored)
+    report = ar.compare(run.dist, emp, LEVELS, total_exposure=run.portfolio.total_exposure)
     print(f"{mode}: sample mean {emp.mean:.2f}, clamped probabilities {emp.clamp_count}")
     for row in report.rows:
         marker = "FLAG" if row.flagged else "ok"

@@ -22,31 +22,21 @@ UNIT = 1.0
 
 
 def load_reference() -> tuple[float, dict[float, float]]:
-    mean_ref = None
-    rows: dict[float, float] = {}
     with open(REPO / "data" / "reference_percentiles.csv", newline="") as fh:
-        for record in csv.DictReader(fh):
-            prob = float(record["exceedance_prob"])
-            value = float(record["indemnity_payment"])
-            if prob == 0.5:
-                # the 0.5 row of the published table is (numerically) the mean,
-                # not a tail quantile of this right-skewed distribution
-                mean_ref = value
-            else:
-                rows[prob] = value
-    return mean_ref, rows
+        rows = {float(r["exceedance_prob"]): float(r["indemnity_payment"]) for r in csv.DictReader(fh)}
+    # the 0.5 row of the published table is (numerically) the mean,
+    # not a tail quantile of this right-skewed distribution
+    return rows.pop(0.5), rows
 
 
-def run_mode(portfolio: ar.Portfolio, mode: str) -> dict:
-    sectored = ar.assign_sectors(portfolio, ar.SectorAssignment(mode))
-    banded = ar.band_exposures(sectored, UNIT)
-    grid = ar.auto_grid_size(banded)
-    dist = ar.loss_dist_fft(banded, grid)
+def run_mode(mode: str) -> dict:
+    run = ar.run_pipeline(unit=UNIT, sector_mode=mode, backend="fft")
+    dist = run.dist
     return {
         "mode": mode,
         "unit": UNIT,
         "backend": "fft",
-        "grid_size": grid,
+        "grid_size": run.config["grid_size"],
         "truncation_mass": float(dist.truncation_mass),
         "mean": ar.moments(dist).mean,
         "quantiles": {repr(eps): ar.exceedance_quantile(dist, eps) for eps in LEVELS},
@@ -54,9 +44,8 @@ def run_mode(portfolio: ar.Portfolio, mode: str) -> dict:
 
 
 def main() -> None:
-    portfolio = ar.load_portfolio(ar.bundled_dataset_path())
     mean_ref, reference = load_reference()
-    runs = [run_mode(portfolio, mode) for mode in ("crop-livestock", "per-obligor", "single")]
+    runs = [run_mode(mode) for mode in ("crop-livestock", "per-obligor", "single")]
 
     lines = []
     lines.append("# Tail reproduction attempt: bundled EU-22 dataset")

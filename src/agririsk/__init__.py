@@ -63,53 +63,18 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Band",
-    "BandedPortfolio",
-    "BandedSector",
-    "CompareRow",
-    "ComparisonReport",
-    "ContributionRow",
-    "ContributionTable",
-    "DiscountSpec",
-    "EmpiricalDistribution",
-    "InputError",
-    "LossDistribution",
-    "ModelError",
-    "Moments",
-    "ObligorRecord",
-    "Portfolio",
-    "QuantileRow",
-    "RiskReport",
-    "Sector",
-    "SectorAssignment",
-    "SectorParams",
-    "SectoredPortfolio",
-    "SimConfig",
-    "SubExposure",
-    "ValidationFinding",
-    "analytic_moments",
-    "assign_sectors",
-    "auto_grid_size",
-    "band_exposures",
-    "build_report",
-    "bundled_dataset_path",
-    "compare",
-    "convolve",
-    "discount_exposures",
-    "empirical_exceedance_quantile",
-    "exceedance_quantile",
-    "load_portfolio",
-    "loss_dist_fft",
-    "loss_dist_poisson",
-    "loss_dist_sector",
-    "moments",
-    "parse_portfolio",
-    "poisson_rate",
-    "risk_contributions",
-    "sample_distribution",
-    "severity_polynomial",
-    "simulate",
-    "units_ceiling",
-    "validate_portfolio",
-]
+
+def __getattr__(name: str):
+    # loaded on first use, so that `python -m agririsk.cli` does not find cli already imported
+    if name in ("Run", "run_pipeline"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# every class and function imported above, so each public name is written once
+__all__ = sorted(
+    [name for name, value in globals().items() if getattr(value, "__module__", "").startswith("agririsk.")]
+    + ["Run", "run_pipeline"]
+)

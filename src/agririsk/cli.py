@@ -7,15 +7,78 @@ All commands are deterministic for a fixed flag set (including --seed).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytics, engine, portfolio as pf
 from .errors import InputError, ModelError
 from .simulate import SimConfig, compare as mc_compare, simulate as mc_simulate
 
-DEFAULT_LEVELS = (0.1, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001)
+_BACKENDS = {"panjer": engine.loss_dist_sector, "fft": engine.loss_dist_fft}
+
+
+@dataclass(frozen=True)
+class Run:
+    """Every stage of one pipeline run, and the config its report files record."""
+
+    portfolio: pf.Portfolio  # after discounting
+    findings: list[pf.ValidationFinding]
+    sectored: pf.SectoredPortfolio
+    banded: engine.BandedPortfolio
+    dist: engine.LossDistribution
+    levels: tuple[float, ...]
+    config: dict
+
+
+def run_pipeline(
+    *,
+    input: str | Path | None = None,
+    unit: float = 1.0,
+    sector_mode: str = "crop-livestock",
+    sector_rates: dict[str, tuple[float, float]] | None = None,
+    rate: float = 0.0,
+    horizon: float = 0.0,
+    backend: str = "fft",
+    grid: int | None = None,
+    levels: tuple[float, ...] = (0.1, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001),
+    tolerance: float = 0.02,
+) -> Run:
+    """Portfolio CSV -> validation -> discounting -> sectors -> bands -> loss pmf.
+
+    The keywords are the pipeline flags of ``analyze``, ``dist`` and
+    ``simulate``, with the same defaults. ``input=None`` reads the bundled
+    dataset and ``grid=None`` sizes the grid from the tail bound.
+    """
+    if backend not in _BACKENDS:
+        raise InputError(f"backend must be one of {', '.join(_BACKENDS)}, got {backend!r}")
+    levels = tuple(float(lvl) for lvl in levels)
+    source = Path(input) if input else pf.bundled_dataset_path()
+    port = pf.load_portfolio(source)
+    findings = pf.validate_portfolio(port, tolerance)
+    discounted = pf.discount_exposures(port, pf.DiscountSpec(rate, horizon))
+    sectored = pf.assign_sectors(discounted, pf.SectorAssignment(sector_mode, sector_rates))
+    banded = engine.band_exposures(sectored, unit)
+    grid_size = engine.auto_grid_size(banded) if grid is None else grid
+    dist = _BACKENDS[backend](banded, grid_size)
+    config = {
+        "input": str(source),
+        "unit": unit,
+        "sector_mode": sector_mode,
+        "sector_rates": None if sector_rates is None else {k: list(v) for k, v in sector_rates.items()},
+        "rate": rate,
+        "horizon": horizon,
+        "backend": backend,
+        "grid_size": grid_size,
+        "levels": list(levels),
+        "tolerance": tolerance,
+    }
+    return Run(discounted, findings, sectored, banded, dist, levels, config)
+
+
+_DEFAULTS = {name: p.default for name, p in inspect.signature(run_pipeline).parameters.items()}
 
 
 def _parse_levels(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
@@ -28,6 +91,8 @@ def _parse_levels(text: str, parser: argparse.ArgumentParser) -> tuple[float, ..
     for lvl in levels:
         if not 0.0 < lvl < 1.0:
             parser.error(f"levels must lie in (0, 1), got {lvl}")
+    if len(set(levels)) < len(levels):
+        parser.error(f"--levels must not repeat a level, got {text!r}")
     return levels
 
 
@@ -47,14 +112,31 @@ def _parse_sector_rates(
     return rates
 
 
+def _pipeline_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """The pipeline flags as ``run_pipeline`` keywords; a malformed flag exits 2."""
+    levels = _parse_levels(args.levels, parser)
+    sector_rates = _parse_sector_rates(args.sector_rate, parser)
+    grid = None
+    if args.grid != "auto":
+        try:
+            grid = int(args.grid)
+        except ValueError:
+            parser.error(f"--grid must be auto or an integer, got {args.grid!r}")
+        if grid < 1:
+            parser.error(f"--grid must be >= 1, got {grid}")
+    parsed = {"levels": levels, "sector_rates": sector_rates, "grid": grid}
+    # every other keyword has a flag of its own name
+    return {name: parsed[name] if name in parsed else getattr(args, name) for name in _DEFAULTS}
+
+
 def _add_pipeline_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--input", default=None, help="portfolio CSV (default: bundled dataset)")
-    cmd.add_argument("--unit", type=float, default=1.0, help="exposure band size L (default 1.0)")
+    cmd.add_argument("--unit", type=float, default=_DEFAULTS["unit"], help="exposure band size L (default %(default)s)")
     cmd.add_argument(
         "--sector-mode",
         choices=pf.SECTOR_MODES,
-        default="crop-livestock",
-        help="sector structure (default crop-livestock)",
+        default=_DEFAULTS["sector_mode"],
+        help="sector structure (default %(default)s)",
     )
     cmd.add_argument(
         "--sector-rate",
@@ -62,17 +144,21 @@ def _add_pipeline_flags(cmd: argparse.ArgumentParser) -> None:
         metavar="NAME=MU,SIGMA",
         help="override a sector's mean,stddev loss rate; repeatable",
     )
-    cmd.add_argument("--rate", type=float, default=0.0, help="discount rate (default 0)")
-    cmd.add_argument("--horizon", type=float, default=0.0, help="discount horizon in years (default 0)")
-    cmd.add_argument("--backend", choices=("panjer", "fft"), default="fft")
+    cmd.add_argument("--rate", type=float, default=_DEFAULTS["rate"], help="discount rate (default %(default)s)")
+    cmd.add_argument(
+        "--horizon", type=float, default=_DEFAULTS["horizon"], help="discount horizon in years (default %(default)s)"
+    )
+    cmd.add_argument("--backend", choices=tuple(_BACKENDS), default=_DEFAULTS["backend"])
     cmd.add_argument("--grid", default="auto", help="grid size: auto or an integer (default auto)")
     cmd.add_argument(
         "--levels",
-        default=",".join(repr(lvl) for lvl in DEFAULT_LEVELS),
+        default=",".join(repr(lvl) for lvl in _DEFAULTS["levels"]),
         help="comma-separated exceedance levels",
     )
     cmd.add_argument("--out", default="out", help="output directory (default ./out)")
-    cmd.add_argument("--tolerance", type=float, default=0.02, help="validation tolerance (default 0.02)")
+    cmd.add_argument(
+        "--tolerance", type=float, default=_DEFAULTS["tolerance"], help="validation tolerance (default %(default)s)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="check a portfolio CSV for internal consistency")
     validate.add_argument("--input", default=None, help="portfolio CSV (default: bundled dataset)")
-    validate.add_argument("--tolerance", type=float, default=0.02)
+    validate.add_argument("--tolerance", type=float, default=_DEFAULTS["tolerance"])
 
     analyze = sub.add_parser("analyze", help="full pipeline: quantiles and risk contributions")
     _add_pipeline_flags(analyze)
@@ -102,63 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_path(args: argparse.Namespace) -> Path:
-    return Path(args.input) if args.input else pf.bundled_dataset_path()
-
-
-def _run_pipeline(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    levels = _parse_levels(args.levels, parser)
-    overrides = _parse_sector_rates(args.sector_rate, parser)
-    if args.grid != "auto":
-        try:
-            grid = int(args.grid)
-        except ValueError:
-            parser.error(f"--grid must be auto or an integer, got {args.grid!r}")
-        if grid < 1:
-            parser.error(f"--grid must be >= 1, got {grid}")
-
-    source = _input_path(args)
-    port = pf.load_portfolio(source)
+def cmd_validate(args, parser) -> int:
+    port = pf.load_portfolio(args.input or pf.bundled_dataset_path())
     findings = pf.validate_portfolio(port, args.tolerance)
-    discounted = pf.discount_exposures(port, pf.DiscountSpec(args.rate, args.horizon))
-    sectored = pf.assign_sectors(discounted, pf.SectorAssignment(args.sector_mode, overrides))
-    banded = engine.band_exposures(sectored, args.unit)
-    grid_size = engine.auto_grid_size(banded) if args.grid == "auto" else int(args.grid)
-    if args.backend == "fft":
-        dist = engine.loss_dist_fft(banded, grid_size)
-    else:
-        dist = engine.loss_dist_sector(banded, grid_size)
-    config = {
-        "input": str(source),
-        "unit": args.unit,
-        "sector_mode": args.sector_mode,
-        "sector_rates": None if overrides is None else {k: list(v) for k, v in overrides.items()},
-        "rate": args.rate,
-        "horizon": args.horizon,
-        "backend": args.backend,
-        "grid_size": grid_size,
-        "levels": list(levels),
-        "tolerance": args.tolerance,
-    }
-    return discounted, findings, sectored, banded, dist, levels, config
-
-
-def _print_findings(findings) -> None:
     for f in findings:
         print(f"{f.severity} {f.kind} {f.obligor_id}: {f.message}")
     print(f"{len(findings)} finding(s)")
-
-
-def cmd_validate(args, parser) -> int:
-    port = pf.load_portfolio(_input_path(args))
-    findings = pf.validate_portfolio(port, args.tolerance)
-    _print_findings(findings)
     return 1 if any(f.severity == "error" for f in findings) else 0
 
 
 def cmd_analyze(args, parser) -> int:
-    discounted, findings, _, banded, dist, levels, config = _run_pipeline(args, parser)
-    report = analytics.build_report(discounted, banded, dist, levels, config, findings)
+    run = run_pipeline(**_pipeline_args(args, parser))
+    report = analytics.build_report(run.portfolio, run.banded, run.dist, run.levels, run.config, run.findings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -174,7 +215,7 @@ def cmd_analyze(args, parser) -> int:
 
 
 def cmd_dist(args, parser) -> int:
-    _, _, _, _, dist, _, _ = _run_pipeline(args, parser)
+    dist = run_pipeline(**_pipeline_args(args, parser)).dist
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "distribution.csv").write_text(dist.to_csv(), encoding="utf-8")
@@ -188,17 +229,15 @@ def cmd_dist(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    if args.n_draws < 1:
-        parser.error(f"--n-draws must be >= 1, got {args.n_draws}")
     cfg = SimConfig(n_draws=args.n_draws, seed=args.seed, mode=args.mc_mode)
-    discounted, _, sectored, banded, dist, levels, config = _run_pipeline(args, parser)
-    empirical = mc_simulate(banded, cfg, sectored)
-    comparison = mc_compare(dist, empirical, levels, total_exposure=discounted.total_exposure)
+    run = run_pipeline(**_pipeline_args(args, parser))
+    empirical = mc_simulate(run.banded, cfg, run.sectored)
+    comparison = mc_compare(run.dist, empirical, run.levels, total_exposure=run.portfolio.total_exposure)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "config": config | {"seed": args.seed, "n_draws": args.n_draws, "mc_mode": args.mc_mode},
-        "sample": empirical.summary(levels),
+        "config": run.config | {"seed": args.seed, "n_draws": args.n_draws, "mc_mode": args.mc_mode},
+        "sample": empirical.summary(run.levels),
         "comparison": comparison.to_json_dict(),
     }
     (out / "mc_summary.json").write_text(

@@ -33,14 +33,7 @@ RATIO_RENORM_TOL = 1e-9
 _MAX_LOG_FACTOR = math.log(sys.float_info.max)  # largest -rate * horizon whose exp is finite
 
 # ObligorRecord fields that must be finite numbers (expected_loss_declared may be None)
-_NUMERIC_FIELDS = (
-    "exposure",
-    "mean_loss_rate",
-    "loss_rate_stddev",
-    "crop_ratio",
-    "livestock_ratio",
-    "expected_loss_declared",
-)
+_NUMERIC_FIELDS = CSV_COLUMNS[2:] + ("expected_loss_declared",)
 
 
 @dataclass(frozen=True)
@@ -199,6 +192,13 @@ class ValidationFinding:
     message: str
 
 
+def _number(cell: str, column: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise InputError(f"malformed {column}: {cell!r}") from None
+
+
 def parse_portfolio(csv_text: str) -> Portfolio:
     """Parse portfolio CSV text into a Portfolio.
 
@@ -228,31 +228,13 @@ def parse_portfolio(csv_text: str) -> Portfolio:
                 f"row {line_no}: expected {len(header)} fields, got {len(row)}"
             )
         cells = [c.strip() for c in row]
-
-        def num(index: int, column: str) -> float:
-            try:
-                return float(cells[index])
-            except ValueError:
-                raise InputError(
-                    f"row {line_no}: malformed {column}: {cells[index]!r}"
-                ) from None
-
-        expected_loss = None
-        if el_index is not None and cells[el_index]:
-            expected_loss = num(el_index, "expected_loss")
         try:
-            obligors.append(
-                ObligorRecord(
-                    id=cells[0],
-                    name=cells[1],
-                    exposure=num(2, "exposure"),
-                    mean_loss_rate=num(3, "mean_loss_rate"),
-                    loss_rate_stddev=num(4, "loss_rate_stddev"),
-                    crop_ratio=num(5, "crop_ratio"),
-                    livestock_ratio=num(6, "livestock_ratio"),
-                    expected_loss_declared=expected_loss,
-                )
-            )
+            # the numeric columns, in ObligorRecord's field order
+            numbers = [_number(cells[i], column) for i, column in enumerate(CSV_COLUMNS[2:], start=2)]
+            declared = None
+            if el_index is not None and cells[el_index]:
+                declared = _number(cells[el_index], "expected_loss")
+            obligors.append(ObligorRecord(cells[0], cells[1], *numbers, declared))
         except InputError as exc:
             raise InputError(f"row {line_no}: {exc}") from None
     if not obligors:
@@ -261,7 +243,8 @@ def parse_portfolio(csv_text: str) -> Portfolio:
 
 
 def load_portfolio(path: str | Path) -> Portfolio:
-    return parse_portfolio(Path(path).read_text(encoding="utf-8"))
+    """Read a portfolio CSV; a leading UTF-8 byte-order mark, as spreadsheets write, is dropped."""
+    return parse_portfolio(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def bundled_dataset_path() -> Path:

@@ -245,12 +245,11 @@ def compare(
                 flagged=not band_lo <= q_empirical <= band_hi,
             )
         )
-    report = ComparisonReport(rows=tuple(rows))
-    if total_exposure is not None:
-        report = ComparisonReport(
-            rows=tuple(rows),
-            total_exposure=total_exposure,
-            analytic_p_exceeds_total=analytic.prob_exceeds(total_exposure),
-            empirical_p_exceeds_total=empirical.prob_exceeds(total_exposure),
-        )
-    return report
+    if total_exposure is None:
+        return ComparisonReport(rows=tuple(rows))
+    return ComparisonReport(
+        rows=tuple(rows),
+        total_exposure=total_exposure,
+        analytic_p_exceeds_total=analytic.prob_exceeds(total_exposure),
+        empirical_p_exceeds_total=empirical.prob_exceeds(total_exposure),
+    )

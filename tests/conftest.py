@@ -10,6 +10,7 @@ import agririsk as ar
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
+HEADER = "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio,expected_loss"
 
 
 def run_python(args, cwd) -> subprocess.CompletedProcess:
@@ -45,14 +46,26 @@ def bundled_portfolio() -> ar.Portfolio:
 
 
 @pytest.fixture(scope="session")
-def bundled_banded(bundled_portfolio) -> ar.BandedPortfolio:
-    sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("crop-livestock"))
-    return ar.band_exposures(sectored, 1.0)
+def bundled_run() -> ar.Run:
+    """The CLI's default pipeline: bundled dataset, crop-livestock, unit 1, FFT, auto grid."""
+    return ar.run_pipeline()
 
 
 @pytest.fixture(scope="session")
-def bundled_dist(bundled_banded) -> ar.LossDistribution:
-    return ar.loss_dist_fft(bundled_banded, ar.auto_grid_size(bundled_banded))
+def bundled_banded(bundled_run) -> ar.BandedPortfolio:
+    return bundled_run.banded
+
+
+@pytest.fixture(scope="session")
+def bundled_dist(bundled_run) -> ar.LossDistribution:
+    return bundled_run.dist
+
+
+def single_sector(rows: str, unit: float = 1.0) -> tuple[ar.SectoredPortfolio, ar.BandedPortfolio]:
+    """Sectored and banded views of portfolio CSV rows, without expected_loss, as one sector."""
+    portfolio = ar.parse_portfolio(HEADER.rsplit(",", 1)[0] + "\n" + rows)
+    sectored = ar.assign_sectors(portfolio, ar.SectorAssignment("single"))
+    return sectored, ar.band_exposures(sectored, unit)
 
 
 def make_banded(sectors, unit: float = 1.0) -> ar.BandedPortfolio:

@@ -34,14 +34,6 @@ def report(criterion: str):
     return wrap
 
 
-def default_pipeline(unit: float = 1.0, mode: str = "crop-livestock"):
-    portfolio = ar.load_portfolio(ar.bundled_dataset_path())
-    sectored = ar.assign_sectors(portfolio, ar.SectorAssignment(mode))
-    banded = ar.band_exposures(sectored, unit)
-    dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
-    return portfolio, sectored, banded, dist
-
-
 @report("1 expected-loss reproduction (total +-0.5, per country +-0.3, <1s)")
 def test_criterion_1_expected_loss():
     t0 = time.perf_counter()
@@ -59,7 +51,8 @@ def test_criterion_1_expected_loss():
 @report("2 contribution additivity at {0.1, 0.05, 0.01} to 1e-9 relative (<5s)")
 def test_criterion_2_additivity():
     t0 = time.perf_counter()
-    _, _, banded, dist = default_pipeline()
+    run = ar.run_pipeline()
+    banded, dist = run.banded, run.dist
     table = ar.risk_contributions(banded, dist, [0.1, 0.05, 0.01])
     for column, level in enumerate(table.levels):
         var_q = ar.exceedance_quantile(dist, level)
@@ -84,7 +77,8 @@ def test_criterion_3_negative_binomial_oracle():
 
 @report("4 Panjer vs FFT total variation <= 1e-8 (bundled + 50 random portfolios)")
 def test_criterion_4_backend_equivalence():
-    _, _, banded, dist_fft = default_pipeline()
+    run = ar.run_pipeline()
+    banded, dist_fft = run.banded, run.dist
     dist_panjer = ar.loss_dist_sector(banded, dist_fft.pmf.size)
     assert 0.5 * float(np.abs(dist_fft.pmf - dist_panjer.pmf).sum()) <= 1e-8
 
@@ -122,7 +116,8 @@ def test_criterion_4_backend_equivalence():
 @report("5 Monte Carlo agreement at 1e6 draws: zero flags at {0.1, 0.05, 0.01} (<60s)")
 def test_criterion_5_monte_carlo():
     t0 = time.perf_counter()
-    _, _, banded, dist = default_pipeline()
+    run = ar.run_pipeline()
+    banded, dist = run.banded, run.dist
     empirical = ar.simulate(banded, ar.SimConfig(n_draws=1_000_000, seed=20110505))
     comparison = ar.compare(dist, empirical, [0.1, 0.05, 0.01])
     assert comparison.flag_count == 0
@@ -149,12 +144,14 @@ def test_criterion_6_poisson_limit():
 
 @report("7 mean within 1e-6 rel, one-sector variance within 1e-5 rel")
 def test_criterion_7_moment_conservation():
-    _, _, banded, dist = default_pipeline()
+    run = ar.run_pipeline()
+    banded, dist = run.banded, run.dist
     assert dist.truncation_mass < 1e-9
     mom = ar.moments(dist)
     assert abs(mom.mean - banded.expected_loss) / banded.expected_loss <= 1e-6
 
-    _, _, banded1, dist1 = default_pipeline(mode="single")
+    run1 = ar.run_pipeline(sector_mode="single")
+    banded1, dist1 = run1.banded, run1.dist
     assert dist1.truncation_mass < 1e-9
     sector = banded1.sectors[0]
     eps_total = sector.expected_loss_units
@@ -167,7 +164,8 @@ def test_criterion_7_moment_conservation():
 
 @report("8 tail property gate + committed reproduction attempt")
 def test_criterion_8_tail_properties_and_reproduction_report():
-    _, _, banded, dist = default_pipeline()
+    run = ar.run_pipeline()
+    banded, dist = run.banded, run.dist
     quantiles = [ar.exceedance_quantile(dist, eps) for eps in LEVELS7]
     # smaller exceedance level -> larger or equal loss, strict where stated
     assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))

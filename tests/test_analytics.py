@@ -8,7 +8,7 @@ import pytest
 import agririsk as ar
 from agririsk.errors import ModelError
 
-from conftest import make_banded
+from conftest import make_banded, single_sector
 from test_engine import params_for, poisson_sector
 
 
@@ -117,14 +117,7 @@ class TestRiskContributions:
             assert total == ar.exceedance_quantile(dist, table.levels[column])
 
     def test_identical_obligors_split_evenly(self, bundled_portfolio):
-        text = (
-            "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio\n"
-            "A,A,120,0.05,0.03,0.5,0.5\n"
-            "B,B,120,0.05,0.03,0.5,0.5\n"
-        )
-        p = ar.parse_portfolio(text)
-        sectored = ar.assign_sectors(p, ar.SectorAssignment("single"))
-        banded = ar.band_exposures(sectored, 1.0)
+        _, banded = single_sector("A,A,120,0.05,0.03,0.5,0.5\nB,B,120,0.05,0.03,0.5,0.5\n")
         dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
         table = ar.risk_contributions(banded, dist, [0.05])
         var_q = table.totals[0]

@@ -2,9 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SRC, run_cli, run_python
-
-HEADER = "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio,expected_loss"
+from conftest import HEADER, REPO_ROOT, SRC, run_cli, run_python
 
 
 def test_subprocess_imports_this_checkout(tmp_path):
@@ -35,6 +33,14 @@ class TestValidate:
         result = run_cli(["validate", "--input", "bad.csv"], tmp_path)
         assert result.returncode == 2
         assert "duplicate" in result.stderr
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a leading BOM
+        data = (REPO_ROOT / "data" / "table1_eu22.csv").read_bytes()
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + data)
+        result = run_cli(["validate", "--input", "bom.csv"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "3 finding(s)" in result.stdout
 
     def test_missing_file_exit_2(self, tmp_path):
         result = run_cli(["validate", "--input", "nope.csv"], tmp_path)
@@ -134,6 +140,14 @@ class TestAnalyze:
     def test_bad_level_exit_2(self, tmp_path):
         result = run_cli(["analyze", "--levels", "1.5"], tmp_path)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--n-draws", "1000"]])
+    def test_repeated_level_exit_2(self, tmp_path, command):
+        # a repeated level used to give contributions.csv two columns of one name
+        result = run_cli([*command, "--unit", "10", "--levels", "0.1,0.05,0.10"], tmp_path)
+        assert result.returncode == 2
+        assert "must not repeat a level" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_grid_too_small_for_a_level_exit_1(self, tmp_path):
         # at 16384 points the 1% quantile read 11151 instead of 11577; the first level refused is 10%

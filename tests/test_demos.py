@@ -1,7 +1,11 @@
-"""Smoke test: the read-only demos run to completion against this checkout.
+"""Smoke test: the demos run to completion against this checkout.
 
-Demo 05 is left out because it rewrites the committed files under reports/.
+Demo 05 rewrites the committed files under reports/, so it runs in a copy
+of demos/ and data/, and its JSON is compared with the committed one.
 """
+
+import json
+import shutil
 
 import pytest
 
@@ -19,3 +23,20 @@ DEMOS = [
 def test_demo_runs(demo, tmp_path):
     result = run_python([str(REPO_ROOT / "demos" / demo)], tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_reference_reproduction_matches_committed_report(tmp_path):
+    for folder in ("demos", "data"):
+        shutil.copytree(REPO_ROOT / folder, tmp_path / folder)
+    result = run_python([str(tmp_path / "demos" / "05_reference_reproduction.py")], tmp_path)
+    assert result.returncode == 0, result.stderr
+    fresh, committed = (
+        json.loads((root / "reports" / "tail_reproduction.json").read_text(encoding="utf-8"))
+        for root in (tmp_path, REPO_ROOT)
+    )
+    for got, want in zip(fresh["runs"], committed["runs"]):
+        # the truncation mass is round-off; the mean is compared to 1e-9 relative
+        del got["truncation_mass"], want["truncation_mass"]
+        got_mean, want_mean = got.pop("mean"), want.pop("mean")
+        assert got_mean == pytest.approx(want_mean, rel=1e-9, abs=0.0)
+    assert fresh == committed

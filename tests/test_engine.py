@@ -9,7 +9,7 @@ from scipy.stats import nbinom
 import agririsk as ar
 from agririsk.errors import InputError, ModelError
 
-from conftest import REPO_ROOT, make_banded
+from conftest import REPO_ROOT, make_banded, single_sector
 
 # regression constant: sum of eps_j / v_j on the bundled dataset, single
 # sector, unit = 1; recomputed independently in test_bundled_single_sector_rate
@@ -70,13 +70,7 @@ class TestBanding:
         assert band.mu == pytest.approx(24.96 / 801, rel=1e-9)
 
     def test_same_level_bands_merge(self):
-        p = ar.parse_portfolio(
-            "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio\n"
-            "A,A,250,0.1,0.0,1.0,0.0\n"
-            "B,B,201,0.2,0.0,1.0,0.0\n"
-        )
-        sectored = ar.assign_sectors(p, ar.SectorAssignment("single"))
-        banded = ar.band_exposures(sectored, 100.0)
+        _, banded = single_sector("A,A,250,0.1,0.0,1.0,0.0\nB,B,201,0.2,0.0,1.0,0.0\n", unit=100.0)
         assert [b.v for b in banded.sectors[0].bands] == [3]
         assert banded.sectors[0].bands[0].epsilon == pytest.approx((250 * 0.1 + 201 * 0.2) / 100)
         assert banded.obligor_ids == ("A", "B")

@@ -5,8 +5,9 @@ import pytest
 import agririsk as ar
 from agririsk.errors import InputError
 
+from conftest import HEADER
+
 BGR_ROW = "BGR,Bulgaria,800.12,0.0312,0.0072,0.65,0.35,24.96"
-HEADER = "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio,expected_loss"
 
 
 def make_obligor(**overrides):
@@ -45,6 +46,11 @@ class TestParse:
     def test_malformed_cell_names_row_and_column(self):
         text = f"{HEADER}\nAAA,A,100,0.1,0.0,1.0,0.0,\nBBB,B,oops,0.1,0.0,1.0,0.0,\n"
         with pytest.raises(InputError, match="row 3.*exposure"):
+            ar.parse_portfolio(text)
+
+    def test_malformed_cell_names_its_row_once(self):
+        text = f"{HEADER}\nAAA,A,oops,0.1,0.0,1.0,0.0,\n"
+        with pytest.raises(InputError, match=r"^row 2: malformed exposure: 'oops'$"):
             ar.parse_portfolio(text)
 
     def test_expected_loss_column_optional(self):

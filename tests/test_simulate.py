@@ -9,13 +9,8 @@ import agririsk as ar
 from agririsk.errors import InputError
 from agririsk.simulate import CHUNK_DRAWS, _quantile_band
 
-from conftest import make_banded
+from conftest import make_banded, single_sector
 from test_engine import params_for, poisson_sector
-
-
-def pipeline(portfolio, mode="crop-livestock", unit=1.0):
-    sectored = ar.assign_sectors(portfolio, ar.SectorAssignment(mode))
-    return sectored, ar.band_exposures(sectored, unit)
 
 
 class TestSimulate:
@@ -36,22 +31,12 @@ class TestSimulate:
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_all_zero_rates_yield_zero_loss(self):
-        text = (
-            "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio\n"
-            "A,A,100,0.0,0.0,0.5,0.5\n"
-        )
-        p = ar.parse_portfolio(text)
-        sectored, banded = pipeline(p, mode="single")
+        sectored, banded = single_sector("A,A,100,0.0,0.0,0.5,0.5\n")
         emp = ar.simulate(banded, ar.SimConfig(n_draws=500, seed=1), sectored)
         assert np.all(emp.samples == 0.0)
 
     def test_certain_default_bernoulli(self):
-        text = (
-            "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio\n"
-            "A,A,123.25,1.0,0.0,0.5,0.5\n"
-        )
-        p = ar.parse_portfolio(text)
-        sectored, banded = pipeline(p, mode="single")
+        sectored, banded = single_sector("A,A,123.25,1.0,0.0,0.5,0.5\n")
         emp = ar.simulate(
             banded, ar.SimConfig(n_draws=400, seed=5, mode="bernoulli-exact"), sectored
         )
@@ -81,15 +66,14 @@ class TestSimulate:
         report = ar.compare(dist, emp, [0.1, 0.05, 0.01])
         assert report.flag_count == 0
 
-    def test_bernoulli_losses_bounded_by_total_exposure(self, bundled_portfolio):
-        sectored, banded = pipeline(bundled_portfolio)
+    def test_bernoulli_losses_bounded_by_total_exposure(self, bundled_run):
+        sectored, banded = bundled_run.sectored, bundled_run.banded
         emp = ar.simulate(
             banded, ar.SimConfig(n_draws=50_000, seed=23, mode="bernoulli-exact"), sectored
         )
-        total = bundled_portfolio.total_exposure
+        total = bundled_run.portfolio.total_exposure
         assert float(emp.samples.max()) <= total
-        dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
-        report = ar.compare(dist, emp, [0.1], total_exposure=total)
+        report = ar.compare(bundled_run.dist, emp, [0.1], total_exposure=total)
         assert report.empirical_p_exceeds_total == 0.0
         assert report.analytic_p_exceeds_total >= 0.0
 
@@ -99,12 +83,7 @@ class TestSimulate:
 
     def test_clamped_probabilities_are_counted(self):
         # huge volatility makes p * scaling exceed 1 in some draws
-        text = (
-            "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio\n"
-            "A,A,10,0.5,2.5,0.5,0.5\n"
-        )
-        p = ar.parse_portfolio(text)
-        sectored, banded = pipeline(p, mode="single")
+        sectored, banded = single_sector("A,A,10,0.5,2.5,0.5,0.5\n")
         emp = ar.simulate(
             banded, ar.SimConfig(n_draws=20_000, seed=31, mode="bernoulli-exact"), sectored
         )
@@ -124,10 +103,7 @@ class TestBlockedDraws:
         # one full chunk over 256 sub-exposures; a (draws x subs) float matrix is 134 MB
         subs = 256
         rows = "".join(f"O{i},O{i},{10 + i % 7},0.02,0.01,0.5,0.5\n" for i in range(subs))
-        p = ar.parse_portfolio(
-            "id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,livestock_ratio\n" + rows
-        )
-        sectored, banded = pipeline(p, mode="single")
+        sectored, banded = single_sector(rows)
         cfg = ar.SimConfig(n_draws=CHUNK_DRAWS, seed=7, mode="bernoulli-exact")
         tracemalloc.start()
         try:
@@ -138,8 +114,8 @@ class TestBlockedDraws:
         assert peak < CHUNK_DRAWS * subs * 8
 
     @pytest.mark.parametrize("mode", ["poisson-banded", "bernoulli-exact"])
-    def test_blocked_draws_match_one_block(self, bundled_portfolio, monkeypatch, mode):
-        sectored, banded = pipeline(bundled_portfolio)
+    def test_blocked_draws_match_one_block(self, bundled_run, monkeypatch, mode):
+        sectored, banded = bundled_run.sectored, bundled_run.banded
         cfg = ar.SimConfig(n_draws=3000, seed=13, mode=mode)
         whole = ar.simulate(banded, cfg, sectored)
         # the module, not the simulate function that the package exports under its name
