@@ -55,6 +55,12 @@ def run_pipeline(
     if backend not in _BACKENDS:
         raise InputError(f"backend must be one of {', '.join(_BACKENDS)}, got {backend!r}")
     levels = tuple(float(lvl) for lvl in levels)
+    if not levels:
+        raise InputError("levels must name at least one level")
+    if not all(0.0 < lvl < 1.0 for lvl in levels):
+        raise InputError(f"levels must lie in (0, 1), got {list(levels)}")
+    if len(set(levels)) < len(levels):
+        raise InputError(f"levels must not repeat a level, got {list(levels)}")
     source = Path(input) if input else pf.bundled_dataset_path()
     port = pf.load_portfolio(source)
     findings = pf.validate_portfolio(port, tolerance)
@@ -83,17 +89,9 @@ _DEFAULTS = {name: p.default for name, p in inspect.signature(run_pipeline).para
 
 def _parse_levels(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     try:
-        levels = tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         parser.error(f"--levels must be a comma-separated list of numbers, got {text!r}")
-    if not levels:
-        parser.error("--levels must name at least one level")
-    for lvl in levels:
-        if not 0.0 < lvl < 1.0:
-            parser.error(f"levels must lie in (0, 1), got {lvl}")
-    if len(set(levels)) < len(levels):
-        parser.error(f"--levels must not repeat a level, got {text!r}")
-    return levels
 
 
 def _parse_sector_rates(

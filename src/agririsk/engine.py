@@ -11,7 +11,7 @@ via FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -164,12 +164,12 @@ class BandedPortfolio:
 
     @cached_property
     def _cumulant(self) -> "_Cumulant":
-        """K(t) of the sector model, built once for the grid rule and every backend's tail bound."""
+        """The sector model's compound parts and K(t), built once for the grid rule and every backend."""
         return _Cumulant(self)
 
     @cached_property
     def _poisson_cumulant(self) -> "_Cumulant":
-        """K(t) with every band unmixed, for loss_dist_poisson's tail bound."""
+        """One compound Poisson part pooling every band, for loss_dist_poisson."""
         return _Cumulant(self, mixed=False)
 
     @property
@@ -268,29 +268,25 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
     level = units_ceiling(amount, unit)
     epsilon = amount * rate / unit
 
-    # one merge over (sector, level); the stable sort keeps each band's subs in input order
-    order = np.lexsort((level, sector))
-    key = np.stack((sector[order], level[order]))
-    starts = np.diff(key, axis=1, prepend=-1).any(axis=0)
-    band_eps = np.bincount(np.cumsum(starts) - 1, weights=epsilon[order])
-    band_sector, band_level = key[:, starts]
+    (band_sector, band_level), band_eps = _merge((sector, level), epsilon)
     bands = list(map(Band, band_level.tolist(), band_eps.tolist()))
     ends = np.cumsum(np.bincount(band_sector, minlength=len(sectored.sectors))).tolist()
     sectors = []
     for s, lo, hi in zip(sectored.sectors, [0] + ends, ends):
         count = sum(b.mu for b in bands[lo:hi])
         params = SectorParams.from_rate_stats(s.mean_rate, s.stddev_rate, count)
+        if not params.is_poisson and params.cv <= 1e-154:  # the gamma shape alpha = cv**-2 would overflow
+            raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too small for a gamma shape")
         sectors.append(BandedSector(s.name, params, tuple(bands[lo:hi])))
     return BandedPortfolio(unit, tuple(sectors), sectored.obligor_ids, obligor, sector, level, epsilon)
 
 
-def _band_arrays(bands) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique levels of the bands with positive expected loss, and their summed epsilon."""
-    bands = tuple(bands)
-    levels = np.array([b.v for b in bands], dtype=np.int64)
-    summed = np.bincount(levels, weights=[b.epsilon for b in bands])
-    vs = np.flatnonzero(summed)
-    return vs, summed[vs]
+def _merge(keys: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique rows of int64 key columns (first major), and each row's weights summed in input order."""
+    order = np.lexsort(keys[::-1])
+    key = np.stack([k[order] for k in keys])
+    starts = np.diff(key, axis=1, prepend=-1).any(axis=0)
+    return key[:, starts], np.bincount(np.cumsum(starts) - 1, weights=weights[order])
 
 
 def poisson_rate(banded: BandedPortfolio) -> float:
@@ -303,13 +299,13 @@ def severity_polynomial(bands: tuple[Band, ...] | list[Band]) -> np.ndarray:
 
     Coefficient at degree v is mu_v / sum(mu); degree 0 carries no mass.
     """
-    vs, eps = _band_arrays(bands)
+    levels = np.array([b.v for b in bands], dtype=np.int64)
+    (vs,), eps = _merge((levels,), np.array([b.epsilon for b in bands]))
+    vs, eps = vs[eps > 0.0], eps[eps > 0.0]
     if not vs.size:
         raise ModelError("degenerate sector: every band has zero expected defaults")
     mu = eps / vs
-    f = np.zeros(max(b.v for b in bands) + 1)
-    f[vs] = mu / mu.sum()
-    return f
+    return np.bincount(vs, weights=mu / mu.sum(), minlength=int(levels.max()) + 1)
 
 
 def analytic_moments(banded: BandedPortfolio) -> tuple[float, float]:
@@ -346,36 +342,43 @@ def _golden_min(fn, hi: float) -> float:
 
 
 class _Cumulant:
-    """Cumulant generating function K(t) = log E[exp(t S)] of the loss S in grid units.
+    """The loss S in grid units split into independent compound parts, and its K(t) = log E[exp(t S)].
 
-    K(t) sums -alpha_k log(1 - beta_k d_k(t)) over gamma sectors and
-    mu_k d_k(t) over unmixed ones, where d_k(t) = M_k(t) - 1 =
-    sum_v f_kv expm1(t v). All bands sit in flat arrays: every unmixed band
-    carries its expected count and index 0, gamma sector k's bands carry
-    weight f_kv and index k >= 1, so one bincount gives every d_k.
-    mixed=False treats every band as unmixed Poisson. Markov's inequality
-    gives P(S >= n) <= exp(K(t) - t n) for every t in (0, t_max], where
-    t_max stays below each gamma pole beta_k d_k = 1 and t max_v <= 700.
+    Part 0, a compound Poisson, pools every unmixed band (every band if
+    mixed=False); part k >= 1 is the k-th gamma sector, a compound negative
+    binomial. Bands merge once per (part, level) into flat arrays, zero-loss
+    ones dropped, and every backend and the tail bound read these parts.
+    K(t) = d_0(t) - sum_k alpha_k log(1 - beta_k d_k(t)), where
+    d_k(t) = sum_v w_kv expm1(t v) with weight mu in part 0 and severity f_kv
+    in part k, so one bincount gives every d_k. Markov's inequality gives
+    P(S >= n) <= exp(K(t) - t n) for every t in (0, t_max], where t_max stays
+    below each gamma pole beta_k d_k = 1 and t max_v <= 700.
     """
 
     def __init__(self, banded: BandedPortfolio, mixed: bool = True):
-        rows = [(k, b.v, b.epsilon) for k, s in enumerate(banded.sectors) for b in s.bands]
-        sector, v, eps = np.array(rows, dtype=float).reshape(-1, 3).T
-        # repeated levels need no merge: K(t) sums over bands; zero-loss bands would only lower t_max
-        keep = eps > 0.0
-        sector, self.v = sector[keep].astype(np.int64), v[keep]
-        mu = eps[keep] / self.v
         gamma = np.array([mixed and not s.params.is_poisson for s in banded.sectors], dtype=bool)
-        self.index = np.where(gamma, np.cumsum(gamma), 0)[sector]
-        totals = np.bincount(sector, weights=mu, minlength=gamma.size)
-        self.w = np.where(gamma[sector], mu / totals[sector], mu)
-        params = [s.params for s, is_gamma in zip(banded.sectors, gamma) if is_gamma]
-        self.alpha = np.array([p.alpha for p in params])
-        self.beta = np.array([p.beta for p in params])
+        self.params = [None] + [s.params for s, is_gamma in zip(banded.sectors, gamma) if is_gamma]
+        part = np.repeat(np.where(gamma, np.cumsum(gamma), 0), [len(s.bands) for s in banded.sectors])
+        level = np.array([b.v for s in banded.sectors for b in s.bands], dtype=np.int64)
+        (part, v), eps = _merge((part, level), np.array([b.epsilon for s in banded.sectors for b in s.bands]))
+        keep = eps > 0.0  # zero-loss bands would only lower t_max
+        self.part, self.v, self.eps = part[keep], v[keep], eps[keep]
+        mu = self.eps / self.v
+        totals = np.bincount(self.part, weights=mu, minlength=len(self.params))
+        self.w = np.where(self.part > 0, mu / totals[self.part], mu)
+        self.alpha = np.array([p.alpha for p in self.params[1:]])
+        self.beta = np.array([p.beta for p in self.params[1:]])
         self.t_max = self._t_max()
 
+    def parts(self):
+        """(levels, epsilon, params or None) of each part that carries loss, part 0 first."""
+        bounds = np.searchsorted(self.part, np.arange(len(self.params) + 1)).tolist()
+        for params, lo, hi in zip(self.params, bounds, bounds[1:]):
+            if hi > lo:
+                yield self.v[lo:hi], self.eps[lo:hi], params
+
     def _d(self, t: float) -> np.ndarray:
-        return np.bincount(self.index, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
+        return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=len(self.params))
 
     def _below_poles(self, t: float) -> bool:
         return bool(np.all(self.beta * self._d(t)[1:] < 1.0))
@@ -397,8 +400,8 @@ class _Cumulant:
 
     def grid_need(self) -> float:
         """Least n the bound certifies at TAIL_EPS: min over t of (K(t) + log(1/TAIL_EPS)) / t."""
-        if not self.v.size:
-            return 0.0
+        if not self.t_max:  # no bands need no grid; a gamma pole below the search's resolution certifies none
+            return math.inf if self.v.size else 0.0
         log_inv_eps = -math.log(TAIL_EPS)
         return _golden_min(lambda t: (self(t) + log_inv_eps) / t, self.t_max)
 
@@ -438,8 +441,8 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_s
     g_n = sum_j (a + b v_j / n) f_j g_{n - v_j} over the levels v_j <= n, with
     severity f_j = mu_j / sum(mu), which has no mass at 0. Gamma-mixed counts
     are negative binomial: a = rho, b = rho (alpha - 1), g_0 = (1 - rho)^alpha.
-    Poisson counts (params None, or an unmixed sector) are a = 0, b = sum(mu),
-    so b f_j v_j = eps_j and g_0 = exp(-sum(mu)).
+    Poisson counts (params None) are a = 0, b = sum(mu), so b f_j v_j = eps_j
+    and g_0 = exp(-sum(mu)).
 
     g_n reads only g_{n - v_j} with v_j >= v_min, so each block of v_min
     points (fewer where a block would gather over _BLOCK_CELLS entries) is
@@ -454,8 +457,7 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_s
         point[0] = 1.0
         return point
     mu = eps / vs
-    poisson = params is None or params.is_poisson
-    if poisson:
+    if params is None:
         log_g0 = -float(mu.sum())
     else:
         alpha, rho = params.alpha, params.rho
@@ -463,7 +465,7 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_s
             raise ModelError(f"rho must lie in (0, 1), got {rho!r}")
         log_g0 = alpha * math.log1p(-rho)
     pieces = max(1, math.ceil(log_g0 / _LOG_G0_FLOOR))
-    if poisson:
+    if params is None:
         fa, fbv = np.zeros(vs.size), eps / pieces
     else:
         f = mu / mu.sum()
@@ -486,36 +488,32 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_s
     return g
 
 
+def _loss_dist_panjer(banded: BandedPortfolio, grid_size: int, cumulant: _Cumulant) -> LossDistribution:
+    """Panjer recursion for each part of cumulant, the parts convolved, with the same parts' tail bound."""
+    _check_grid(grid_size, banded.max_v + 1, "the largest band")
+    pmfs = [_panjer(vs, eps, params, grid_size) for vs, eps, params in cumulant.parts()]
+    # with no part carrying loss, _panjer of the (empty) merged bands is the point mass at zero
+    raw = reduce(_convolve_pmfs, pmfs) if pmfs else _panjer(cumulant.v, cumulant.eps, None, grid_size)
+    return _finalize_pmf(raw, banded.unit, cumulant.tail_bound(grid_size))
+
+
 def loss_dist_poisson(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     """Aggregate loss pmf with unmixed Poisson default counts in every band.
 
     Computed by the classical Panjer recursion for the compound Poisson
     generating function; sector gamma parameters are ignored on this path.
     """
-    _check_grid(grid_size, banded.max_v + 1, "the largest band")
-    vs, eps = _band_arrays(b for s in banded.sectors for b in s.bands)
-    bound = banded._poisson_cumulant.tail_bound(grid_size)
-    return _finalize_pmf(_panjer(vs, eps, None, grid_size), banded.unit, bound)
+    return _loss_dist_panjer(banded, grid_size, banded._poisson_cumulant)
 
 
 def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
-    """Aggregate loss pmf under gamma-mixed sectors, by per-sector Panjer recursion.
+    """Aggregate loss pmf under gamma-mixed sectors, by Panjer recursion per independent part.
 
-    Each sector's compound negative-binomial pmf is computed on the full
-    grid; independent sectors are then convolved. Sectors with zero rate
-    volatility fall back to the exact Poisson limit.
+    All unmixed bands form one compound Poisson and each gamma sector one
+    compound negative binomial, each computed on the full grid; the parts
+    are then convolved.
     """
-    _check_grid(grid_size, banded.max_v + 1, "the largest band")
-    parts = []
-    for sector in banded.sectors:
-        vs, eps = _band_arrays(sector.bands)
-        if vs.size:
-            parts.append(_finalize_pmf(_panjer(vs, eps, sector.params, grid_size), banded.unit))
-    if not parts:
-        point = np.zeros(grid_size)
-        point[0] = 1.0
-        return _finalize_pmf(point, banded.unit)
-    return replace(reduce(convolve, parts), tail_bound=banded._cumulant.tail_bound(grid_size))
+    return _loss_dist_panjer(banded, grid_size, banded._cumulant)
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:
@@ -541,13 +539,11 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     _check_grid(grid_size, 2 * (banded.max_v + 1), "alias-safe FFT inversion")
     # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
     log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
-    for sector in banded.sectors:
-        count = sector.expected_count
-        if count == 0.0:
-            continue
-        q = np.fft.rfft(severity_polynomial(sector.bands), grid_size)
-        params = sector.params
-        if params.is_poisson:
+    for vs, eps, params in banded._cumulant.parts():
+        mu = eps / vs
+        count = mu.sum()
+        q = np.fft.rfft(np.bincount(vs, weights=mu / count), grid_size)
+        if params is None:
             log_g += count * (q - 1.0)
         else:
             # alpha*(log(1-rho) - log(1-rho*Q)) with beta = rho/(1-rho); |Q| <= 1 keeps

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import exceedance_quantile
-from .engine import BandedPortfolio, LossDistribution, _band_arrays
+from .engine import BandedPortfolio, LossDistribution
 from .errors import InputError, ModelError
 from .portfolio import MC_MODES, SectoredPortfolio
 
@@ -108,11 +108,12 @@ def simulate(
     plans = []
     if cfg.mode == "poisson-banded":
         for s in banded.sectors:
-            vs, eps = _band_arrays(s.bands)
-            if not vs.size:
+            bands = [b for b in s.bands if b.epsilon > 0.0]
+            if not bands:
                 continue
             alpha = None if s.params.is_poisson else s.params.alpha
-            plans.append((alpha, eps / vs, vs * banded.unit))
+            vs = np.array([b.v for b in bands])
+            plans.append((alpha, np.array([b.epsilon for b in bands]) / vs, vs * banded.unit))
     else:
         by_name = {s.name: s for s in banded.sectors}
         for s in sectored.sectors:

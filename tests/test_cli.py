@@ -2,6 +2,9 @@ from pathlib import Path
 
 import pytest
 
+import agririsk as ar
+from agririsk.errors import InputError
+
 from conftest import HEADER, REPO_ROOT, SRC, run_cli, run_python
 
 
@@ -92,6 +95,45 @@ def test_negative_seed_exit_2(tmp_path):
     assert result.returncode == 2, result.stdout + result.stderr
     assert "Traceback" not in result.stderr
     assert "seed must be >= 0" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [((0.1, 0.1), "must not repeat a level"), ((1.5,), r"must lie in \(0, 1\)"), ((), "at least one level")],
+)
+def test_run_pipeline_checks_levels(levels, message):
+    # a repeated level gave contributions.csv two columns of one name; 1.5 failed only in the report
+    with pytest.raises(InputError, match=message):
+        ar.run_pipeline(unit=10, levels=levels)
+
+
+# stddev 1e-160 (1e-170) against mean 0.03: the gamma shape (mean/stddev)**2 overflows a float
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--sector-rate", "crop=0.03,1e-160"], "sector 'crop': rate volatility 1e-160"),
+        (["--input", "tiny.csv", "--sector-mode", "per-obligor"], "sector 'AAA': rate volatility 1e-170"),
+    ],
+)
+def test_unrepresentable_gamma_shape_exit_2(tmp_path, args, message):
+    (tmp_path / "tiny.csv").write_text(f"{HEADER}\nAAA,A,100,0.03,1e-170,1,0,3.0\n")
+    result = run_cli(["analyze", "--unit", "10", *args], tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"{message} is too small for a gamma shape\n"
+
+
+def test_gamma_pole_below_search_resolution_exit_1(tmp_path):
+    # stddev 1e8: the pole lies below every t the bisection resolves, so the bound certifies no grid
+    args = ["analyze", "--unit", "10", "--sector-rate", "crop=0.03,1e8"]
+    auto = run_cli(args, tmp_path)
+    assert auto.returncode == 1, auto.stdout + auto.stderr
+    assert "Traceback" not in auto.stderr
+    assert "67108864-point limit" in auto.stderr
+    explicit = run_cli([*args, "--grid", "4096"], tmp_path)
+    assert explicit.returncode == 1, explicit.stdout + explicit.stderr
+    assert "tail bound 1.000e+00" in explicit.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # discount factors e^1000 (overflows) and e^100 (a grid beyond numpy's array limits)

@@ -248,6 +248,30 @@ class TestHandBuiltSectors:
         assert tv <= 1e-12
 
 
+class TestParts:
+    # two unmixed sectors sharing level 3, and one gamma sector
+    BANDS_A = [(1, 0.5), (3, 0.9), (7, 0.35)]
+    BANDS_B = [(2, 0.6), (3, 0.4), (5, 0.8)]
+    BANDS_G = [(1, 0.3), (4, 0.7)]
+
+    def test_unmixed_sectors_pool_into_one_recursion(self):
+        a, b = self.BANDS_A, self.BANDS_B
+        banded = make_banded([("a", params_for(a, 0.0), a), ("b", params_for(b, 0.0), b)])
+        sector, poisson = ar.loss_dist_sector(banded, 256), ar.loss_dist_poisson(banded, 256)
+        np.testing.assert_array_equal(sector.pmf, poisson.pmf)
+        assert sector.tail_bound == poisson.tail_bound
+
+    def test_gamma_sector_beside_the_pooled_part_matches_fft(self):
+        a, b, g = self.BANDS_A, self.BANDS_B, self.BANDS_G
+        banded = make_banded(
+            [("a", params_for(a, 0.0), a), ("g", params_for(g, 0.8), g), ("b", params_for(b, 0.0), b)]
+        )
+        grid = ar.auto_grid_size(banded)
+        panjer, fft = ar.loss_dist_sector(banded, grid), ar.loss_dist_fft(banded, grid)
+        assert 0.5 * float(np.abs(panjer.pmf - fft.pmf).sum()) <= 1e-12
+        assert panjer.tail_bound == fft.tail_bound <= ar.engine.TAIL_EPS
+
+
 def scalar_panjer(vs, eps, params, grid_size):
     """Reference (a, b, 0) recursion: one Python step per grid point, summing the levels v_j <= n."""
     mu = eps / vs
@@ -284,7 +308,8 @@ class TestBlockedPanjer:
     def test_matches_scalar_recursion(self, case, cv):
         bands, grid = self.CASES[case]
         params = params_for(bands, cv) if cv else None
-        vs, eps = ar.engine._band_arrays(ar.Band(v, e) for v, e in bands)
+        vs = np.array([v for v, e in bands if e > 0.0], dtype=np.int64)
+        eps = np.array([e for v, e in bands if e > 0.0])
         expected = scalar_panjer(vs, eps, params, grid)
         got = ar.engine._panjer(vs, eps, params, grid)
         assert got.shape == expected.shape
