@@ -21,8 +21,8 @@ print("banded portfolio (unit = 1.0 million):")
 for sector in banded.sectors:
     p = sector.params
     print(
-        f"  {sector.name:<10} bands {len(sector.bands):3d}  expected defaults {p.mu_k:.4f}  "
-        f"cv {p.cv:.3f}  alpha {p.alpha:.3f}  rho {p.rho:.4f}"
+        f"  {sector.name:<10} bands {len(sector.bands):3d}  expected defaults {sector.expected_count:.4f}  "
+        f"cv {p.cv:.3f}  alpha {p.alpha:.3f}"
     )
 print(f"total expected defaults: {ar.poisson_rate(banded):.4f}")
 print(f"banding preserves expected loss: {banded.expected_loss:.4f}")

@@ -30,7 +30,6 @@ from .engine import (
     loss_dist_poisson,
     loss_dist_sector,
     poisson_rate,
-    severity_polynomial,
     units_ceiling,
 )
 from .errors import InputError, ModelError

@@ -55,67 +55,26 @@ class Band:
 
 @dataclass(frozen=True)
 class SectorParams:
-    """Gamma-mixing parameters of one sector, in expected-default-count units.
+    """Gamma mixing of one sector: the coefficient of variation of its mean-1 intensity scaling.
 
-    mu_k is the sector's expected number of defaults, sigma_k the standard
-    deviation of its randomized count intensity. sigma_k == 0 marks a pure
-    Poisson (unmixed) sector.
+    cv is sigma_k / mu_k, the same in rate and count units; the expected
+    count mu_k is the sector's bands'. cv == 0 marks a pure Poisson
+    (unmixed) sector.
     """
 
-    mu_k: float
-    sigma_k: float
+    cv: float
 
     def __post_init__(self):
-        if self.mu_k < 0.0 or self.sigma_k < 0.0:
-            raise ModelError("sector parameters must be nonnegative")
-        if self.mu_k == 0.0 and self.sigma_k > 0.0:
-            raise ModelError("sector with zero mean and positive volatility is not gamma-representable")
+        if not (math.isfinite(self.cv) and self.cv >= 0.0):
+            raise ModelError(f"sector cv must be finite and >= 0, got {self.cv!r}")
 
     @property
     def is_poisson(self) -> bool:
-        return self.sigma_k == 0.0
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation; identical in count and rate units."""
-        return self.sigma_k / self.mu_k if self.mu_k > 0.0 else 0.0
+        return self.cv == 0.0
 
     @property
     def alpha(self) -> float:
-        if self.is_poisson:
-            return math.inf
-        return (self.mu_k / self.sigma_k) ** 2
-
-    @property
-    def beta(self) -> float:
-        if self.mu_k == 0.0:
-            return 0.0
-        return self.sigma_k**2 / self.mu_k
-
-    @property
-    def rho(self) -> float:
-        beta = self.beta
-        return beta / (1.0 + beta)
-
-    @classmethod
-    def from_rate_stats(cls, mean_rate: float, stddev_rate: float, expected_count: float) -> "SectorParams":
-        """Build from a sector's loss-rate mean/stddev and its expected default count.
-
-        The gamma scaling preserves the coefficient of variation, so the
-        rate-level stddev transfers to count units as count * (stddev/mean).
-        """
-        if mean_rate <= 0.0:
-            if stddev_rate > 0.0:
-                raise ModelError("zero mean rate with positive volatility is not gamma-representable")
-            return cls(mu_k=expected_count, sigma_k=0.0)
-        return cls(mu_k=expected_count, sigma_k=expected_count * stddev_rate / mean_rate)
-
-    @classmethod
-    def from_alpha_rho(cls, alpha: float, rho: float) -> "SectorParams":
-        if alpha <= 0.0 or not 0.0 < rho < 1.0:
-            raise ModelError(f"need alpha > 0 and rho in (0, 1), got alpha={alpha}, rho={rho}")
-        beta = rho / (1.0 - rho)
-        return cls(mu_k=alpha * beta, sigma_k=beta * math.sqrt(alpha))
+        return math.inf if self.is_poisson else self.cv**-2
 
 
 @dataclass(frozen=True)
@@ -123,14 +82,6 @@ class BandedSector:
     name: str
     params: SectorParams
     bands: tuple[Band, ...]
-
-    def __post_init__(self):
-        count = sum(b.mu for b in self.bands)
-        if count > 0.0 and not math.isclose(self.params.mu_k, count, rel_tol=1e-9):
-            raise ModelError(
-                f"sector {self.name!r}: params.mu_k {self.params.mu_k!r} does not match "
-                f"the banded expected default count {count!r}"
-            )
 
     @property
     def expected_count(self) -> float:
@@ -252,7 +203,8 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
     Each sub-exposure x with loss rate p maps to level v = ceiling(x/unit)
     and expected loss epsilon = x*p/unit; sub-exposures sharing (sector, v)
     merge into one band with summed epsilon. Banding preserves expected
-    loss exactly; the round-up inflates severity only.
+    loss exactly; the round-up inflates severity only. A sector's cv is
+    its stddev_rate / mean_rate, or 0 where it has no expected defaults.
     """
     if not (math.isfinite(unit) and unit > 0.0):
         raise InputError(f"unit must be finite and > 0, got {unit}")
@@ -271,13 +223,17 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
     (band_sector, band_level), band_eps = _merge((sector, level), epsilon)
     bands = list(map(Band, band_level.tolist(), band_eps.tolist()))
     ends = np.cumsum(np.bincount(band_sector, minlength=len(sectored.sectors))).tolist()
+    counts = np.bincount(band_sector, weights=band_eps / band_level, minlength=len(sectored.sectors))
     sectors = []
-    for s, lo, hi in zip(sectored.sectors, [0] + ends, ends):
-        count = sum(b.mu for b in bands[lo:hi])
-        params = SectorParams.from_rate_stats(s.mean_rate, s.stddev_rate, count)
-        if not params.is_poisson and params.cv <= 1e-154:  # the gamma shape alpha = cv**-2 would overflow
-            raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too small for a gamma shape")
-        sectors.append(BandedSector(s.name, params, tuple(bands[lo:hi])))
+    for s, count, lo, hi in zip(sectored.sectors, counts.tolist(), [0] + ends, ends):
+        cv = s.stddev_rate / s.mean_rate if s.mean_rate and count else 0.0  # no expected defaults: nothing to mix
+        if cv:
+            if cv <= 1e-154:  # the gamma shape alpha = cv**-2 would overflow
+                raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too small for a gamma shape")
+            beta = cv**2 * count  # the gamma scale of the sector's count, as _Cumulant computes it
+            if not beta / (1.0 + beta) < 1.0:  # the negative binomial's rho would round to 1
+                raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too large for a gamma scale")
+        sectors.append(BandedSector(s.name, SectorParams(cv), tuple(bands[lo:hi])))
     return BandedPortfolio(unit, tuple(sectors), sectored.obligor_ids, obligor, sector, level, epsilon)
 
 
@@ -292,20 +248,6 @@ def _merge(keys: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[np.ndarra
 def poisson_rate(banded: BandedPortfolio) -> float:
     """Total expected number of defaults over all bands of all sectors."""
     return sum(s.expected_count for s in banded.sectors)
-
-
-def severity_polynomial(bands: tuple[Band, ...] | list[Band]) -> np.ndarray:
-    """Normalized severity pmf of one sector on the unit grid.
-
-    Coefficient at degree v is mu_v / sum(mu); degree 0 carries no mass.
-    """
-    levels = np.array([b.v for b in bands], dtype=np.int64)
-    (vs,), eps = _merge((levels,), np.array([b.epsilon for b in bands]))
-    vs, eps = vs[eps > 0.0], eps[eps > 0.0]
-    if not vs.size:
-        raise ModelError("degenerate sector: every band has zero expected defaults")
-    mu = eps / vs
-    return np.bincount(vs, weights=mu / mu.sum(), minlength=int(levels.max()) + 1)
 
 
 def analytic_moments(banded: BandedPortfolio) -> tuple[float, float]:
@@ -346,8 +288,10 @@ class _Cumulant:
 
     Part 0, a compound Poisson, pools every unmixed band (every band if
     mixed=False); part k >= 1 is the k-th gamma sector, a compound negative
-    binomial. Bands merge once per (part, level) into flat arrays, zero-loss
-    ones dropped, and every backend and the tail bound read these parts.
+    binomial with shape alpha_k = cv_k**-2 and scale beta_k = cv_k**2 mu_k,
+    mu_k its expected count. Bands merge once per (part, level) into flat
+    arrays, zero-loss ones dropped, and every backend and the tail bound
+    read these parts and these alpha_k and beta_k.
     K(t) = d_0(t) - sum_k alpha_k log(1 - beta_k d_k(t)), where
     d_k(t) = sum_v w_kv expm1(t v) with weight mu in part 0 and severity f_kv
     in part k, so one bincount gives every d_k. Markov's inequality gives
@@ -357,28 +301,32 @@ class _Cumulant:
 
     def __init__(self, banded: BandedPortfolio, mixed: bool = True):
         gamma = np.array([mixed and not s.params.is_poisson for s in banded.sectors], dtype=bool)
-        self.params = [None] + [s.params for s, is_gamma in zip(banded.sectors, gamma) if is_gamma]
+        cv = np.array([s.params.cv for s, is_gamma in zip(banded.sectors, gamma) if is_gamma])
         part = np.repeat(np.where(gamma, np.cumsum(gamma), 0), [len(s.bands) for s in banded.sectors])
         level = np.array([b.v for s in banded.sectors for b in s.bands], dtype=np.int64)
         (part, v), eps = _merge((part, level), np.array([b.epsilon for s in banded.sectors for b in s.bands]))
         keep = eps > 0.0  # zero-loss bands would only lower t_max
         self.part, self.v, self.eps = part[keep], v[keep], eps[keep]
         mu = self.eps / self.v
-        totals = np.bincount(self.part, weights=mu, minlength=len(self.params))
+        totals = np.bincount(self.part, weights=mu, minlength=cv.size + 1)
         self.w = np.where(self.part > 0, mu / totals[self.part], mu)
-        self.alpha = np.array([p.alpha for p in self.params[1:]])
-        self.beta = np.array([p.beta for p in self.params[1:]])
+        self.alpha = cv**-2
+        self.beta = cv**2 * totals[1:]
         self.t_max = self._t_max()
 
     def parts(self):
-        """(levels, epsilon, params or None) of each part that carries loss, part 0 first."""
-        bounds = np.searchsorted(self.part, np.arange(len(self.params) + 1)).tolist()
-        for params, lo, hi in zip(self.params, bounds, bounds[1:]):
+        """(levels, epsilon, gamma) of each part that carries loss, part 0 first.
+
+        gamma is the part's (alpha, beta), or None for the compound Poisson part 0.
+        """
+        gammas = [None] + list(zip(self.alpha.tolist(), self.beta.tolist()))
+        bounds = np.searchsorted(self.part, np.arange(len(gammas) + 1)).tolist()
+        for gamma, lo, hi in zip(gammas, bounds, bounds[1:]):
             if hi > lo:
-                yield self.v[lo:hi], self.eps[lo:hi], params
+                yield self.v[lo:hi], self.eps[lo:hi], gamma
 
     def _d(self, t: float) -> np.ndarray:
-        return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=len(self.params))
+        return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
 
     def _below_poles(self, t: float) -> bool:
         return bool(np.all(self.beta * self._d(t)[1:] < 1.0))
@@ -435,14 +383,15 @@ def _check_grid(grid_size: int, minimum: int, what: str) -> None:
         )
 
 
-def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_size: int) -> np.ndarray:
+def _panjer(vs: np.ndarray, eps: np.ndarray, gamma: tuple[float, float] | None, grid_size: int) -> np.ndarray:
     """Compound pmf of bands at levels vs by the (a, b, 0) Panjer recursion.
 
     g_n = sum_j (a + b v_j / n) f_j g_{n - v_j} over the levels v_j <= n, with
-    severity f_j = mu_j / sum(mu), which has no mass at 0. Gamma-mixed counts
-    are negative binomial: a = rho, b = rho (alpha - 1), g_0 = (1 - rho)^alpha.
-    Poisson counts (params None) are a = 0, b = sum(mu), so b f_j v_j = eps_j
-    and g_0 = exp(-sum(mu)).
+    severity f_j = mu_j / sum(mu), which has no mass at 0. Gamma-mixed counts,
+    gamma = (alpha, beta), are negative binomial: rho = beta / (1 + beta),
+    a = rho, b = rho (alpha - 1), g_0 = (1 + beta)^-alpha. Poisson counts
+    (gamma None) are a = 0, b = sum(mu), so b f_j v_j = eps_j and
+    g_0 = exp(-sum(mu)).
 
     g_n reads only g_{n - v_j} with v_j >= v_min, so each block of v_min
     points (fewer where a block would gather over _BLOCK_CELLS entries) is
@@ -457,15 +406,16 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_s
         point[0] = 1.0
         return point
     mu = eps / vs
-    if params is None:
+    if gamma is None:
         log_g0 = -float(mu.sum())
     else:
-        alpha, rho = params.alpha, params.rho
+        alpha, beta = gamma
+        rho = beta / (1.0 + beta)
         if not 0.0 < rho < 1.0:
             raise ModelError(f"rho must lie in (0, 1), got {rho!r}")
-        log_g0 = alpha * math.log1p(-rho)
+        log_g0 = -alpha * math.log1p(beta)
     pieces = max(1, math.ceil(log_g0 / _LOG_G0_FLOOR))
-    if params is None:
+    if gamma is None:
         fa, fbv = np.zeros(vs.size), eps / pieces
     else:
         f = mu / mu.sum()
@@ -491,7 +441,7 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, params: SectorParams | None, grid_s
 def _loss_dist_panjer(banded: BandedPortfolio, grid_size: int, cumulant: _Cumulant) -> LossDistribution:
     """Panjer recursion for each part of cumulant, the parts convolved, with the same parts' tail bound."""
     _check_grid(grid_size, banded.max_v + 1, "the largest band")
-    pmfs = [_panjer(vs, eps, params, grid_size) for vs, eps, params in cumulant.parts()]
+    pmfs = [_panjer(vs, eps, gamma, grid_size) for vs, eps, gamma in cumulant.parts()]
     # with no part carrying loss, _panjer of the (empty) merged bands is the point mass at zero
     raw = reduce(_convolve_pmfs, pmfs) if pmfs else _panjer(cumulant.v, cumulant.eps, None, grid_size)
     return _finalize_pmf(raw, banded.unit, cumulant.tail_bound(grid_size))
@@ -539,16 +489,17 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     _check_grid(grid_size, 2 * (banded.max_v + 1), "alias-safe FFT inversion")
     # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
     log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
-    for vs, eps, params in banded._cumulant.parts():
+    for vs, eps, gamma in banded._cumulant.parts():
         mu = eps / vs
         count = mu.sum()
         q = np.fft.rfft(np.bincount(vs, weights=mu / count), grid_size)
-        if params is None:
+        if gamma is None:
             log_g += count * (q - 1.0)
         else:
             # alpha*(log(1-rho) - log(1-rho*Q)) with beta = rho/(1-rho); |Q| <= 1 keeps
             # Re(1-Q) >= 0, so the log1p is accurate and finite however small beta is
-            log_g -= params.alpha * _log1p(params.beta * (1.0 - q))
+            alpha, beta = gamma
+            log_g -= alpha * _log1p(beta * (1.0 - q))
     pmf = np.fft.irfft(np.exp(log_g), grid_size)
     return _finalize_pmf(pmf, banded.unit, banded._cumulant.tail_bound(grid_size))
 

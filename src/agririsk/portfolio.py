@@ -173,6 +173,15 @@ class Sector:
     stddev_rate: float
     subs: tuple[SubExposure, ...]
 
+    def __post_init__(self):
+        if self.mean_rate == 0.0 and self.stddev_rate > 0.0:
+            raise InputError(
+                f"sector {self.name!r}: zero mean rate with positive volatility has no "
+                "gamma parameterization"
+            )
+        if self.mean_rate < 0.0 or self.stddev_rate < 0.0:
+            raise InputError(f"sector {self.name!r}: rates must be nonnegative")
+
 
 @dataclass(frozen=True)
 class SectoredPortfolio:
@@ -216,9 +225,11 @@ def parse_portfolio(csv_text: str) -> Portfolio:
             f"{','.join(CSV_COLUMNS)}[,expected_loss] but got {','.join(header)}"
         )
     extras = header[len(CSV_COLUMNS) :]
-    for col in extras:
+    for i, col in enumerate(extras):
         if col not in _OPTIONAL_COLUMNS:
             raise InputError(f"bad header: unknown column {col!r}")
+        if col in extras[:i]:
+            raise InputError(f"bad header: repeated column {col!r}")
     el_index = header.index("expected_loss") if "expected_loss" in extras else None
 
     obligors = []
@@ -359,15 +370,6 @@ def assign_sectors(portfolio: Portfolio, assignment: SectorAssignment) -> Sector
     unknown = set(overrides) - {s.name for s in sectors}
     if unknown:
         raise InputError(f"sector rate overrides for unknown sectors: {sorted(unknown)}")
-    for sector in sectors:
-        if sector.mean_rate == 0.0 and sector.stddev_rate > 0.0:
-            raise InputError(
-                f"sector {sector.name!r}: zero mean rate with positive volatility has no "
-                "gamma parameterization"
-            )
-        if sector.mean_rate < 0.0 or sector.stddev_rate < 0.0:
-            raise InputError(f"sector {sector.name!r}: rates must be nonnegative")
-
     return SectoredPortfolio(
         sectors=tuple(sectors), obligor_ids=tuple(o.id for o in portfolio)
     )

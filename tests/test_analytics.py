@@ -9,7 +9,7 @@ import agririsk as ar
 from agririsk.errors import ModelError
 
 from conftest import make_banded, single_sector
-from test_engine import params_for, poisson_sector
+from test_engine import poisson_sector
 
 
 def point_mass(n: int, size: int = 16, unit: float = 1.0) -> ar.LossDistribution:
@@ -109,7 +109,7 @@ class TestMoments:
 class TestRiskContributions:
     def test_single_obligor_takes_all(self):
         bands = [(4, 1.2)]
-        banded = make_banded([("s", params_for(bands, 0.7), bands)])
+        banded = make_banded([("s", ar.SectorParams(0.7), bands)])
         dist = ar.loss_dist_sector(banded, 256)
         table = ar.risk_contributions(banded, dist, [0.1, 0.01])
         for column, total in enumerate(table.totals):
@@ -189,7 +189,7 @@ class TestRiskContributions:
 
     def test_zero_variance_rejected(self):
         bands = [(1, 0.0)]
-        banded = make_banded([("s", ar.SectorParams(0.0, 0.0), bands)])
+        banded = make_banded([("s", ar.SectorParams(0.0), bands)])
         dist = point_mass(0)
         with pytest.raises(ModelError, match="degenerate"):
             ar.risk_contributions(banded, dist, [0.1])

@@ -123,16 +123,15 @@ def test_unrepresentable_gamma_shape_exit_2(tmp_path, args, message):
     assert result.stderr == f"{message} is too small for a gamma shape\n"
 
 
-def test_gamma_pole_below_search_resolution_exit_1(tmp_path):
-    # stddev 1e8: the pole lies below every t the bisection resolves, so the bound certifies no grid
-    args = ["analyze", "--unit", "10", "--sector-rate", "crop=0.03,1e8"]
-    auto = run_cli(args, tmp_path)
-    assert auto.returncode == 1, auto.stdout + auto.stderr
-    assert "Traceback" not in auto.stderr
-    assert "67108864-point limit" in auto.stderr
-    explicit = run_cli([*args, "--grid", "4096"], tmp_path)
-    assert explicit.returncode == 1, explicit.stdout + explicit.stderr
-    assert "tail bound 1.000e+00" in explicit.stderr
+@pytest.mark.parametrize("backend", ["fft", "panjer"])
+@pytest.mark.parametrize("grid", [[], ["--grid", "4096"]])
+def test_gamma_scale_too_large_exit_2(tmp_path, backend, grid):
+    # stddev 1e8 against mean 0.03: beta ~ 1e18, so rho = beta/(1+beta) rounds to 1
+    args = ["analyze", "--unit", "10", "--sector-rate", "crop=0.03,1e8", "--backend", backend, *grid]
+    result = run_cli(args, tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "sector 'crop': rate volatility 100000000.0 is too large for a gamma scale\n"
     assert not (tmp_path / "out").exists()
 
 

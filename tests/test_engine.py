@@ -24,14 +24,8 @@ def one_sector(params: ar.SectorParams, bands, unit: float = 1.0) -> ar.BandedPo
     return make_banded([("s", params, bands)], unit=unit)
 
 
-def params_for(bands, cv: float) -> ar.SectorParams:
-    """Sector params consistent with the bands' expected count, at a given CV."""
-    count = sum(eps / v for v, eps in bands)
-    return ar.SectorParams(count, cv * count)
-
-
 def poisson_sector(bands, unit: float = 1.0) -> ar.BandedPortfolio:
-    return one_sector(params_for(bands, 0.0), bands, unit=unit)
+    return one_sector(ar.SectorParams(0.0), bands, unit=unit)
 
 
 class TestUnitsCeiling:
@@ -113,6 +107,27 @@ class TestBanding:
                 merged[v] = merged.get(v, 0.0) + eps
             assert [(b.v, b.epsilon) for b in banded_sector.bands] == sorted(merged.items())
 
+    def test_per_obligor_cv_is_each_obligors_rate_cv(self, bundled_portfolio):
+        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
+        banded = ar.band_exposures(sectored, 1.0)
+        assert [s.name for s in banded.sectors] == [o.id for o in bundled_portfolio]
+        for o, sector in zip(bundled_portfolio, banded.sectors):
+            assert sector.params.cv == o.loss_rate_stddev / o.mean_loss_rate
+
+    def test_sector_without_expected_defaults_is_poisson(self):
+        # a zero mean rate, or a mean rate over subs that carry no loss: nothing to mix
+        _, banded = single_sector("A,A,100,0.0,0.0,1.0,0.0\n")
+        assert banded.sectors[0].params.is_poisson
+        sector = ar.Sector("s", 0.03, 0.02, (ar.SubExposure("A", 100.0, 0.0),))
+        banded = ar.band_exposures(ar.SectoredPortfolio((sector,), ("A",)), 1.0)
+        assert banded.sectors[0].params.is_poisson
+
+    def test_gamma_scale_rounding_rho_to_one_refused(self):
+        # beta = cv**2 * count = (1e8 / 0.03)**2 * 0.3 ~ 3e18: rho = beta / (1 + beta) rounds to 1
+        sector = ar.Sector("big", 0.03, 1e8, (ar.SubExposure("A", 100.0, 0.03),))
+        with pytest.raises(InputError, match=r"^sector 'big': rate volatility 100000000.0 is too large"):
+            ar.band_exposures(ar.SectoredPortfolio((sector,), ("A",)), 10.0)
+
     def test_nonpositive_unit_rejected(self, bundled_portfolio):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("single"))
         with pytest.raises(InputError, match="unit"):
@@ -135,32 +150,6 @@ class TestPoissonRate:
         )
         assert ar.poisson_rate(banded) == pytest.approx(direct, rel=1e-12)
         assert ar.poisson_rate(banded) == pytest.approx(BUNDLED_SINGLE_SECTOR_RATE, abs=1e-9)
-
-
-class TestSeverityPolynomial:
-    def test_single_band_point_mass(self):
-        f = ar.severity_polynomial((ar.Band(3, 1.7),))
-        assert f.tolist() == [0.0, 0.0, 0.0, 1.0]
-
-    def test_normalization(self):
-        f = ar.severity_polynomial((ar.Band(1, 1.0), ar.Band(2, 6.0)))
-        assert f[1] == pytest.approx(0.25)
-        assert f[2] == pytest.approx(0.75)
-
-    def test_coefficients_sum_to_one(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            bands = tuple(
-                ar.Band(int(v), float(eps))
-                for v, eps in zip(rng.integers(1, 50, 8), rng.uniform(0.01, 5.0, 8))
-            )
-            f = ar.severity_polynomial(bands)
-            assert f.sum() == pytest.approx(1.0, abs=1e-12)
-            assert f[0] == 0.0
-
-    def test_degenerate_sector_rejected(self):
-        with pytest.raises(ModelError, match="degenerate"):
-            ar.severity_polynomial((ar.Band(2, 0.0),))
 
 
 class TestLossDistPoisson:
@@ -187,14 +176,19 @@ class TestLossDistPoisson:
 
 class TestLossDistSector:
     def test_negative_binomial_closed_form(self):
-        params = ar.SectorParams.from_alpha_rho(2.0, 0.3)
-        dist = ar.loss_dist_sector(one_sector(params, [(1, params.mu_k)]), 64)
+        alpha, rho = 2.0, 0.3
+        dist = ar.loss_dist_sector(one_sector(ar.SectorParams(alpha**-0.5), [(1, alpha * rho / (1 - rho))]), 64)
         expected = nbinom.pmf(np.arange(11), 2.0, 0.7)
         np.testing.assert_allclose(dist.pmf[:11], expected, rtol=0, atol=1e-12)
 
+    def test_hand_built_rho_rounding_to_one_refused(self):
+        # cv 1e9 on a count of 1: beta = 1e18; band_exposures refuses such a sector, a hand-built one stops here
+        with pytest.raises(ModelError, match=r"rho must lie in \(0, 1\), got 1.0"):
+            ar.engine._panjer(np.array([1]), np.array([1.0]), (1e-18, 1e18), 64)
+
     def test_poisson_limit(self):
         bands = [(1, 0.5), (3, 0.9), (7, 0.35)]
-        mixed = one_sector(params_for(bands, 1e-6 / 0.02), bands)
+        mixed = one_sector(ar.SectorParams(1e-6 / 0.02), bands)
         dist_mixed = ar.loss_dist_sector(mixed, 512)
         dist_poisson = ar.loss_dist_poisson(mixed, 512)
         tv = 0.5 * np.abs(dist_mixed.pmf - dist_poisson.pmf).sum()
@@ -203,8 +197,8 @@ class TestLossDistSector:
     def test_two_sectors_equal_convolution_of_parts(self):
         bands_a = [(1, 0.8), (4, 1.2)]
         bands_b = [(2, 0.6), (3, 0.9)]
-        pa = params_for(bands_a, 0.9)
-        pb = params_for(bands_b, 0.5)
+        pa = ar.SectorParams(0.9)
+        pb = ar.SectorParams(0.5)
         combined = ar.loss_dist_sector(make_banded([("a", pa, bands_a), ("b", pb, bands_b)]), 512)
         alone_a = ar.loss_dist_sector(make_banded([("a", pa, bands_a)]), 512)
         alone_b = ar.loss_dist_sector(make_banded([("b", pb, bands_b)]), 512)
@@ -225,7 +219,7 @@ class TestLossDistSector:
         tails = []
         for sigma in (1.0, 2.0, 4.0):
             dist = ar.loss_dist_sector(
-                one_sector(ar.SectorParams(mean_count, sigma), [(1, mean_count)]), 4096
+                one_sector(ar.SectorParams(sigma / mean_count), [(1, mean_count)]), 4096
             )
             tails.append(1.0 - dist.cdf)
         for q in (4, 6, 10, 20):
@@ -240,7 +234,7 @@ class TestHandBuiltSectors:
     @pytest.mark.parametrize("cv", [0.0, 0.8])
     @pytest.mark.parametrize("backend", [ar.loss_dist_sector, ar.loss_dist_fft, ar.loss_dist_poisson])
     def test_unsorted_repeated_and_zero_bands_match_merged(self, backend, cv):
-        params = params_for(self.MERGED, cv)
+        params = ar.SectorParams(cv)
         raw_bands = tuple(ar.Band(v, eps) for v, eps in self.RAW)
         raw = ar.BandedPortfolio(1.0, (ar.BandedSector("s", params, raw_bands),))
         merged = one_sector(params, self.MERGED)
@@ -256,7 +250,7 @@ class TestParts:
 
     def test_unmixed_sectors_pool_into_one_recursion(self):
         a, b = self.BANDS_A, self.BANDS_B
-        banded = make_banded([("a", params_for(a, 0.0), a), ("b", params_for(b, 0.0), b)])
+        banded = make_banded([("a", ar.SectorParams(0.0), a), ("b", ar.SectorParams(0.0), b)])
         sector, poisson = ar.loss_dist_sector(banded, 256), ar.loss_dist_poisson(banded, 256)
         np.testing.assert_array_equal(sector.pmf, poisson.pmf)
         assert sector.tail_bound == poisson.tail_bound
@@ -264,7 +258,7 @@ class TestParts:
     def test_gamma_sector_beside_the_pooled_part_matches_fft(self):
         a, b, g = self.BANDS_A, self.BANDS_B, self.BANDS_G
         banded = make_banded(
-            [("a", params_for(a, 0.0), a), ("g", params_for(g, 0.8), g), ("b", params_for(b, 0.0), b)]
+            [("a", ar.SectorParams(0.0), a), ("g", ar.SectorParams(0.8), g), ("b", ar.SectorParams(0.0), b)]
         )
         grid = ar.auto_grid_size(banded)
         panjer, fft = ar.loss_dist_sector(banded, grid), ar.loss_dist_fft(banded, grid)
@@ -272,14 +266,15 @@ class TestParts:
         assert panjer.tail_bound == fft.tail_bound <= ar.engine.TAIL_EPS
 
 
-def scalar_panjer(vs, eps, params, grid_size):
+def scalar_panjer(vs, eps, cv, grid_size):
     """Reference (a, b, 0) recursion: one Python step per grid point, summing the levels v_j <= n."""
     mu = eps / vs
-    if params is None or params.is_poisson:
+    if cv == 0.0:
         fa, fbv = np.zeros(vs.size), eps
         log_g0 = -float(mu.sum())
     else:
-        alpha, rho = params.alpha, params.rho
+        beta = cv**2 * mu.sum()
+        alpha, rho = cv**-2, beta / (1.0 + beta)
         f = mu / mu.sum()
         fa, fbv = rho * f, rho * (alpha - 1.0) * f * vs
         log_g0 = alpha * math.log1p(-rho)
@@ -307,11 +302,11 @@ class TestBlockedPanjer:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_scalar_recursion(self, case, cv):
         bands, grid = self.CASES[case]
-        params = params_for(bands, cv) if cv else None
         vs = np.array([v for v, e in bands if e > 0.0], dtype=np.int64)
         eps = np.array([e for v, e in bands if e > 0.0])
-        expected = scalar_panjer(vs, eps, params, grid)
-        got = ar.engine._panjer(vs, eps, params, grid)
+        gamma = (cv**-2, cv**2 * float((eps / vs).sum())) if cv else None
+        expected = scalar_panjer(vs, eps, cv, grid)
+        got = ar.engine._panjer(vs, eps, gamma, grid)
         assert got.shape == expected.shape
         live = expected >= 1e-300
         assert np.all(np.abs(got[live] - expected[live]) <= 1e-13 * expected[live])
@@ -323,7 +318,7 @@ class TestBlockedPanjer:
     def test_large_count_splits_instead_of_underflowing(self, backend, cv):
         # 1100 expected defaults: g_0 = exp(-1100) (cv 0.01: exp(-1044)) is below the float range
         bands = [(1, 400.0), (2, 800.0), (3, 900.0)]
-        banded = one_sector(params_for(bands, cv), bands)
+        banded = one_sector(ar.SectorParams(cv), bands)
         grid = ar.auto_grid_size(banded)
         dist = backend(banded, grid)
         fft = ar.loss_dist_fft(banded, grid)
@@ -341,7 +336,7 @@ class TestLossDistFft:
         bands_a = [(1, 0.4), (5, 1.0)]
         bands_b = [(2, 0.8), (7, 0.6)]
         banded = make_banded(
-            [("a", params_for(bands_a, 1.2), bands_a), ("b", params_for(bands_b, 0.0), bands_b)]
+            [("a", ar.SectorParams(1.2), bands_a), ("b", ar.SectorParams(0.0), bands_b)]
         )
         fft = ar.loss_dist_fft(banded, 1024)
         panjer = ar.loss_dist_sector(banded, 1024)
@@ -351,9 +346,9 @@ class TestLossDistFft:
     @pytest.mark.parametrize("cv", [5e-5, 1e-2, 1e-6])
     def test_tiny_rho_series_branch_matches_panjer(self, cv):
         bands = [(1, 0.3), (4, 0.9)]
-        params = params_for(bands, cv)
-        assert 0.0 < params.rho < 1e-4
-        banded = one_sector(params, bands)
+        beta = cv**2 * sum(eps / v for v, eps in bands)
+        assert 0.0 < beta / (1.0 + beta) < 1e-4
+        banded = one_sector(ar.SectorParams(cv), bands)
         fft = ar.loss_dist_fft(banded, 512)
         panjer = ar.loss_dist_sector(banded, 512)
         assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
@@ -361,7 +356,7 @@ class TestLossDistFft:
     def test_low_volatility_large_count_matches_panjer(self):
         # rho = 5.2e-4: alpha*(log(1-rho) - log(1-rho*Q)) cancels to a pmf entry of -4e-14
         bands = [(1, 300.0), (4, 900.0)]
-        banded = one_sector(params_for(bands, 1e-3), bands)
+        banded = one_sector(ar.SectorParams(1e-3), bands)
         fft = ar.loss_dist_fft(banded, 16384)
         panjer = ar.loss_dist_sector(banded, 16384)
         assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
@@ -391,9 +386,9 @@ class TestTailBound:
     BANDS_A = [(1, 0.5), (3, 0.9), (7, 0.35)]
     BANDS_B = [(2, 0.6), (5, 0.8)]
     CASES = {
-        "poisson": [("a", params_for(BANDS_A, 0.0), BANDS_A)],
-        "gamma": [("a", params_for(BANDS_A, 0.8), BANDS_A)],
-        "mixed": [("a", params_for(BANDS_A, 0.8), BANDS_A), ("b", params_for(BANDS_B, 0.0), BANDS_B)],
+        "poisson": [("a", ar.SectorParams(0.0), BANDS_A)],
+        "gamma": [("a", ar.SectorParams(0.8), BANDS_A)],
+        "mixed": [("a", ar.SectorParams(0.8), BANDS_A), ("b", ar.SectorParams(0.0), BANDS_B)],
     }
 
     # tails from 1e-2 down to 1e-17; deeper, the round-off of convolving sectors (~1e-15) swamps them
@@ -536,25 +531,19 @@ class TestConvolve:
 
 
 class TestSectorParams:
-    def test_invariants_from_rate_stats(self):
-        params = ar.SectorParams.from_rate_stats(0.021, 0.018, 0.57)
-        assert params.alpha == pytest.approx(params.mu_k**2 / params.sigma_k**2, rel=1e-12)
-        assert params.beta == pytest.approx(params.sigma_k**2 / params.mu_k, rel=1e-12)
-        assert params.rho == pytest.approx(params.beta / (1 + params.beta), rel=1e-12)
-        assert params.cv == pytest.approx(0.018 / 0.021, rel=1e-12)
+    @pytest.mark.parametrize("cv", [-0.5, math.nan, math.inf])
+    def test_cv_outside_finite_nonnegative_refused(self, cv):
+        with pytest.raises(ModelError, match="cv must be finite and >= 0"):
+            ar.SectorParams(cv)
 
-    def test_from_alpha_rho_round_trip(self):
-        params = ar.SectorParams.from_alpha_rho(2.0, 0.3)
-        assert params.alpha == pytest.approx(2.0, rel=1e-12)
-        assert params.rho == pytest.approx(0.3, rel=1e-12)
+    def test_zero_cv_is_poisson(self):
+        assert ar.SectorParams(0.0).is_poisson
+        assert ar.SectorParams(0.0).alpha == math.inf
 
-    def test_zero_mean_with_volatility_rejected(self):
-        with pytest.raises(ModelError):
-            ar.SectorParams(0.0, 0.5)
-
-    def test_rho_outside_unit_interval_rejected(self):
-        with pytest.raises(ModelError):
-            ar.SectorParams.from_alpha_rho(2.0, 1.0)
+    def test_alpha_is_inverse_square_cv(self):
+        params = ar.SectorParams(0.018 / 0.021)
+        assert not params.is_poisson
+        assert params.alpha == pytest.approx((0.021 / 0.018) ** 2, rel=1e-12)
 
 
 class TestMomentConservation:
@@ -565,9 +554,7 @@ class TestMomentConservation:
 
     def test_one_sector_variance_formula(self):
         bands = [(1, 0.3), (4, 0.5), (9, 0.3)]
-        count = sum(eps / v for v, eps in bands)
-        params = ar.SectorParams.from_rate_stats(0.03, 0.024, count)
-        banded = one_sector(params, bands, unit=2.0)
+        banded = one_sector(ar.SectorParams(0.024 / 0.03), bands, unit=2.0)
         dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
         assert dist.truncation_mass < 1e-9
         eps_total = sum(eps for _, eps in bands)

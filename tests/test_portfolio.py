@@ -67,6 +67,12 @@ class TestParse:
         with pytest.raises(InputError, match="unknown column"):
             ar.parse_portfolio(f"{HEADER},surprise\nAAA,A,100,0.1,0.0,1.0,0.0,10.0,x\n")
 
+    def test_repeated_column_rejected(self):
+        # the second expected_loss column was ignored: a declared 999 against 24.96 gave no finding
+        text = f"{HEADER},expected_loss\n{BGR_ROW},999\n"
+        with pytest.raises(InputError, match=r"^bad header: repeated column 'expected_loss'$"):
+            ar.parse_portfolio(text)
+
     def test_rates_are_fractions_not_percent(self):
         with pytest.raises(InputError, match="mean_loss_rate"):
             ar.parse_portfolio(f"{HEADER}\nAAA,A,100,3.12,0.0,1.0,0.0,\n")
@@ -216,6 +222,16 @@ class TestAssignSectors:
         p = ar.Portfolio(obligors=(make_obligor(mean_loss_rate=0.0, loss_rate_stddev=0.05),))
         with pytest.raises(InputError, match="zero mean rate"):
             ar.assign_sectors(p, ar.SectorAssignment("per-obligor"))
+
+    @pytest.mark.parametrize(
+        "mean, stddev, message",
+        [(0.0, 0.05, "zero mean rate with positive volatility"), (-0.01, 0.0, "rates must be nonnegative"),
+         (0.02, -0.01, "rates must be nonnegative")],
+    )
+    def test_hand_built_sector_rates_refused(self, mean, stddev, message):
+        # a zero mean rate must not band into a Poisson sector with its volatility dropped
+        with pytest.raises(InputError, match=f"^sector 's': {message}"):
+            ar.Sector("s", mean, stddev, (ar.SubExposure("XXX", 100.0, mean),))
 
     def test_zero_ratios_cannot_split(self):
         p = ar.Portfolio(obligors=(make_obligor(crop_ratio=0.0, livestock_ratio=0.0),))

@@ -10,7 +10,7 @@ from agririsk.errors import InputError
 from agririsk.simulate import CHUNK_DRAWS, _quantile_band
 
 from conftest import make_banded, single_sector
-from test_engine import params_for, poisson_sector
+from test_engine import poisson_sector
 
 
 class TestSimulate:
