@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,6 +17,20 @@ from .errors import ModelError
 from .portfolio import Portfolio, ValidationFinding
 
 TRUNCATION_CAVEAT = 1e-9
+_SLOT = "%s"  # a value json.dumps writes as '"%s"', which _json_list turns into a %-format slot
+
+
+def _json_list(item: dict, n: int, depth: int, values: list) -> str:
+    """A list of n items, as json.dumps(sort_keys=True, indent=2) lays it out depth levels deep.
+
+    json.dumps lays out the item, with each _SLOT value in it filled, in
+    sorted key order, by the next of values: JSON text, or a number.
+    """
+    if not n:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    one = json.dumps(item, sort_keys=True, indent=2).replace("\n", pad).replace(json.dumps(_SLOT), "%s")
+    return ("[" + pad + ("," + pad).join([one] * n) + pad[:-2] + "]") % tuple(values)
 
 
 @dataclass(frozen=True)
@@ -62,9 +79,31 @@ class RiskReport:
     contributions: ContributionTable
 
     def to_json(self) -> str:
+        """The report as json.dumps(payload, sort_keys=True, indent=2) writes it, plus a newline.
+
+        json's indent encoder runs in pure Python, so the two per-obligor
+        lists, contributions.rows and findings, are written from templates
+        instead and put in at their slots in the dumped head. Raises
+        ModelError if a row holds a value that is not finite: json would
+        write NaN or Infinity there, which the templates do not.
+        """
+        table = self.contributions
+        # slot values in sorted key order; "%s" writes a float as float.__repr__, as json does
+        row_values: list = []
+        for r in table.rows:
+            numbers = (*r.contributions, r.expected_loss)
+            if not all(map(math.isfinite, numbers)):
+                raise ModelError(f"obligor {r.obligor_id!r} has a contribution or expected loss that is not finite")
+            row_values += numbers
+            row_values += (encode_basestring_ascii(r.obligor_id), encode_basestring_ascii(r.name))
+        row = {"contributions": [_SLOT] * len(table.levels), "expected_loss": _SLOT, "id": _SLOT, "name": _SLOT}
+        rows = _json_list(row, len(table.rows), 2, row_values)
+        keys = sorted(f.name for f in fields(ValidationFinding))
+        finding_values = [encode_basestring_ascii(getattr(f, key)) for f in self.findings for key in keys]
+        findings = _json_list(dict.fromkeys(keys, _SLOT), len(self.findings), 1, finding_values)
         payload = {
             "config": self.config,
-            "findings": [dict(vars(f)) for f in self.findings],
+            "findings": _SLOT,
             "moments": {
                 "mean": self.moments.mean,
                 "variance": self.moments.variance,
@@ -74,21 +113,15 @@ class RiskReport:
                 {"exceedance_prob": q.exceedance_prob, "loss": q.loss} for q in self.quantiles
             ],
             "contributions": {
-                "levels": list(self.contributions.levels),
-                "total_expected_loss": self.contributions.total_expected_loss,
-                "totals": list(self.contributions.totals),
-                "rows": [
-                    {
-                        "id": r.obligor_id,
-                        "name": r.name,
-                        "expected_loss": r.expected_loss,
-                        "contributions": list(r.contributions),
-                    }
-                    for r in self.contributions.rows
-                ],
+                "levels": list(table.levels),
+                "total_expected_loss": table.total_expected_loss,
+                "totals": list(table.totals),
+                "rows": _SLOT,
             },
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # config, the one part of the head that holds outside text, sorts before both slots
+        to_rows, to_findings, rest = json.dumps(payload, sort_keys=True, indent=2).rsplit(json.dumps(_SLOT), 2)
+        return "".join((to_rows, rows, to_findings, findings, rest, "\n"))
 
     def quantiles_csv(self) -> str:
         out = io.StringIO()
@@ -104,11 +137,16 @@ class RiskReport:
         writer.writerow(
             ["id", "name", "expected_loss"] + [repr(lvl) for lvl in self.contributions.levels]
         )
-        for r in self.contributions.rows:
-            writer.writerow(
-                [r.obligor_id, r.name, f"{r.expected_loss:.6f}"]
-                + [f"{c:.6f}" for c in r.contributions]
-            )
+        # csv quotes each row's id and name cells; its numbers need no quoting, so one format string writes them
+        cells: list[str] = []
+        csv.writer(SimpleNamespace(write=cells.append), lineterminator="\n").writerows(
+            (r.obligor_id, r.name) for r in self.contributions.rows
+        )
+        numbers = ",%.6f" * (1 + len(self.contributions.levels)) + "\n"
+        out.writelines([
+            line[:-1] + numbers % (r.expected_loss, *r.contributions)
+            for line, r in zip(cells, self.contributions.rows)
+        ])
         writer.writerow(
             ["TOTAL", "", f"{self.contributions.total_expected_loss:.6f}"]
             + [f"{t:.6f}" for t in self.contributions.totals]

@@ -28,6 +28,9 @@ _CSV_CHUNK_ROWS = 1 << 14  # grid rows formatted per join in LossDistribution.to
 
 TAIL_EPS = 1e-12  # auto grid: Chernoff bound on P(loss >= grid) at most this
 MAX_GRID = 1 << 26  # largest grid any backend allocates: 512 MiB per float64 array
+# largest gamma scale beta of a sector's count: rho = beta/(1+beta) stays below 1 in doubles, and
+# beta above it fails MAX_GRID anyway, since the tail bound's t stays below 1/beta
+_MAX_GAMMA_SCALE = 2.0**50
 _EXPM1_CAP = 700.0  # t * max_v bound keeping expm1(t v) finite
 _SEARCH_STEPS = 64  # bisection and golden-section steps: brackets shrink to < 1e-13
 _LOG_G0_FLOOR = -700.0  # Panjer splits the count where log g_0 is lower: subnormal g_0 loses digits
@@ -230,8 +233,7 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
         if cv:
             if cv <= 1e-154:  # the gamma shape alpha = cv**-2 would overflow
                 raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too small for a gamma shape")
-            beta = cv**2 * count  # the gamma scale of the sector's count, as _Cumulant computes it
-            if not beta / (1.0 + beta) < 1.0:  # the negative binomial's rho would round to 1
+            if cv**2 * count > _MAX_GAMMA_SCALE:  # the gamma scale of the sector's count, as _Cumulant computes it
                 raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too large for a gamma scale")
         sectors.append(BandedSector(s.name, SectorParams(cv), tuple(bands[lo:hi])))
     return BandedPortfolio(unit, tuple(sectors), sectored.obligor_ids, obligor, sector, level, epsilon)
@@ -329,7 +331,8 @@ class _Cumulant:
         return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
 
     def _below_poles(self, t: float) -> bool:
-        return bool(np.all(self.beta * self._d(t)[1:] < 1.0))
+        with np.errstate(over="ignore"):  # a product that overflows to inf is above its pole, as it should be
+            return bool(np.all(self.beta * self._d(t)[1:] < 1.0))
 
     def _t_max(self) -> float:
         if not self.v.size:

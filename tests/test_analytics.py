@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -10,6 +12,73 @@ from agririsk.errors import ModelError
 
 from conftest import make_banded, single_sector
 from test_engine import poisson_sector
+
+
+def oracle_json(report: ar.RiskReport) -> str:
+    """report.json as json.dumps wrote it before the per-obligor lists were written directly."""
+    payload = {
+        "config": report.config,
+        "findings": [dict(vars(f)) for f in report.findings],
+        "moments": {
+            "mean": report.moments.mean,
+            "variance": report.moments.variance,
+            "truncation_caveat": report.moments.truncation_caveat,
+        },
+        "quantiles": [{"exceedance_prob": q.exceedance_prob, "loss": q.loss} for q in report.quantiles],
+        "contributions": {
+            "levels": list(report.contributions.levels),
+            "total_expected_loss": report.contributions.total_expected_loss,
+            "totals": list(report.contributions.totals),
+            "rows": [
+                {
+                    "id": r.obligor_id,
+                    "name": r.name,
+                    "expected_loss": r.expected_loss,
+                    "contributions": list(r.contributions),
+                }
+                for r in report.contributions.rows
+            ],
+        },
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def oracle_contributions_csv(report: ar.RiskReport) -> str:
+    """contributions.csv as csv wrote it cell by cell before the numbers shared one format string."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    table = report.contributions
+    writer.writerow(["id", "name", "expected_loss"] + [repr(lvl) for lvl in table.levels])
+    for r in table.rows:
+        writer.writerow([r.obligor_id, r.name, f"{r.expected_loss:.6f}"] + [f"{c:.6f}" for c in r.contributions])
+    writer.writerow(["TOTAL", "", f"{table.total_expected_loss:.6f}"] + [f"{t:.6f}" for t in table.totals])
+    return out.getvalue()
+
+
+AWKWARD_TEXT = ["Ålborg Agrár", 'say "hi"', "back\\slash", "two\nlines", "ctl\x01", "a,b", "農協", "%s", '"%s"']
+
+
+def synthetic_book(n: int, seed: int) -> ar.Portfolio:
+    """n seeded obligors, ids and names among AWKWARD_TEXT, about one in ten ratio pairs off their sum."""
+    rng = np.random.default_rng(seed)
+    crop = rng.random(n)
+    off = np.where(rng.random(n) < 0.1, 0.2, 0.0)
+    return ar.Portfolio(obligors=tuple(
+        ar.ObligorRecord(
+            id=f"{AWKWARD_TEXT[i % len(AWKWARD_TEXT)]}-{i}", name=f"{AWKWARD_TEXT[(i * 7) % len(AWKWARD_TEXT)]} {i}",
+            exposure=float(exposure), mean_loss_rate=float(rate), loss_rate_stddev=float(rate * cv),
+            crop_ratio=float(c), livestock_ratio=float((1.0 - c) * (1.0 - o)),
+        )
+        for i, (exposure, rate, cv, c, o) in enumerate(zip(
+            4.3 * rng.lognormal(0.0, 1.0, n), rng.uniform(0.005, 0.08, n), rng.uniform(0.2, 1.5, n), crop, off
+        ))
+    ))
+
+
+def book_report(portfolio: ar.Portfolio, levels, config=None) -> ar.RiskReport:
+    banded = ar.band_exposures(ar.assign_sectors(portfolio, ar.SectorAssignment("crop-livestock")), 1.0)
+    dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
+    return ar.build_report(portfolio, banded, dist, levels, config, ar.validate_portfolio(portfolio))
 
 
 def point_mass(n: int, size: int = 16, unit: float = 1.0) -> ar.LossDistribution:
@@ -251,3 +320,54 @@ class TestBuildReport:
         # quantiles snap to grid points: loss is an integer multiple of the unit
         q = ar.exceedance_quantile(bundled_dist, 0.05)
         assert q / bundled_dist.unit == int(q / bundled_dist.unit)
+
+
+class TestReportFiles:
+    """report.json and contributions.csv byte for byte against the encoders they were written with before."""
+
+    def assert_matches_oracles(self, report):
+        assert report.to_json() == oracle_json(report)
+        assert report.contributions_csv() == oracle_contributions_csv(report)
+
+    def test_bundled_report_at_seven_levels(self, bundled_run):
+        run = bundled_run
+        report = ar.build_report(run.portfolio, run.banded, run.dist, run.levels, run.config, run.findings)
+        assert len(report.contributions.levels) == 7 and len(report.findings) == 3
+        self.assert_matches_oracles(report)
+
+    def test_empty_levels(self, bundled_run):
+        # each row's contributions is an empty list, written "[]" as json writes it
+        run = bundled_run
+        report = ar.build_report(run.portfolio, run.banded, run.dist, [], run.config, run.findings)
+        assert '"contributions": []' in report.to_json()
+        self.assert_matches_oracles(report)
+
+    def test_no_findings(self, bundled_run):
+        run = bundled_run
+        report = ar.build_report(run.portfolio, run.banded, run.dist, [0.1], run.config, ())
+        assert '"findings": []' in report.to_json()
+        self.assert_matches_oracles(report)
+
+    def test_awkward_text_in_ids_names_findings_and_config(self):
+        config = {"input": '"%s"', "note": "%s", "sector_rates": {"%s": [0.1, 0.2]}}
+        report = book_report(synthetic_book(60, seed=3), [0.1, 0.01], config)
+        assert report.findings and all(text in report.to_json() for text in ('\\"hi\\"', "\\u00c5", "\\u0001"))
+        assert '"two\nlines' in report.contributions_csv()
+        self.assert_matches_oracles(report)
+
+    def test_seeded_book(self):
+        report = book_report(synthetic_book(2000, seed=11), [0.1, 0.05, 0.01, 0.001])
+        assert len(report.findings) > 100
+        self.assert_matches_oracles(report)
+
+    @pytest.mark.parametrize("field, value", [("contributions", (math.nan, 1.0)), ("expected_loss", math.inf),
+                                              ("contributions", (1.0, -math.inf))])
+    def test_non_finite_row_value_refused(self, bundled_run, field, value):
+        # json would write NaN or Infinity; the direct writer refuses instead of writing nan or inf
+        run = bundled_run
+        report = ar.build_report(run.portfolio, run.banded, run.dist, [0.1, 0.01], run.config, run.findings)
+        rows = list(report.contributions.rows)
+        rows[5] = replace(rows[5], **{field: value})
+        broken = replace(report, contributions=replace(report.contributions, rows=tuple(rows)))
+        with pytest.raises(ModelError, match=rf"obligor {rows[5].obligor_id!r} .* not finite"):
+            broken.to_json()

@@ -135,6 +135,21 @@ def test_gamma_scale_too_large_exit_2(tmp_path, backend, grid):
     assert not (tmp_path / "out").exists()
 
 
+def test_gamma_scale_refused_where_rho_stays_below_one(tmp_path):
+    # beta ~ 1.5e16 left rho just below 1, and the run ended in the grid rule's "use a larger unit"
+    result = run_cli(["analyze", "--unit", "10", "--sector-rate", "crop=0.03,5e6"], tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert result.stderr == "sector 'crop': rate volatility 5000000.0 is too large for a gamma scale\n"
+
+
+def test_gamma_pole_overflow_warns_nothing(tmp_path):
+    # beta * d(t) overflows to inf near the top of the pole search, which is only "above the pole"
+    result = run_cli(["analyze", "--unit", "1e4", "--sector-rate", "crop=0.03,1000"], tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr.startswith("the loss tail needs a grid of")
+
+
 # discount factors e^1000 (overflows) and e^100 (a grid beyond numpy's array limits)
 @pytest.mark.parametrize("rate", ["-1000", "-100"])
 def test_discount_rate_at_or_below_minus_one_exit_2(tmp_path, rate):

@@ -128,6 +128,14 @@ class TestBanding:
         with pytest.raises(InputError, match=r"^sector 'big': rate volatility 100000000.0 is too large"):
             ar.band_exposures(ar.SectoredPortfolio((sector,), ("A",)), 10.0)
 
+    def test_gamma_scale_refusal_is_monotone(self, bundled_portfolio):
+        # at 5e6, beta ~ 1.5e16 left rho just below 1, and the grid rule's "use a larger unit" followed
+        for stddev in [5e6, *np.geomspace(4e6, 1e8, 60).tolist()]:
+            rates = {"crop": (0.03, stddev)}
+            sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("crop-livestock", rates))
+            with pytest.raises(InputError, match=rf"^sector 'crop': rate volatility {stddev!r} is too large"):
+                ar.band_exposures(sectored, 10.0)
+
     def test_nonpositive_unit_rejected(self, bundled_portfolio):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("single"))
         with pytest.raises(InputError, match="unit"):
