@@ -1,10 +1,11 @@
 """Seeded Monte Carlo simulation of the same portfolio model.
 
 An independent cross-check of the analytic engine: draws gamma scalings per
-sector and then either Poisson counts on the banded portfolio or exact
-Bernoulli defaults on the raw sub-exposures. The Bernoulli mode also
-quantifies the Poisson approximation itself, since its losses can never
-exceed total exposure while the Poisson model's can.
+sector and then either Poisson defaults on the banded portfolio (one count
+per sector with a band picked per default, or one count per band, whichever
+draws fewer variates) or exact Bernoulli defaults on the raw sub-exposures.
+The Bernoulli mode also quantifies the Poisson approximation itself, since
+its losses can never exceed total exposure while the Poisson model's can.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .portfolio import MC_MODES, SectoredPortfolio
 # Draws are generated in fixed-size chunks with child seeds spawned from the
 # master seed, so results stay identical under any future worker partitioning.
 CHUNK_DRAWS = 65536
-# Within a chunk each sector's (draws x columns) rate matrix is built and drawn
-# in row blocks of at most this many variates, which bounds memory whatever the
-# column count; row-blocked draws consume the RNG stream in the same order.
+# Within a chunk each sector's (draws x columns) rate matrix, or its picked
+# defaults, is built and drawn in row blocks of at most this many variates, which
+# bounds memory whatever the column count; row-blocked draws consume the RNG
+# stream in the same order.
 BLOCK_VARIATES = 1 << 22
 
 
@@ -90,6 +92,34 @@ def _gamma_scalings(rng: np.random.Generator, alpha: float, size: int) -> np.nda
     return rng.gamma(alpha, 1.0 / alpha, size=size)
 
 
+def _count_first(mu: np.ndarray) -> bool:
+    # a total count plus one pick per default against one Poisson per band, per draw
+    return 1.0 + float(mu.sum()) < mu.size
+
+
+def _row_blocks(counts: np.ndarray):
+    # (lo, hi, picks) over whole rows, at most BLOCK_VARIATES picks each unless one row has more
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < counts.size:
+        start = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(ends.searchsorted(start + BLOCK_VARIATES, side="right")))
+        yield lo, hi, int(ends[hi - 1] - start)
+        lo = hi
+
+
+def _add_count_first(rng: np.random.Generator, scale: np.ndarray, mu: np.ndarray, payouts: np.ndarray,
+                     acc: np.ndarray) -> None:
+    # one Poisson total per draw, then a band per default with probability mu_v / sum(mu)
+    cdf = np.cumsum(mu)
+    counts = rng.poisson(cdf[-1] * scale)
+    cdf = cdf[:-1] / cdf[-1]
+    for lo, hi, picks in _row_blocks(counts):
+        paid = payouts[cdf.searchsorted(rng.random(picks), side="right")]
+        acc[lo:hi] += np.bincount(np.repeat(np.arange(hi - lo), counts[lo:hi]), paid, hi - lo)
+        del paid  # before the next block's draws, which would otherwise sit beside it
+
+
 def simulate(
     banded: BandedPortfolio,
     cfg: SimConfig,
@@ -97,10 +127,24 @@ def simulate(
 ) -> EmpiricalDistribution:
     """Draw aggregate losses under the gamma-mixed portfolio model.
 
-    poisson-banded draws Poisson counts per band at gamma-scaled intensity
-    and pays v*unit per default; bernoulli-exact needs the pre-banding
-    sectored view and pays the raw sub-exposure on each Bernoulli default,
-    clamping (and counting) scaled probabilities above 1.
+    poisson-banded pays v*unit per default of the banded model. Given a
+    sector's gamma scaling G, its bands' default counts are independent
+    Poissons with means mu_v*G, which is the same law as one total count
+    N ~ Poisson(G*sum(mu)) with each default in band v with probability
+    mu_v/sum(mu). Each sector draws whichever way takes fewer expected
+    variates per draw: count-first (N, then one uniform per default picked
+    by searchsorted on the cumulative mu) when 1 + sum(mu) < its band count,
+    one Poisson per band otherwise. Forcing each side on a 20,000-obligor
+    book (about 65 bands and 400 expected defaults per sector), a picked
+    default cost about 44 ns and a band Poisson about 56 ns on a 2-vCPU VM
+    (numpy 2.4, PCG64). A per-band sector consumes the random stream as
+    version 0.1.0 did, so a portfolio whose sectors all draw per band keeps
+    its samples; a count-first sector draws N for every draw of the chunk,
+    then its picks in row order.
+
+    bernoulli-exact needs the pre-banding sectored view and pays the raw
+    sub-exposure on each Bernoulli default, clamping (and counting) scaled
+    probabilities above 1.
     """
     if cfg.mode == "bernoulli-exact" and sectored is None:
         raise InputError("bernoulli-exact mode needs the sectored (pre-banding) portfolio")
@@ -134,6 +178,9 @@ def simulate(
         acc = np.zeros(m)
         for alpha, per_unit, payouts in plans:
             scale = _gamma_scalings(rng, alpha, m) if alpha is not None else np.ones(m)
+            if cfg.mode == "poisson-banded" and _count_first(per_unit):
+                _add_count_first(rng, scale, per_unit, payouts, acc)
+                continue
             rows = max(1, BLOCK_VARIATES // per_unit.size)
             for r in range(0, m, rows):
                 rates = np.outer(scale[r : r + rows], per_unit)

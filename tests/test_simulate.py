@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import agririsk as ar
+from agririsk.engine import _MAX_GAMMA_SCALE
 from agririsk.errors import InputError
-from agririsk.simulate import CHUNK_DRAWS, _quantile_band
+from agririsk.simulate import BLOCK_VARIATES, CHUNK_DRAWS, _count_first, _quantile_band
 
 from conftest import make_banded, single_sector
 from test_engine import poisson_sector
@@ -123,6 +124,84 @@ class TestBlockedDraws:
         blocked = ar.simulate(banded, cfg, sectored)
         np.testing.assert_allclose(blocked.samples, whole.samples, rtol=1e-12, atol=0.0)
         assert blocked.clamp_count == whole.clamp_count
+
+
+def _part_mu(banded: ar.BandedPortfolio) -> np.ndarray:
+    (sector,) = banded.sectors
+    return np.array([b.mu for b in sector.bands])
+
+
+# hand-made gamma parts, one on each side of the sampling rule 1 + sum(mu) < bands:
+# sum(mu) = 0.5 over 8 bands draws count-first, sum(mu) = 20 over 3 bands draws per band
+COUNT_FIRST_BANDS = [(v, 0.0625 * v) for v in (1, 2, 3, 5, 8, 13, 21, 34)]
+PER_BAND_BANDS = [(2, 20.0), (5, 30.0), (9, 36.0)]
+SIDES = [
+    pytest.param(COUNT_FIRST_BANDS, True, id="count-first"),
+    pytest.param(PER_BAND_BANDS, False, id="per-band"),
+]
+
+
+class TestCountFirst:
+    @pytest.mark.parametrize("bands, count_first", SIDES)
+    def test_each_side_samples_the_banded_law(self, bands, count_first):
+        banded = make_banded([("g", ar.SectorParams(0.6), bands)])
+        assert _count_first(_part_mu(banded)) is count_first
+        n = 200_000
+        emp = ar.simulate(banded, ar.SimConfig(n_draws=n, seed=41))
+        mean, variance = ar.analytic_moments(banded)
+        assert abs(emp.mean - mean) <= 4.0 * math.sqrt(variance / n)
+        dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
+        assert ar.compare(dist, emp, [0.1, 0.05, 0.01]).flag_count == 0
+
+    def test_blocks_hold_whole_rows(self, monkeypatch):
+        # sum(mu) = 5 over 40 bands with cv 1: many draws hold more than 12 defaults
+        banded = make_banded([("g", ar.SectorParams(1.0), [(v, 0.125 * v) for v in range(1, 41)])])
+        assert _count_first(_part_mu(banded))
+        cfg = ar.SimConfig(n_draws=3000, seed=19)
+        whole = ar.simulate(banded, cfg)
+        module = importlib.import_module("agririsk.simulate")
+        blocks, row_blocks = [], module._row_blocks
+
+        def recorded(counts):
+            got = list(row_blocks(counts))
+            blocks.append((counts, got))
+            return iter(got)
+
+        monkeypatch.setattr(module, "BLOCK_VARIATES", 12)
+        monkeypatch.setattr(module, "_row_blocks", recorded)
+        blocked = ar.simulate(banded, cfg)
+        np.testing.assert_allclose(blocked.samples, whole.samples, rtol=1e-12, atol=0.0)
+        ((counts, got),) = blocks
+        assert [lo for lo, _, _ in got] == [0] + [hi for _, hi, _ in got[:-1]]
+        assert got[-1][1] == counts.size
+        for lo, hi, picks in got:
+            assert picks == counts[lo:hi].sum()
+            assert picks <= 12 or hi - lo == 1
+        assert any(hi - lo == 1 and picks > 12 for lo, hi, picks in got)  # a row alone over the limit
+        assert any(hi - lo > 1 for lo, hi, _ in got)
+
+    def test_count_first_chunk_memory_is_bounded(self):
+        # one full chunk of sum(mu) = 200 over 256 bands: 13.1M picks, and one float per pick is 105 MB
+        banded = make_banded([("g", ar.SectorParams(0.3), [(v, 200.0 / 256 * v) for v in range(1, 257)])])
+        assert _count_first(_part_mu(banded))
+        assert CHUNK_DRAWS * 200 > 3 * BLOCK_VARIATES
+        tracemalloc.start()
+        try:
+            ar.simulate(banded, ar.SimConfig(n_draws=CHUNK_DRAWS, seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_DRAWS * 200 * 8
+
+    @pytest.mark.parametrize("bands, count_first", SIDES)
+    def test_gamma_scale_at_the_limit_draws(self, bands, count_first):
+        # the sector's gamma scale cv**2 * sum(mu) just under the largest band_exposures accepts
+        total = sum(eps / v for v, eps in bands)
+        cv = math.sqrt(0.99 * _MAX_GAMMA_SCALE / total)
+        banded = make_banded([("g", ar.SectorParams(cv), bands)])
+        assert _count_first(_part_mu(banded)) is count_first
+        emp = ar.simulate(banded, ar.SimConfig(n_draws=100_000, seed=5))
+        assert np.all(np.isfinite(emp.samples)) and emp.samples[0] >= 0.0
 
 
 class TestEmpiricalQuantile:
