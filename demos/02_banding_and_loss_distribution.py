@@ -21,7 +21,8 @@ print("banded portfolio (unit = 1.0 million):")
 for sector in banded.sectors:
     p = sector.params
     print(
-        f"  {sector.name:<10} bands {len(sector.bands):3d}  expected defaults {sector.expected_count:.4f}  "
+        f"  {sector.name:<10} bands {len(sector.bands):3d}  "
+        f"expected defaults {sum(b.mu for b in sector.bands):.4f}  "
         f"cv {p.cv:.3f}  alpha {p.alpha:.3f}"
     )
 print(f"total expected defaults: {ar.poisson_rate(banded):.4f}")

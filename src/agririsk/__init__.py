@@ -60,7 +60,7 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 
 def __getattr__(name: str):

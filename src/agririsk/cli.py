@@ -242,7 +242,7 @@ def cmd_simulate(args, parser) -> int:
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     if args.dump_samples:
-        lines = ["loss"] + [repr(x) for x in empirical.samples]
+        lines = ["loss"] + [repr(x) for x in empirical.samples.tolist()]
         Path(args.dump_samples).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("level,analytic,empirical,stderr_loss,flagged")
     for row in comparison.rows:

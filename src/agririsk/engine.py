@@ -11,7 +11,7 @@ via FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -43,12 +43,6 @@ class Band:
 
     v: int
     epsilon: float
-
-    def __post_init__(self):
-        if self.v < 1:
-            raise ModelError(f"band level must be a positive integer, got {self.v}")
-        if self.epsilon < 0.0:
-            raise ModelError(f"band expected loss must be >= 0, got {self.epsilon}")
 
     @property
     def mu(self) -> float:
@@ -86,53 +80,66 @@ class BandedSector:
     params: SectorParams
     bands: tuple[Band, ...]
 
-    @property
-    def expected_count(self) -> float:
-        return sum(b.mu for b in self.bands)
-
-    @property
-    def expected_loss_units(self) -> float:
-        return sum(b.epsilon for b in self.bands)
-
-    @property
-    def max_v(self) -> int:
-        return max((b.v for b in self.bands), default=0)
-
 
 @dataclass(frozen=True, eq=False)
 class BandedPortfolio:
-    """Banded sectors plus a table of every sub-exposure's banded position.
+    """Named sectors with their gamma mixing, plus a table of every sub-exposure's banded position.
 
-    The sub_* arrays run over sub-exposures in sector order: the obligor's
-    index in obligor_ids, the sector's index in sectors, the band level and
-    epsilon. Hand-built portfolios may leave them empty.
+    The sub_* arrays run over sub-exposures: the obligor's index in
+    obligor_ids, the sector's index in names and params, the band level
+    (int64, at least 1) and expected loss epsilon in units (finite, >= 0).
+    Sub-exposures sharing a sector and a level form one band.
     """
 
     unit: float
-    sectors: tuple[BandedSector, ...]
-    obligor_ids: tuple[str, ...] = ()
-    sub_obligor: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    sub_sector: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    sub_level: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    sub_epsilon: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    names: tuple[str, ...]
+    params: tuple[SectorParams, ...]
+    obligor_ids: tuple[str, ...]
+    sub_obligor: np.ndarray
+    sub_sector: np.ndarray
+    sub_level: np.ndarray
+    sub_epsilon: np.ndarray
+
+    def __post_init__(self):
+        columns = (self.sub_obligor, self.sub_sector, self.sub_level, self.sub_epsilon)
+        if len(self.params) != len(self.names) or len({np.shape(c) for c in columns}) != 1:
+            raise ModelError("banded portfolio: names and params, and the four sub_* arrays, need equal lengths")
+        for what, index, n in (("sector", self.sub_sector, len(self.names)),
+                               ("obligor", self.sub_obligor, len(self.obligor_ids))):
+            if not np.all((0 <= index) & (index < n)):
+                raise ModelError(f"sub-exposure {what} index outside 0..{n - 1}")
+        if not np.all(self.sub_level >= 1):
+            raise ModelError(f"band level must be a positive integer, got {int(self.sub_level.min())}")
+        bad = ~((0.0 <= self.sub_epsilon) & (self.sub_epsilon < math.inf))  # NaN fails both
+        if bad.any():
+            raise ModelError(f"band expected loss must be finite and >= 0, got {float(self.sub_epsilon[bad][0])!r}")
+
+    @cached_property
+    def _bands(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """((sector, level), epsilon) of each band: the subs merged per (sector, level), summed in table order."""
+        return _merge((self.sub_sector, self.sub_level), self.sub_epsilon)
+
+    @cached_property
+    def sectors(self) -> tuple[BandedSector, ...]:
+        """Each sector's name, params and bands in level order, as objects built on demand from the table."""
+        (sector, level), eps = self._bands
+        bands = list(map(Band, level.tolist(), eps.tolist()))
+        ends = np.cumsum(np.bincount(sector, minlength=len(self.names))).tolist()
+        return tuple(BandedSector(name, params, tuple(bands[lo:hi]))
+                     for name, params, lo, hi in zip(self.names, self.params, [0] + ends, ends))
 
     @cached_property
     def _cumulant(self) -> "_Cumulant":
         """The sector model's compound parts and K(t), built once for the grid rule and every backend."""
         return _Cumulant(self)
 
-    @cached_property
-    def _poisson_cumulant(self) -> "_Cumulant":
-        """One compound Poisson part pooling every band, for loss_dist_poisson."""
-        return _Cumulant(self, mixed=False)
-
     @property
     def max_v(self) -> int:
-        return max((s.max_v for s in self.sectors), default=0)
+        return int(self.sub_level.max(initial=0))
 
     @property
     def expected_loss(self) -> float:
-        return sum(s.expected_loss_units for s in self.sectors) * self.unit
+        return float(self.sub_epsilon.sum()) * self.unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +184,13 @@ class LossDistribution:
 
 def _finalize_pmf(raw: np.ndarray, unit: float, tail_bound: float = 0.0) -> LossDistribution:
     pmf = np.asarray(raw, dtype=float)
-    worst = float(pmf.min())
-    if worst < -NEGATIVE_PMF_CLAMP:
+    worst = float(pmf.min())  # NaN where any entry is NaN, which fails both checks
+    if not worst >= -NEGATIVE_PMF_CLAMP:
         raise ModelError(f"pmf entry {worst:.3e} below the -1e-14 round-off clamp")
     if worst < 0.0:
         pmf = np.where(pmf < 0.0, 0.0, pmf)
     total = float(pmf.sum())
-    if total > 1.0 + 1e-9:
+    if not total <= 1.0 + 1e-9:
         raise ModelError(f"pmf sums to {total!r} > 1 + 1e-9")
     return LossDistribution(unit=unit, pmf=pmf, truncation_mass=1.0 - total, tail_bound=tail_bound)
 
@@ -205,9 +212,9 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
 
     Each sub-exposure x with loss rate p maps to level v = ceiling(x/unit)
     and expected loss epsilon = x*p/unit; sub-exposures sharing (sector, v)
-    merge into one band with summed epsilon. Banding preserves expected
-    loss exactly; the round-up inflates severity only. A sector's cv is
-    its stddev_rate / mean_rate, or 0 where it has no expected defaults.
+    form one band. Banding preserves expected loss exactly; the round-up
+    inflates severity only. A sector's cv is its stddev_rate / mean_rate,
+    or 0 where it has no expected defaults.
     """
     if not (math.isfinite(unit) and unit > 0.0):
         raise InputError(f"unit must be finite and > 0, got {unit}")
@@ -222,21 +229,18 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
         raise ModelError(f"sub-exposure of {sectored.obligor_ids[obligor[i]]} in {name!r} is not positive")
     level = units_ceiling(amount, unit)
     epsilon = amount * rate / unit
-
-    (band_sector, band_level), band_eps = _merge((sector, level), epsilon)
-    bands = list(map(Band, band_level.tolist(), band_eps.tolist()))
-    ends = np.cumsum(np.bincount(band_sector, minlength=len(sectored.sectors))).tolist()
-    counts = np.bincount(band_sector, weights=band_eps / band_level, minlength=len(sectored.sectors))
-    sectors = []
-    for s, count, lo, hi in zip(sectored.sectors, counts.tolist(), [0] + ends, ends):
+    counts = np.bincount(sector, weights=epsilon / level, minlength=len(sectored.sectors))
+    params = []
+    for s, count in zip(sectored.sectors, counts.tolist()):
         cv = s.stddev_rate / s.mean_rate if s.mean_rate and count else 0.0  # no expected defaults: nothing to mix
         if cv:
             if cv <= 1e-154:  # the gamma shape alpha = cv**-2 would overflow
                 raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too small for a gamma shape")
             if cv**2 * count > _MAX_GAMMA_SCALE:  # the gamma scale of the sector's count, as _Cumulant computes it
                 raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too large for a gamma scale")
-        sectors.append(BandedSector(s.name, SectorParams(cv), tuple(bands[lo:hi])))
-    return BandedPortfolio(unit, tuple(sectors), sectored.obligor_ids, obligor, sector, level, epsilon)
+        params.append(SectorParams(cv))
+    names = tuple(s.name for s in sectored.sectors)
+    return BandedPortfolio(unit, names, tuple(params), sectored.obligor_ids, obligor, sector, level, epsilon)
 
 
 def _merge(keys: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,22 +253,19 @@ def _merge(keys: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[np.ndarra
 
 def poisson_rate(banded: BandedPortfolio) -> float:
     """Total expected number of defaults over all bands of all sectors."""
-    return sum(s.expected_count for s in banded.sectors)
+    return float(banded._cumulant.mu.sum())
 
 
 def analytic_moments(banded: BandedPortfolio) -> tuple[float, float]:
     """Exact (mean, variance) of the sector model in money units.
 
-    Per sector: variance_units = sum(eps*v) + cv^2 * (sum(eps))^2; the gamma
-    mixing leaves the mean at sum(eps) unchanged.
+    Per part: variance_units = sum(eps*v) + (sum(eps))^2 / alpha, the second
+    term only for a gamma part; the gamma mixing leaves the mean at sum(eps).
     """
-    mean_u = 0.0
-    var_u = 0.0
-    for s in banded.sectors:
-        eps_total = s.expected_loss_units
-        mean_u += eps_total
-        var_u += sum(b.epsilon * b.v for b in s.bands) + s.params.cv**2 * eps_total**2
-    return mean_u * banded.unit, var_u * banded.unit**2
+    c = banded._cumulant
+    eps_totals = np.bincount(c.part, weights=c.eps, minlength=c.alpha.size + 1)
+    var_u = float(c.eps @ c.v) + float(eps_totals[1:] ** 2 @ (1.0 / c.alpha))
+    return float(eps_totals.sum()) * banded.unit, var_u * banded.unit**2
 
 
 def _golden_min(fn, hi: float) -> float:
@@ -288,12 +289,12 @@ def _golden_min(fn, hi: float) -> float:
 class _Cumulant:
     """The loss S in grid units split into independent compound parts, and its K(t) = log E[exp(t S)].
 
-    Part 0, a compound Poisson, pools every unmixed band (every band if
-    mixed=False); part k >= 1 is the k-th gamma sector, a compound negative
-    binomial with shape alpha_k = cv_k**-2 and scale beta_k = cv_k**2 mu_k,
-    mu_k its expected count. Bands merge once per (part, level) into flat
-    arrays, zero-loss ones dropped, and every backend and the tail bound
-    read these parts and these alpha_k and beta_k.
+    Part 0, a compound Poisson, pools every unmixed sector's subs; part
+    k >= 1 is the k-th gamma sector, a compound negative binomial with shape
+    alpha_k = cv_k**-2 and scale beta_k = cv_k**2 mu_k, mu_k its expected
+    count. The sub table merges once per (part, level) into flat arrays,
+    zero-loss levels dropped, and every backend, the tail bound, the
+    sampler and the moments read these parts and these alpha_k and beta_k.
     K(t) = d_0(t) - sum_k alpha_k log(1 - beta_k d_k(t)), where
     d_k(t) = sum_v w_kv expm1(t v) with weight mu in part 0 and severity f_kv
     in part k, so one bincount gives every d_k. Markov's inequality gives
@@ -301,15 +302,15 @@ class _Cumulant:
     below each gamma pole beta_k d_k = 1 and t max_v <= 700.
     """
 
-    def __init__(self, banded: BandedPortfolio, mixed: bool = True):
-        gamma = np.array([mixed and not s.params.is_poisson for s in banded.sectors], dtype=bool)
-        cv = np.array([s.params.cv for s, is_gamma in zip(banded.sectors, gamma) if is_gamma])
-        part = np.repeat(np.where(gamma, np.cumsum(gamma), 0), [len(s.bands) for s in banded.sectors])
-        level = np.array([b.v for s in banded.sectors for b in s.bands], dtype=np.int64)
-        (part, v), eps = _merge((part, level), np.array([b.epsilon for s in banded.sectors for b in s.bands]))
-        keep = eps > 0.0  # zero-loss bands would only lower t_max
+    def __init__(self, banded: BandedPortfolio):
+        cv = np.array([p.cv for p in banded.params])
+        gamma = cv > 0.0
+        sector_part = np.where(gamma, np.cumsum(gamma), 0)
+        (part, v), eps = _merge((sector_part[banded.sub_sector], banded.sub_level), banded.sub_epsilon)
+        keep = eps > 0.0  # zero-loss levels would only lower t_max
         self.part, self.v, self.eps = part[keep], v[keep], eps[keep]
-        mu = self.eps / self.v
+        self.mu = mu = self.eps / self.v
+        cv = cv[gamma]
         totals = np.bincount(self.part, weights=mu, minlength=cv.size + 1)
         self.w = np.where(self.part > 0, mu / totals[self.part], mu)
         self.alpha = cv**-2
@@ -317,15 +318,16 @@ class _Cumulant:
         self.t_max = self._t_max()
 
     def parts(self):
-        """(levels, epsilon, gamma) of each part that carries loss, part 0 first.
+        """(k, levels, epsilon, gamma) of each part k that carries loss, part 0 first.
 
-        gamma is the part's (alpha, beta), or None for the compound Poisson part 0.
+        gamma is the part's (alpha, beta), or None for the compound Poisson part 0;
+        part k >= 1 is the k-th sector with cv > 0.
         """
         gammas = [None] + list(zip(self.alpha.tolist(), self.beta.tolist()))
         bounds = np.searchsorted(self.part, np.arange(len(gammas) + 1)).tolist()
-        for gamma, lo, hi in zip(gammas, bounds, bounds[1:]):
+        for k, (gamma, lo, hi) in enumerate(zip(gammas, bounds, bounds[1:])):
             if hi > lo:
-                yield self.v[lo:hi], self.eps[lo:hi], gamma
+                yield k, self.v[lo:hi], self.eps[lo:hi], gamma
 
     def _d(self, t: float) -> np.ndarray:
         return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
@@ -404,10 +406,6 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, gamma: tuple[float, float] | None, 
     rate (or gamma shape) divided by m: the recursion runs for one piece and
     the piece is convolved with itself m - 1 times, which is exact.
     """
-    if not vs.size:  # no band carries loss: a point mass at zero
-        point = np.zeros(grid_size)
-        point[0] = 1.0
-        return point
     mu = eps / vs
     if gamma is None:
         log_g0 = -float(mu.sum())
@@ -441,22 +439,13 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, gamma: tuple[float, float] | None, 
     return g
 
 
-def _loss_dist_panjer(banded: BandedPortfolio, grid_size: int, cumulant: _Cumulant) -> LossDistribution:
-    """Panjer recursion for each part of cumulant, the parts convolved, with the same parts' tail bound."""
-    _check_grid(grid_size, banded.max_v + 1, "the largest band")
-    pmfs = [_panjer(vs, eps, gamma, grid_size) for vs, eps, gamma in cumulant.parts()]
-    # with no part carrying loss, _panjer of the (empty) merged bands is the point mass at zero
-    raw = reduce(_convolve_pmfs, pmfs) if pmfs else _panjer(cumulant.v, cumulant.eps, None, grid_size)
-    return _finalize_pmf(raw, banded.unit, cumulant.tail_bound(grid_size))
-
-
 def loss_dist_poisson(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     """Aggregate loss pmf with unmixed Poisson default counts in every band.
 
     Computed by the classical Panjer recursion for the compound Poisson
     generating function; sector gamma parameters are ignored on this path.
     """
-    return _loss_dist_panjer(banded, grid_size, banded._poisson_cumulant)
+    return loss_dist_sector(replace(banded, params=(SectorParams(0.0),) * len(banded.params)), grid_size)
 
 
 def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
@@ -464,9 +453,14 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
 
     All unmixed bands form one compound Poisson and each gamma sector one
     compound negative binomial, each computed on the full grid; the parts
-    are then convolved.
+    are then convolved, with the same parts' tail bound. With no part
+    carrying loss the pmf is the point mass at zero.
     """
-    return _loss_dist_panjer(banded, grid_size, banded._cumulant)
+    _check_grid(grid_size, banded.max_v + 1, "the largest band")
+    cumulant = banded._cumulant
+    pmfs = [_panjer(vs, eps, gamma, grid_size) for _, vs, eps, gamma in cumulant.parts()]
+    raw = reduce(_convolve_pmfs, pmfs) if pmfs else np.eye(1, grid_size)[0]
+    return _finalize_pmf(raw, banded.unit, cumulant.tail_bound(grid_size))
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:
@@ -492,7 +486,7 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     _check_grid(grid_size, 2 * (banded.max_v + 1), "alias-safe FFT inversion")
     # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
     log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
-    for vs, eps, gamma in banded._cumulant.parts():
+    for _, vs, eps, gamma in banded._cumulant.parts():
         mu = eps / vs
         count = mu.sum()
         q = np.fft.rfft(np.bincount(vs, weights=mu / count), grid_size)

@@ -128,6 +128,8 @@ class DiscountSpec:
             raise InputError(f"discount rate must be > -1, got {self.rate}")
         if -self.rate * self.horizon > _MAX_LOG_FACTOR:
             raise InputError(f"discount factor overflows at rate {self.rate} over horizon {self.horizon}")
+        if self.factor == 0.0:
+            raise InputError(f"discount factor underflows to 0 at rate {self.rate} over horizon {self.horizon}")
 
     @property
     def factor(self) -> float:

@@ -127,20 +127,23 @@ def simulate(
 ) -> EmpiricalDistribution:
     """Draw aggregate losses under the gamma-mixed portfolio model.
 
-    poisson-banded pays v*unit per default of the banded model. Given a
-    sector's gamma scaling G, its bands' default counts are independent
-    Poissons with means mu_v*G, which is the same law as one total count
+    poisson-banded pays v*unit per default of the banded model, drawing the
+    engine's parts in order: the compound Poisson pooling every unmixed
+    sector, then each gamma sector. Given a part's gamma scaling G (1 for
+    the pooled part), its bands' default counts are independent Poissons
+    with means mu_v*G, which is the same law as one total count
     N ~ Poisson(G*sum(mu)) with each default in band v with probability
-    mu_v/sum(mu). Each sector draws whichever way takes fewer expected
+    mu_v/sum(mu). Each part draws whichever way takes fewer expected
     variates per draw: count-first (N, then one uniform per default picked
     by searchsorted on the cumulative mu) when 1 + sum(mu) < its band count,
     one Poisson per band otherwise. Forcing each side on a 20,000-obligor
     book (about 65 bands and 400 expected defaults per sector), a picked
     default cost about 44 ns and a band Poisson about 56 ns on a 2-vCPU VM
-    (numpy 2.4, PCG64). A per-band sector consumes the random stream as
-    version 0.1.0 did, so a portfolio whose sectors all draw per band keeps
-    its samples; a count-first sector draws N for every draw of the chunk,
-    then its picks in row order.
+    (numpy 2.4, PCG64). A per-band part consumes the random stream as
+    version 0.1.0 did; a count-first part draws N for every draw of the
+    chunk, then its picks in row order. Version 0.3.0 pooled the unmixed
+    sectors and draws them first, so only a portfolio with an unmixed
+    sector that is not its first draws new samples.
 
     bernoulli-exact needs the pre-banding sectored view and pays the raw
     sub-exposure on each Bernoulli default, clamping (and counting) scaled
@@ -151,21 +154,15 @@ def simulate(
 
     plans = []
     if cfg.mode == "poisson-banded":
-        for s in banded.sectors:
-            bands = [b for b in s.bands if b.epsilon > 0.0]
-            if not bands:
-                continue
-            alpha = None if s.params.is_poisson else s.params.alpha
-            vs = np.array([b.v for b in bands])
-            plans.append((alpha, np.array([b.epsilon for b in bands]) / vs, vs * banded.unit))
+        # each sector's own alpha, as the stream has always used: the engine's array cv**-2 can differ in the last bit
+        alphas = [None] + [p.alpha for p in banded.params if not p.is_poisson]
+        for k, vs, eps, _ in banded._cumulant.parts():
+            plans.append((alphas[k], eps / vs, vs * banded.unit))
     else:
-        by_name = {s.name: s for s in banded.sectors}
-        for s in sectored.sectors:
+        for s, params in zip(sectored.sectors, banded.params):
             rates = np.array([sub.loss_rate for sub in s.subs])
             amounts = np.array([sub.amount for sub in s.subs])
-            params = by_name[s.name].params
-            alpha = None if params.is_poisson else params.alpha
-            plans.append((alpha, rates, amounts))
+            plans.append((None if params.is_poisson else params.alpha, rates, amounts))
 
     losses = np.empty(cfg.n_draws)
     clamped = 0

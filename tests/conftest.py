@@ -71,21 +71,19 @@ def single_sector(rows: str, unit: float = 1.0) -> tuple[ar.SectoredPortfolio, a
 def make_banded(sectors, unit: float = 1.0) -> ar.BandedPortfolio:
     """Hand-built banded portfolio: sectors = [(name, SectorParams, [(v, eps), ...])].
 
-    Each band is attributed to its own synthetic obligor so contribution
-    reporting stays well-defined.
+    Each (v, eps) is one sub-exposure of its own synthetic obligor, so
+    contribution reporting stays well-defined; subs sharing a level form one band.
     """
-    banded_sectors = []
     obligor_ids, subs = [], []
-    for k, (name, params, bands) in enumerate(sectors):
-        band_objs = tuple(ar.Band(v, eps) for v, eps in sorted(bands))
-        banded_sectors.append(ar.BandedSector(name, params, band_objs))
+    for k, (name, _, bands) in enumerate(sectors):
         for i, (v, eps) in enumerate(sorted(bands)):
             subs.append((len(obligor_ids), k, v, eps))
             obligor_ids.append(f"{name}-{i}")
     obligor, sector, level, epsilon = (np.array(col) for col in zip(*subs))
     return ar.BandedPortfolio(
         unit=unit,
-        sectors=tuple(banded_sectors),
+        names=tuple(name for name, _, _ in sectors),
+        params=tuple(params for _, params, _ in sectors),
         obligor_ids=tuple(obligor_ids),
         sub_obligor=obligor,
         sub_sector=sector,

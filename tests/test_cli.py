@@ -159,6 +159,13 @@ def test_discount_rate_at_or_below_minus_one_exit_2(tmp_path, rate):
     assert "discount rate must be > -1" in result.stderr
 
 
+def test_discount_factor_underflow_names_rate_and_horizon(tmp_path):
+    # e^-800 is 0.0 in doubles: every exposure became 0 and the first obligor took the blame
+    result = run_cli(["analyze", "--rate", "800", "--horizon", "1"], tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert result.stderr.strip() == "discount factor underflows to 0 at rate 800.0 over horizon 1.0"
+
+
 class TestAnalyze:
     def test_default_run_writes_reports(self, tmp_path):
         result = run_cli(["analyze"], tmp_path)
@@ -250,6 +257,10 @@ class TestSimulate:
         lines = (tmp_path / "samples.csv").read_text().strip().splitlines()
         assert lines[0] == "loss"
         assert len(lines) == 1001
+        # each line a plain float: the repr of a numpy 2 scalar reads np.float64(...), which float() refuses
+        run = ar.run_pipeline(unit=10.0)
+        expected = ar.simulate(run.banded, ar.SimConfig(n_draws=1000, seed=42), run.sectored).samples
+        assert [float(line) for line in lines[1:]] == expected.tolist()
 
 
 class TestDist:

@@ -243,11 +243,51 @@ class TestHandBuiltSectors:
     @pytest.mark.parametrize("backend", [ar.loss_dist_sector, ar.loss_dist_fft, ar.loss_dist_poisson])
     def test_unsorted_repeated_and_zero_bands_match_merged(self, backend, cv):
         params = ar.SectorParams(cv)
-        raw_bands = tuple(ar.Band(v, eps) for v, eps in self.RAW)
-        raw = ar.BandedPortfolio(1.0, (ar.BandedSector("s", params, raw_bands),))
+        level, eps = (np.array(col) for col in zip(*self.RAW))
+        zeros = np.zeros(len(self.RAW), dtype=np.int64)
+        raw = ar.BandedPortfolio(1.0, ("s",), (params,), ("A",), zeros, zeros, level, eps)
         merged = one_sector(params, self.MERGED)
         tv = 0.5 * np.abs(backend(raw, 64).pmf - backend(merged, 64).pmf).sum()
         assert tv <= 1e-12
+
+
+class TestTableChecks:
+    # one sector "s" of obligor "A": the sub table (obligor, sector, level, epsilon)
+    GOOD = ([0, 0], [0, 0], [1, 3], [0.5, 0.2])
+
+    @staticmethod
+    def build(obligor, sector, level, epsilon) -> ar.BandedPortfolio:
+        return ar.BandedPortfolio(
+            1.0, ("s",), (ar.SectorParams(0.5),), ("A",),
+            np.array(obligor), np.array(sector), np.array(level), np.array(epsilon, dtype=float),
+        )
+
+    def test_good_table_builds_its_sector_view(self):
+        (sector,) = self.build(*self.GOOD).sectors
+        assert (sector.name, sector.params) == ("s", ar.SectorParams(0.5))
+        assert [(b.v, b.epsilon) for b in sector.bands] == [(1, 0.5), (3, 0.2)]
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (3, [0.5, math.nan], r"^band expected loss must be finite and >= 0, got nan$"),
+            (3, [0.5, math.inf], r"^band expected loss must be finite and >= 0, got inf$"),
+            (3, [0.5, -0.1], r"^band expected loss must be finite and >= 0, got -0.1$"),
+            (2, [1, 0], r"^band level must be a positive integer, got 0$"),
+            (3, [0.5], r"need equal lengths$"),
+            (1, [0, 1], r"^sub-exposure sector index outside 0..0$"),
+            (0, [0, -1], r"^sub-exposure obligor index outside 0..0$"),
+        ],
+    )
+    def test_bad_table_refused(self, column, value, message):
+        columns = list(self.GOOD)
+        columns[column] = value
+        with pytest.raises(ModelError, match=message):
+            self.build(*columns)
+
+    def test_names_and_params_of_unequal_length_refused(self):
+        with pytest.raises(ModelError, match="need equal lengths"):
+            ar.BandedPortfolio(1.0, ("s", "t"), (ar.SectorParams(0.0),), ("A",), *(np.zeros(0, int),) * 3, np.zeros(0))
 
 
 class TestParts:
@@ -301,7 +341,6 @@ class TestBlockedPanjer:
         "v_min 1": ([(1, 0.5), (3, 0.9), (7, 0.35)], 512),
         "grid not a multiple of v_min": ([(3, 0.6), (4, 1.1), (9, 0.4)], 500),
         "single band": ([(5, 2.0)], 256),
-        "zero-loss bands": ([(2, 0.0), (6, 0.0)], 64),
         "v_min above half the grid": ([(40, 3.0), (45, 1.5)], 64),
         "block capped by its gather size": ([(v, 0.01 * v) for v in range(300, 600)], 1500),
     }
@@ -319,6 +358,12 @@ class TestBlockedPanjer:
         live = expected >= 1e-300
         assert np.all(np.abs(got[live] - expected[live]) <= 1e-13 * expected[live])
         assert np.all(np.abs(got[~live]) <= 1e-300)
+
+    @pytest.mark.parametrize("cv", [0.0, 0.8])
+    def test_zero_loss_bands_match_scalar_recursion(self, cv):
+        # no part carries loss, so loss_dist_sector gives the point mass without running _panjer
+        got = ar.loss_dist_sector(one_sector(ar.SectorParams(cv), [(2, 0.0), (6, 0.0)]), 64).pmf
+        np.testing.assert_array_equal(got, scalar_panjer(np.zeros(0, np.int64), np.zeros(0), cv, 64))
 
     @pytest.mark.parametrize(
         "backend, cv", [(ar.loss_dist_poisson, 0.0), (ar.loss_dist_sector, 0.0), (ar.loss_dist_sector, 0.01)]
@@ -388,6 +433,11 @@ class TestLossDistFft:
         raw = np.array([0.5, -1e-10, 0.5])
         with pytest.raises(ModelError, match="clamp"):
             ar.engine._finalize_pmf(raw, 1.0)
+
+    @pytest.mark.parametrize("raw", [[0.5, math.nan, 0.5], [math.nan] * 3])
+    def test_nan_pmf_is_an_error(self, raw):
+        with pytest.raises(ModelError):
+            ar.engine._finalize_pmf(np.array(raw), 1.0)
 
 
 class TestTailBound:

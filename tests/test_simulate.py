@@ -153,6 +153,22 @@ class TestCountFirst:
         dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
         assert ar.compare(dist, emp, [0.1, 0.05, 0.01]).flag_count == 0
 
+    def test_pooled_unmixed_sectors_sample_the_banded_law(self):
+        # two unmixed sectors sharing level 3, around a gamma one: part 0 pools both and is drawn first
+        banded = make_banded([
+            ("a", ar.SectorParams(0.0), [(1, 0.5), (3, 0.9), (7, 0.35)]),
+            ("g", ar.SectorParams(0.8), [(1, 0.3), (4, 0.7)]),
+            ("b", ar.SectorParams(0.0), [(2, 0.6), (3, 0.4), (5, 0.8)]),
+        ])
+        pooled, gamma_part = banded._cumulant.parts()
+        assert (pooled[0], pooled[1].tolist(), pooled[3], gamma_part[0]) == (0, [1, 2, 3, 5, 7], None, 1)
+        n = 200_000
+        emp = ar.simulate(banded, ar.SimConfig(n_draws=n, seed=43))
+        mean, variance = ar.analytic_moments(banded)
+        assert abs(emp.mean - mean) <= 4.0 * math.sqrt(variance / n)
+        dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
+        assert ar.compare(dist, emp, [0.1, 0.05, 0.01]).flag_count == 0
+
     def test_blocks_hold_whole_rows(self, monkeypatch):
         # sum(mu) = 5 over 40 bands with cv 1: many draws hold more than 12 defaults
         banded = make_banded([("g", ar.SectorParams(1.0), [(v, 0.125 * v) for v in range(1, 41)])])
