@@ -7,6 +7,7 @@ the roots of unity. Both must agree to within total variation 1e-8.
 Run from the repository root:  python demos/02_banding_and_loss_distribution.py
 """
 
+import math
 import time
 
 import numpy as np
@@ -18,12 +19,14 @@ sectored = ar.assign_sectors(portfolio, ar.SectorAssignment("crop-livestock"))
 banded = ar.band_exposures(sectored, unit=1.0)
 
 print("banded portfolio (unit = 1.0 million):")
+alphas = iter(banded._cumulant.alpha.tolist())  # the engine's gamma shapes cv**-2, one per mixed sector
 for sector in banded.sectors:
     p = sector.params
+    alpha = math.inf if p.is_poisson else next(alphas)
     print(
         f"  {sector.name:<10} bands {len(sector.bands):3d}  "
         f"expected defaults {sum(b.mu for b in sector.bands):.4f}  "
-        f"cv {p.cv:.3f}  alpha {p.alpha:.3f}"
+        f"cv {p.cv:.3f}  alpha {alpha:.3f}"
     )
 print(f"total expected defaults: {ar.poisson_rate(banded):.4f}")
 print(f"banding preserves expected loss: {banded.expected_loss:.4f}")

@@ -40,7 +40,7 @@ from .portfolio import (
     Sector,
     SectorAssignment,
     SectoredPortfolio,
-    SubExposure,
+    SUB_DTYPE,
     ValidationFinding,
     assign_sectors,
     bundled_dataset_path,
@@ -60,7 +60,7 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 
 def __getattr__(name: str):
@@ -72,8 +72,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# every class and function imported above, so each public name is written once
+# every class and function imported above, so each public name is written once, and the lazy names and dtype
 __all__ = sorted(
     [name for name, value in globals().items() if getattr(value, "__module__", "").startswith("agririsk.")]
-    + ["Run", "run_pipeline"]
+    + ["Run", "run_pipeline", "SUB_DTYPE"]
 )

@@ -104,9 +104,12 @@ def _parse_sector_rates(
         try:
             name, values = entry.split("=", 1)
             mu_text, sigma_text = values.split(",", 1)
-            rates[name.strip()] = (float(mu_text), float(sigma_text))
+            rate = (float(mu_text), float(sigma_text))
         except ValueError:
             parser.error(f"--sector-rate must look like name=mu,sigma, got {entry!r}")
+        if name.strip() in rates:
+            parser.error(f"--sector-rate repeats sector {name.strip()!r}")
+        rates[name.strip()] = rate
     return rates
 
 

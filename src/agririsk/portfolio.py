@@ -10,6 +10,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError
 
 SECTOR_MODES = ("single", "crop-livestock", "per-obligor")
@@ -34,6 +36,10 @@ _MAX_LOG_FACTOR = math.log(sys.float_info.max)  # largest -rate * horizon whose 
 
 # ObligorRecord fields that must be finite numbers (expected_loss_declared may be None)
 _NUMERIC_FIELDS = CSV_COLUMNS[2:] + ("expected_loss_declared",)
+
+# one row per sub-exposure: the obligor's index in SectoredPortfolio.obligor_ids, the amount
+# in the sector, and the obligor's own mean loss rate
+SUB_DTYPE = np.dtype([("obligor", np.int64), ("amount", np.float64), ("loss_rate", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -159,23 +165,18 @@ class SectorAssignment:
                 raise InputError(f"sector {name!r}: rate overrides must be finite, got {values}")
 
 
-@dataclass(frozen=True)
-class SubExposure:
-    """An obligor's stake in one sector, carrying the obligor's own loss rate."""
-
-    obligor_id: str
-    amount: float
-    loss_rate: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sector:
+    """A named sector's rates and its sub-exposures: SUB_DTYPE rows, a slice of one table."""
+
     name: str
     mean_rate: float
     stddev_rate: float
-    subs: tuple[SubExposure, ...]
+    subs: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.subs, np.ndarray) and self.subs.ndim == 1 and self.subs.dtype == SUB_DTYPE):
+            raise InputError(f"sector {self.name!r}: subs must be a 1-d array of {SUB_DTYPE} rows")
         if self.mean_rate == 0.0 and self.stddev_rate > 0.0:
             raise InputError(
                 f"sector {self.name!r}: zero mean rate with positive volatility has no "
@@ -316,62 +317,51 @@ def discount_exposures(portfolio: Portfolio, spec: DiscountSpec) -> Portfolio:
     )
 
 
-def _weighted_rates(members: list[tuple[float, float, float]]) -> tuple[float, float]:
-    # members: (amount, mean rate, rate stddev); amount-weighted averages
-    weight = sum(m[0] for m in members)
-    mean = sum(m[0] * m[1] for m in members) / weight
-    stddev = sum(m[0] * m[2] for m in members) / weight
-    return mean, stddev
-
-
-def _split_ratios(o: ObligorRecord) -> tuple[float, float]:
-    total = o.crop_ratio + o.livestock_ratio
-    if total <= 0.0:
-        raise InputError(f"obligor {o.id}: crop and livestock ratios are both zero; cannot split")
-    if abs(total - 1.0) <= RATIO_RENORM_TOL:
-        return o.crop_ratio, o.livestock_ratio
-    return o.crop_ratio / total, o.livestock_ratio / total
+def _split_ratios(ids: tuple[str, ...], crop: np.ndarray, livestock: np.ndarray) -> np.ndarray:
+    # (2, obligors): crop and livestock shares, renormalized where their sum misses 1
+    total = crop + livestock
+    if not np.all(total > 0.0):
+        oid = ids[int(np.argmin(total > 0.0))]
+        raise InputError(f"obligor {oid}: crop and livestock ratios are both zero; cannot split")
+    ratios = np.stack((crop, livestock))
+    return np.where(np.abs(total - 1.0) > RATIO_RENORM_TOL, ratios / total, ratios)
 
 
 def assign_sectors(portfolio: Portfolio, assignment: SectorAssignment) -> SectoredPortfolio:
     """Split each obligor's exposure across sectors per the assignment mode.
 
     single: one sector holding every full exposure; crop-livestock: two
-    sectors fed by the (renormalized) ratio split; per-obligor: one sector
-    per obligor. Each sub-exposure keeps its obligor's own mean loss rate.
+    sectors fed by the (renormalized) ratio split, a sector without subs
+    left out; per-obligor: one sector per obligor, with its own rates.
+    Each sub-exposure keeps its obligor's own mean loss rate, and the other
+    modes' sector rates are the subs' amount-weighted averages. All subs
+    form one SUB_DTYPE table in sector order; each Sector.subs is its slice.
     """
     overrides = assignment.sector_rates or {}
-    sectors: list[Sector] = []
-
-    if assignment.mode == "single":
-        subs = tuple(SubExposure(o.id, o.exposure, o.mean_loss_rate) for o in portfolio)
-        members = [(o.exposure, o.mean_loss_rate, o.loss_rate_stddev) for o in portfolio]
-        mean, stddev = overrides.get("portfolio") or _weighted_rates(members)
-        sectors.append(Sector("portfolio", mean, stddev, subs))
-    elif assignment.mode == "crop-livestock":
-        buckets: dict[str, list[tuple[ObligorRecord, float]]] = {"crop": [], "livestock": []}
-        for o in portfolio:
-            crop_w, livestock_w = _split_ratios(o)
-            if crop_w > 0.0:
-                buckets["crop"].append((o, o.exposure * crop_w))
-            if livestock_w > 0.0:
-                buckets["livestock"].append((o, o.exposure * livestock_w))
-        for name in ("crop", "livestock"):
-            entries = buckets[name]
-            if not entries:
-                continue
-            subs = tuple(SubExposure(o.id, amount, o.mean_loss_rate) for o, amount in entries)
-            members = [(amount, o.mean_loss_rate, o.loss_rate_stddev) for o, amount in entries]
-            mean, stddev = overrides.get(name) or _weighted_rates(members)
-            sectors.append(Sector(name, mean, stddev, subs))
-    else:  # per-obligor
-        for o in portfolio:
-            subs = (SubExposure(o.id, o.exposure, o.mean_loss_rate),)
-            sectors.append(Sector(o.id, o.mean_loss_rate, o.loss_rate_stddev, subs))
-
-    unknown = set(overrides) - {s.name for s in sectors}
+    ids = tuple(o.id for o in portfolio)
+    columns = [(o.exposure, o.mean_loss_rate, o.loss_rate_stddev, o.crop_ratio, o.livestock_ratio) for o in portfolio]
+    exposure, mean, stddev, crop, livestock = np.array(columns).T
+    if assignment.mode == "per-obligor":
+        names, sector, obligor, amount = ids, np.arange(len(ids)), np.arange(len(ids)), exposure
+        rates = zip(mean.tolist(), stddev.tolist())
+    else:
+        if assignment.mode == "single":
+            names, shares = ("portfolio",), np.ones((1, len(ids)))
+        else:
+            names, shares = ("crop", "livestock"), _split_ratios(ids, crop, livestock)
+        held = (shares > 0.0).any(axis=1)
+        names, shares = tuple(name for name, h in zip(names, held) if h), shares[held]
+        sector, obligor = np.nonzero(shares > 0.0)  # sector by sector, obligors in order
+        amount = exposure[obligor] * shares[sector, obligor]
+        weight = np.bincount(sector, amount)  # sums in table order
+        averages = [(np.bincount(sector, amount * r[obligor]) / weight).tolist() for r in (mean, stddev)]
+        rates = [overrides.get(name) or rate for name, rate in zip(names, zip(*averages))]
+    table = np.empty(obligor.size, SUB_DTYPE)
+    table["obligor"], table["amount"], table["loss_rate"] = obligor, amount, mean[obligor]
+    ends = np.cumsum(np.bincount(sector, minlength=len(names))).tolist()
+    sectors = tuple(Sector(name, m, sd, table[lo:hi])
+                    for name, (m, sd), lo, hi in zip(names, rates, [0] + ends, ends))
+    unknown = set(overrides) - set(names)
     if unknown:
         raise InputError(f"sector rate overrides for unknown sectors: {sorted(unknown)}")
-    return SectoredPortfolio(
-        sectors=tuple(sectors), obligor_ids=tuple(o.id for o in portfolio)
-    )
+    return SectoredPortfolio(sectors=sectors, obligor_ids=ids)

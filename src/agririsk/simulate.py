@@ -143,26 +143,27 @@ def simulate(
     version 0.1.0 did; a count-first part draws N for every draw of the
     chunk, then its picks in row order. Version 0.3.0 pooled the unmixed
     sectors and draws them first, so only a portfolio with an unmixed
-    sector that is not its first draws new samples.
+    sector that is not its first draws new samples. Version 0.4.0 draws,
+    in both modes, with the engine's gamma shapes, whose array cv**-2 can
+    differ in the last bit from the scalar one drawn with before.
 
-    bernoulli-exact needs the pre-banding sectored view and pays the raw
-    sub-exposure on each Bernoulli default, clamping (and counting) scaled
-    probabilities above 1.
+    bernoulli-exact needs the pre-banding sectored view that banded was
+    built from and pays the raw sub-exposure on each Bernoulli default,
+    clamping (and counting) scaled probabilities above 1.
     """
-    if cfg.mode == "bernoulli-exact" and sectored is None:
-        raise InputError("bernoulli-exact mode needs the sectored (pre-banding) portfolio")
-
-    plans = []
     if cfg.mode == "poisson-banded":
-        # each sector's own alpha, as the stream has always used: the engine's array cv**-2 can differ in the last bit
-        alphas = [None] + [p.alpha for p in banded.params if not p.is_poisson]
-        for k, vs, eps, _ in banded._cumulant.parts():
-            plans.append((alphas[k], eps / vs, vs * banded.unit))
+        plans = [(None if gamma is None else gamma[0], eps / vs, vs * banded.unit)
+                 for vs, eps, gamma in banded._cumulant.parts()]
     else:
-        for s, params in zip(sectored.sectors, banded.params):
-            rates = np.array([sub.loss_rate for sub in s.subs])
-            amounts = np.array([sub.amount for sub in s.subs])
-            plans.append((None if params.is_poisson else params.alpha, rates, amounts))
+        if sectored is None:
+            raise InputError("bernoulli-exact mode needs the sectored (pre-banding) portfolio")
+        sizes = np.bincount(banded.sub_sector, minlength=len(banded.names)).tolist()
+        if ([(s.name, len(s.subs)) for s in sectored.sectors] != list(zip(banded.names, sizes))
+                or sectored.obligor_ids != banded.obligor_ids):
+            raise InputError("bernoulli-exact mode needs the sectored portfolio the banded one was built from")
+        alphas = iter(banded._cumulant.alpha.tolist())  # one per gamma sector, in sector order
+        plans = [(None if params.is_poisson else next(alphas), s.subs["loss_rate"], s.subs["amount"])
+                 for s, params in zip(sectored.sectors, banded.params)]
 
     losses = np.empty(cfg.n_draws)
     clamped = 0

@@ -212,6 +212,14 @@ class TestAnalyze:
         assert "must not repeat a level" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_sector_rate_exit_2(self, tmp_path):
+        # the last value used to win silently
+        args = ["analyze", "--unit", "10", "--sector-rate", "crop=0.03,0.02", "--sector-rate", "crop=0.05,0.01"]
+        result = run_cli(args, tmp_path)
+        assert result.returncode == 2
+        assert "--sector-rate repeats sector 'crop'" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_grid_too_small_for_a_level_exit_1(self, tmp_path):
         # at 16384 points the 1% quantile read 11151 instead of 11577; the first level refused is 10%
         result = run_cli(["analyze", "--unit", "1", "--grid", "16384"], tmp_path)

@@ -84,7 +84,7 @@ class TestBanding:
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("crop-livestock"))
         banded = ar.band_exposures(sectored, 1.0)
         expected_levels = {
-            (sector.name, ar.units_ceiling(sub.amount, 1.0))
+            (sector.name, ar.units_ceiling(sub["amount"], 1.0))
             for sector in sectored.sectors
             for sub in sector.subs
         }
@@ -100,7 +100,7 @@ class TestBanding:
         for k, (sector, banded_sector) in enumerate(zip(sectored.sectors, banded.sectors)):
             at = banded.sub_sector == k
             assert [banded.obligor_ids[i] for i in banded.sub_obligor[at]] == [
-                sub.obligor_id for sub in sector.subs
+                sectored.obligor_ids[sub["obligor"]] for sub in sector.subs
             ]
             merged = {}
             for v, eps in zip(banded.sub_level[at].tolist(), banded.sub_epsilon[at].tolist()):
@@ -118,13 +118,13 @@ class TestBanding:
         # a zero mean rate, or a mean rate over subs that carry no loss: nothing to mix
         _, banded = single_sector("A,A,100,0.0,0.0,1.0,0.0\n")
         assert banded.sectors[0].params.is_poisson
-        sector = ar.Sector("s", 0.03, 0.02, (ar.SubExposure("A", 100.0, 0.0),))
+        sector = ar.Sector("s", 0.03, 0.02, np.array([(0, 100.0, 0.0)], ar.SUB_DTYPE))
         banded = ar.band_exposures(ar.SectoredPortfolio((sector,), ("A",)), 1.0)
         assert banded.sectors[0].params.is_poisson
 
     def test_gamma_scale_rounding_rho_to_one_refused(self):
         # beta = cv**2 * count = (1e8 / 0.03)**2 * 0.3 ~ 3e18: rho = beta / (1 + beta) rounds to 1
-        sector = ar.Sector("big", 0.03, 1e8, (ar.SubExposure("A", 100.0, 0.03),))
+        sector = ar.Sector("big", 0.03, 1e8, np.array([(0, 100.0, 0.03)], ar.SUB_DTYPE))
         with pytest.raises(InputError, match=r"^sector 'big': rate volatility 100000000.0 is too large"):
             ar.band_exposures(ar.SectoredPortfolio((sector,), ("A",)), 10.0)
 
@@ -596,12 +596,14 @@ class TestSectorParams:
 
     def test_zero_cv_is_poisson(self):
         assert ar.SectorParams(0.0).is_poisson
-        assert ar.SectorParams(0.0).alpha == math.inf
+        # an unmixed sector is pooled into the compound Poisson part: it has no gamma shape
+        assert poisson_sector([(1, 0.5)])._cumulant.alpha.size == 0
 
     def test_alpha_is_inverse_square_cv(self):
         params = ar.SectorParams(0.018 / 0.021)
         assert not params.is_poisson
-        assert params.alpha == pytest.approx((0.021 / 0.018) ** 2, rel=1e-12)
+        (alpha,) = one_sector(params, [(1, 0.5)])._cumulant.alpha.tolist()
+        assert alpha == pytest.approx((0.021 / 0.018) ** 2, rel=1e-12)
 
 
 class TestMomentConservation:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import agririsk as ar
@@ -179,7 +180,7 @@ class TestAssignSectors:
         row = "CYP,Cyprus,328.82,0.0684,0.0340,0.49,0.51,22.49"
         p = ar.parse_portfolio(f"{HEADER}\n{row}\n")
         sectored = ar.assign_sectors(p, ar.SectorAssignment("crop-livestock"))
-        amounts = {s.name: s.subs[0].amount for s in sectored.sectors}
+        amounts = {s.name: s.subs[0]["amount"] for s in sectored.sectors}
         assert amounts["crop"] == pytest.approx(161.1218, abs=1e-4)
         assert amounts["livestock"] == pytest.approx(167.6982, abs=1e-4)
         assert amounts["crop"] + amounts["livestock"] == pytest.approx(328.82, rel=1e-12)
@@ -188,9 +189,7 @@ class TestAssignSectors:
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("single"))
         assert len(sectored.sectors) == 1
         assert sectored.sectors[0].name == "portfolio"
-        assert [s.amount for s in sectored.sectors[0].subs] == [
-            o.exposure for o in bundled_portfolio
-        ]
+        assert sectored.sectors[0].subs["amount"].tolist() == [o.exposure for o in bundled_portfolio]
 
     def test_per_obligor_cardinality(self, bundled_portfolio):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
@@ -204,7 +203,7 @@ class TestAssignSectors:
         row = "HUN,Hungary,3382.78,0.0096,0.0354,0.60,0.10,32.62"
         p = ar.parse_portfolio(f"{HEADER}\n{row}\n")
         sectored = ar.assign_sectors(p, ar.SectorAssignment("crop-livestock"))
-        amounts = {s.name: s.subs[0].amount for s in sectored.sectors}
+        amounts = {s.name: s.subs[0]["amount"] for s in sectored.sectors}
         assert amounts["crop"] == pytest.approx(3382.78 * 6.0 / 7.0, rel=1e-12)
         assert amounts["livestock"] == pytest.approx(3382.78 / 7.0, rel=1e-12)
 
@@ -214,7 +213,7 @@ class TestAssignSectors:
         sums = {oid: 0.0 for oid in sectored.obligor_ids}
         for sector in sectored.sectors:
             for sub in sector.subs:
-                sums[sub.obligor_id] += sub.amount
+                sums[sectored.obligor_ids[sub["obligor"]]] += sub["amount"]
         for obligor in bundled_portfolio:
             assert sums[obligor.id] == pytest.approx(obligor.exposure, rel=1e-9)
 
@@ -231,7 +230,40 @@ class TestAssignSectors:
     def test_hand_built_sector_rates_refused(self, mean, stddev, message):
         # a zero mean rate must not band into a Poisson sector with its volatility dropped
         with pytest.raises(InputError, match=f"^sector 's': {message}"):
-            ar.Sector("s", mean, stddev, (ar.SubExposure("XXX", 100.0, mean),))
+            ar.Sector("s", mean, stddev, np.array([(0, 100.0, mean)], ar.SUB_DTYPE))
+
+    @pytest.mark.parametrize(
+        "subs",
+        [((0, 100.0, 0.02),), np.array([100.0]), np.array([[(0, 100.0, 0.02)]], ar.SUB_DTYPE),
+         np.array([(0, 100.0, 0.02)], [("obligor", np.int32), ("amount", float), ("loss_rate", float)]),
+         np.array([(100.0, 0, 0.02)], [("amount", float), ("obligor", np.int64), ("loss_rate", float)])],
+        ids=["tuple", "float", "2-d", "int32-obligor", "field-order"],
+    )
+    def test_subs_of_another_dtype_refused(self, subs):
+        with pytest.raises(InputError, match="^sector 's': subs must be a 1-d array of"):
+            ar.Sector("s", 0.02, 0.01, subs)
+
+    @pytest.mark.parametrize("mode", ar.portfolio.SECTOR_MODES)
+    def test_subs_are_slices_of_one_table(self, bundled_portfolio, mode):
+        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode))
+        table = sectored.sectors[0].subs.base
+        assert all(s.subs.base is table for s in sectored.sectors)
+        assert np.concatenate([s.subs for s in sectored.sectors]).tobytes() == table.tobytes()
+        ids = [sectored.obligor_ids[i] for i in table["obligor"]]
+        rates = {o.id: o.mean_loss_rate for o in bundled_portfolio}
+        assert table["loss_rate"].tolist() == [rates[oid] for oid in ids]
+
+    def test_sector_rates_are_amount_weighted(self, bundled_portfolio):
+        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("crop-livestock"))
+        obligors = bundled_portfolio.obligors
+        for sector in sectored.sectors:
+            amount = sector.subs["amount"]
+            members = [obligors[i] for i in sector.subs["obligor"]]
+            # the amount-weighted sums, added one sub at a time in table order
+            weight = mean = stddev = 0.0
+            for x, o in zip(amount.tolist(), members):
+                weight, mean, stddev = weight + x, mean + x * o.mean_loss_rate, stddev + x * o.loss_rate_stddev
+            assert (sector.mean_rate, sector.stddev_rate) == (mean / weight, stddev / weight)
 
     def test_zero_ratios_cannot_split(self):
         p = ar.Portfolio(obligors=(make_obligor(crop_ratio=0.0, livestock_ratio=0.0),))

@@ -82,6 +82,44 @@ class TestSimulate:
         with pytest.raises(InputError, match="sectored"):
             ar.simulate(bundled_banded, ar.SimConfig(n_draws=10, seed=1, mode="bernoulli-exact"))
 
+    @pytest.mark.parametrize("mode", ["single", "per-obligor"])
+    def test_bernoulli_mode_refuses_another_sectored_view(self, bundled_portfolio, mode):
+        # a single-mode view zipped its one sector with crop-livestock's two params, under the wrong gamma law
+        banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("crop-livestock")), 1.0)
+        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode))
+        cfg = ar.SimConfig(n_draws=1000, seed=1, mode="bernoulli-exact")
+        with pytest.raises(InputError, match="the sectored portfolio the banded one was built from"):
+            ar.simulate(banded, cfg, sectored)
+
+    def test_bernoulli_mode_refuses_other_obligors_or_sub_counts(self, bundled_portfolio):
+        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("single"))
+        banded = ar.band_exposures(sectored, 1.0)
+        (sector,) = sectored.sectors
+        cfg = ar.SimConfig(n_draws=10, seed=1, mode="bernoulli-exact")
+        renamed = ar.SectoredPortfolio(sectored.sectors, ("X",) + sectored.obligor_ids[1:])
+        fewer = ar.SectoredPortfolio((ar.Sector("portfolio", 0.02, 0.01, sector.subs[1:]),), sectored.obligor_ids)
+        for other in (renamed, fewer):
+            with pytest.raises(InputError, match="built from"):
+                ar.simulate(banded, cfg, other)
+
+    @pytest.mark.parametrize("mode", ar.portfolio.MC_MODES)
+    def test_gamma_shapes_are_the_engines(self, bundled_portfolio, monkeypatch, mode):
+        # per-obligor on the bundled data: one sector's scalar cv**-2 differs from numpy's in the last bit
+        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
+        banded = ar.band_exposures(sectored, 10.0)
+        module = importlib.import_module("agririsk.simulate")
+        shapes, draw = [], module._gamma_scalings
+
+        def recorded(rng, alpha, size):
+            shapes.append(alpha)
+            return draw(rng, alpha, size)
+
+        monkeypatch.setattr(module, "_gamma_scalings", recorded)
+        ar.simulate(banded, ar.SimConfig(n_draws=10, seed=1, mode=mode), sectored)
+        alpha = banded._cumulant.alpha.tolist()
+        assert len(alpha) == 22
+        assert shapes == alpha
+
     def test_clamped_probabilities_are_counted(self):
         # huge volatility makes p * scaling exceed 1 in some draws
         sectored, banded = single_sector("A,A,10,0.5,2.5,0.5,0.5\n")
@@ -161,7 +199,8 @@ class TestCountFirst:
             ("b", ar.SectorParams(0.0), [(2, 0.6), (3, 0.4), (5, 0.8)]),
         ])
         pooled, gamma_part = banded._cumulant.parts()
-        assert (pooled[0], pooled[1].tolist(), pooled[3], gamma_part[0]) == (0, [1, 2, 3, 5, 7], None, 1)
+        assert (pooled[0].tolist(), pooled[2]) == ([1, 2, 3, 5, 7], None)
+        assert (gamma_part[0].tolist(), gamma_part[2][0]) == ([1, 4], banded._cumulant.alpha[0])
         n = 200_000
         emp = ar.simulate(banded, ar.SimConfig(n_draws=n, seed=43))
         mean, variance = ar.analytic_moments(banded)
