@@ -3,6 +3,8 @@
 Run from the repository root:  python demos/01_portfolio_and_validation.py
 """
 
+import numpy as np
+
 import agririsk as ar
 
 portfolio = ar.load_portfolio(ar.bundled_dataset_path())
@@ -13,9 +15,11 @@ print(f"total expected loss : {portfolio.total_expected_loss:12.2f}")
 print()
 
 print("top five expected losses:")
-ranked = sorted(portfolio, key=lambda o: o.expected_loss, reverse=True)
-for o in ranked[:5]:
-    print(f"  {o.id}  {o.name:<15} exposure {o.exposure:10.2f}  EL {o.expected_loss:8.2f}")
+# the portfolio is stored as columns: one tuple of ids, one of names, one float array per field
+expected = portfolio.exposure * portfolio.mean_loss_rate
+for i in np.argsort(-expected, kind="stable")[:5]:
+    oid, name = portfolio.ids[i], portfolio.names[i]
+    print(f"  {oid}  {name:<15} exposure {portfolio.exposure[i]:10.2f}  EL {expected[i]:8.2f}")
 print()
 
 # Consistency checks: declared expected losses and crop/livestock ratio sums.

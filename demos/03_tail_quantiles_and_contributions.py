@@ -23,7 +23,7 @@ for eps in LEVELS:
     print(f"  P(loss > q) <= {eps:<7} q = {ar.exceedance_quantile(dist, eps):10.0f}")
 print()
 
-table = ar.risk_contributions(run.banded, dist, [0.1, 0.05, 0.01], {o.id: o.name for o in run.portfolio})
+table = ar.risk_contributions(run.banded, dist, [0.1, 0.05, 0.01], dict(zip(run.portfolio.ids, run.portfolio.names)))
 print("risk contributions (million):")
 print(f"  {'id':<5} {'expected':>10} {'at 0.1':>12} {'at 0.05':>12} {'at 0.01':>12}")
 for row in sorted(table.rows, key=lambda r: r.contributions[-1], reverse=True)[:8]:

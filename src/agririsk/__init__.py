@@ -35,7 +35,6 @@ from .engine import (
 from .errors import InputError, ModelError
 from .portfolio import (
     DiscountSpec,
-    ObligorRecord,
     Portfolio,
     Sector,
     SectorAssignment,
@@ -60,7 +59,7 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 
 def __getattr__(name: str):

@@ -220,8 +220,9 @@ def risk_contributions(
     expected = np.bincount(banded.sub_obligor, weights=banded.sub_epsilon, minlength=len(banded.obligor_ids))
     expected *= banded.unit
     vc = _variance_contributions(banded)
-    el_total = sum(expected.tolist())
-    vc_total = sum(vc.tolist())
+    # both totals add left to right: the builtin sum is compensated since Python 3.12
+    el_total = float(np.cumsum(expected)[-1])
+    vc_total = float(np.cumsum(vc)[-1])
     if vc_total <= 0.0:
         raise ModelError("degenerate portfolio: total variance contribution is zero")
 
@@ -249,7 +250,7 @@ def build_report(
     findings: list[ValidationFinding] | tuple[ValidationFinding, ...] = (),
 ) -> RiskReport:
     """Assemble quantiles, moments, and contributions into one serializable report."""
-    names = {o.id: o.name for o in portfolio}
+    names = dict(zip(portfolio.ids, portfolio.names))
     merged_config = dict(config or {})
     merged_config.setdefault("unit", banded.unit)
     merged_config.setdefault("grid_size", int(dist.pmf.size))

@@ -6,7 +6,8 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -34,88 +35,99 @@ _OPTIONAL_COLUMNS = ("expected_loss", "rating")
 RATIO_RENORM_TOL = 1e-9
 _MAX_LOG_FACTOR = math.log(sys.float_info.max)  # largest -rate * horizon whose exp is finite
 
-# ObligorRecord fields that must be finite numbers (expected_loss_declared may be None)
-_NUMERIC_FIELDS = CSV_COLUMNS[2:] + ("expected_loss_declared",)
+# each numeric column's range, as messages state it, and the test of each range; a value
+# that is not finite is refused before any range is checked
+_RANGES = {"exposure": "> 0", "mean_loss_rate": "in [0, 1]", "loss_rate_stddev": ">= 0",
+           "crop_ratio": "in [0, 1]", "livestock_ratio": "in [0, 1]"}
+_HOLDS = {"> 0": lambda x: x > 0.0, ">= 0": lambda x: x >= 0.0, "in [0, 1]": lambda x: (0.0 <= x) & (x <= 1.0)}
 
 # one row per sub-exposure: the obligor's index in SectoredPortfolio.obligor_ids, the amount
 # in the sector, and the obligor's own mean loss rate
 SUB_DTYPE = np.dtype([("obligor", np.int64), ("amount", np.float64), ("loss_rate", np.float64)])
 
 
-@dataclass(frozen=True)
-class ObligorRecord:
-    """One insured entity.
+def _first_fault(ids: tuple[str, ...], numbers, declared: np.ndarray, malformed=()) -> tuple[int, str] | None:
+    """The first obligor that breaks a rule and the message of its first broken rule, or None.
 
-    Exposure is in millions of currency units; rates are dimensionless
-    fractions (0.0312, never 3.12). The declared expected loss, when
-    present, is used only for consistency checks.
+    numbers are the numeric columns, in Portfolio's field order. A rule is
+    (where it is broken, a template formatting an obligor's id and its
+    entry in a column, that column). Within an obligor they run in this order:
+    malformed, a non-empty id, finite numbers (a declared expected loss only
+    where declared), then each column's range.
+    """
+    rules = [*malformed, (np.fromiter(map(len, ids), np.int64, len(ids)) == 0, "obligor id must be non-empty", ids)]
+    columns = dict(zip((f.name for f in fields(Portfolio)[2:]), numbers))
+    for field, values in columns.items():
+        bad = ~np.isfinite(values)
+        if field == "expected_loss_declared":
+            bad &= declared
+        rules.append((bad, f"obligor {{}}: {field} must be finite, got {{}}", values))
+    rules += [(~_HOLDS[rule](columns[field]), f"obligor {{}}: {field} must be {rule}, got {{}}", columns[field])
+              for field, rule in _RANGES.items()]
+    broken = np.array([bad for bad, _, _ in rules])  # (rules, obligors)
+    if not broken.any():
+        return None
+    i = int(np.argmax(broken.any(axis=0)))
+    _, message, column = rules[int(np.argmax(broken[:, i]))]
+    return i, message.format(ids[i], column[i])
+
+
+@dataclass(frozen=True, eq=False)
+class Portfolio:
+    """Ordered obligors with unique ids, stored as columns and checked once when built.
+
+    ids and names are tuples of str; every other field is a float64 array
+    with one entry per obligor. Exposure is in millions of currency units;
+    rates are dimensionless fractions (0.0312, never 3.12). The declared
+    expected loss, NaN where none was declared, is used only for consistency
+    checks.
     """
 
-    id: str
-    name: str
-    exposure: float
-    mean_loss_rate: float
-    loss_rate_stddev: float
-    crop_ratio: float
-    livestock_ratio: float
-    expected_loss_declared: float | None = None
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    exposure: np.ndarray
+    mean_loss_rate: np.ndarray
+    loss_rate_stddev: np.ndarray
+    crop_ratio: np.ndarray
+    livestock_ratio: np.ndarray
+    expected_loss_declared: np.ndarray
 
     def __post_init__(self):
-        if not self.id:
-            raise InputError("obligor id must be non-empty")
-        for name in _NUMERIC_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InputError(f"obligor {self.id}: {name} must be finite, got {value}")
-        if not self.exposure > 0:
-            raise InputError(f"obligor {self.id}: exposure must be > 0, got {self.exposure}")
-        if not 0.0 <= self.mean_loss_rate <= 1.0:
-            raise InputError(
-                f"obligor {self.id}: mean_loss_rate must be in [0, 1], got {self.mean_loss_rate}"
-            )
-        if self.loss_rate_stddev < 0.0:
-            raise InputError(
-                f"obligor {self.id}: loss_rate_stddev must be >= 0, got {self.loss_rate_stddev}"
-            )
-        for name in ("crop_ratio", "livestock_ratio"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InputError(f"obligor {self.id}: {name} must be in [0, 1], got {value}")
-
-    @property
-    def expected_loss(self) -> float:
-        return self.exposure * self.mean_loss_rate
-
-
-@dataclass(frozen=True)
-class Portfolio:
-    """Ordered, immutable collection of obligors with unique ids."""
-
-    obligors: tuple[ObligorRecord, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "obligors", tuple(self.obligors))
-        if not self.obligors:
+        numbers = {f.name: np.asarray(getattr(self, f.name), np.float64) for f in fields(self)[2:]}
+        for name, value in (("ids", tuple(self.ids)), ("names", tuple(self.names)), *numbers.items()):
+            object.__setattr__(self, name, value)
+        n = len(self.ids)
+        if not n:
             raise InputError("empty portfolio")
-        seen = set()
-        for obligor in self.obligors:
-            if obligor.id in seen:
-                raise InputError(f"duplicate obligor id {obligor.id!r}")
-            seen.add(obligor.id)
+        if len(self.names) != n or any(v.shape != (n,) for v in numbers.values()):
+            raise InputError("portfolio: ids, names and each numeric column need one entry per obligor")
+        fault = _first_fault(self.ids, numbers.values(), ~np.isnan(self.expected_loss_declared))
+        if fault:
+            raise InputError(fault[1])
+        if len(set(self.ids)) < n:
+            first: dict[str, int] = {}  # each id's first index
+            repeat = next(i for k, i in enumerate(self.ids) if first.setdefault(i, k) != k)
+            raise InputError(f"duplicate obligor id {repeat!r}")
 
     def __len__(self) -> int:
-        return len(self.obligors)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.obligors)
+        """Each obligor as a named tuple of its fields, built on demand: a row view that perfbench's tests read."""
+        columns = (getattr(self, f.name).tolist() for f in fields(self)[2:])
+        return map(_Obligor._make, zip(self.ids, self.names, *columns))
 
+    # both totals add left to right: the builtin sum is compensated since Python 3.12
     @property
     def total_exposure(self) -> float:
-        return sum(o.exposure for o in self.obligors)
+        return float(np.cumsum(self.exposure)[-1])
 
     @property
     def total_expected_loss(self) -> float:
-        return sum(o.expected_loss for o in self.obligors)
+        return float(np.cumsum(self.exposure * self.mean_loss_rate)[-1])
+
+
+_Obligor = namedtuple("Obligor", ["id", "name", *(f.name for f in fields(Portfolio)[2:])])
 
 
 @dataclass(frozen=True)
@@ -204,11 +216,21 @@ class ValidationFinding:
     message: str
 
 
-def _number(cell: str, column: str) -> float:
+def _floats(column: str, cells) -> tuple[np.ndarray, tuple]:
+    """float() of each cell, NaN where it refuses one, and the _first_fault rule that none is malformed."""
+    try:
+        values, bad = np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), bool)
+    except ValueError:  # only a file with a malformed cell pays for a pass cell by cell
+        parsed = list(map(_float_or_none, cells))
+        values, bad = np.array(parsed, np.float64), np.array([v is None for v in parsed], bool)
+    return values, (bad, f"malformed {column}: {{1!r}}", cells)
+
+
+def _float_or_none(cell: str) -> float | None:
     try:
         return float(cell)
     except ValueError:
-        raise InputError(f"malformed {column}: {cell!r}") from None
+        return None
 
 
 def parse_portfolio(csv_text: str) -> Portfolio:
@@ -217,8 +239,9 @@ def parse_portfolio(csv_text: str) -> Portfolio:
     Header row is mandatory; columns are id,name,exposure,mean_loss_rate,
     loss_rate_stddev,crop_ratio,livestock_ratio[,expected_loss[,rating]].
     Rates must already be fractions; percent signs are not interpreted.
+    An error names the first faulty row, by its first fault in _first_fault's order.
     """
-    rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(cell.strip() for cell in r)]
+    rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(map(str.strip, r))]
     if not rows:
         raise InputError("empty portfolio: no header row")
     header = tuple(h.strip() for h in rows[0])
@@ -233,27 +256,23 @@ def parse_portfolio(csv_text: str) -> Portfolio:
             raise InputError(f"bad header: unknown column {col!r}")
         if col in extras[:i]:
             raise InputError(f"bad header: repeated column {col!r}")
-    el_index = header.index("expected_loss") if "expected_loss" in extras else None
-
-    obligors = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputError(
-                f"row {line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        cells = [c.strip() for c in row]
-        try:
-            # the numeric columns, in ObligorRecord's field order
-            numbers = [_number(cells[i], column) for i, column in enumerate(CSV_COLUMNS[2:], start=2)]
-            declared = None
-            if el_index is not None and cells[el_index]:
-                declared = _number(cells[el_index], "expected_loss")
-            obligors.append(ObligorRecord(cells[0], cells[1], *numbers, declared))
-        except InputError as exc:
-            raise InputError(f"row {line_no}: {exc}") from None
-    if not obligors:
+    body = rows[1:]
+    if not body:
         raise InputError("empty portfolio: header only")
-    return Portfolio(obligors=tuple(obligors))
+
+    # the rows before the first of another length; a fault in one of them is reported first
+    wrong = np.flatnonzero(np.fromiter(map(len, body), np.int64, len(body)) != len(header))
+    n = int(wrong[0]) if wrong.size else len(body)
+    columns = [tuple(map(str.strip, column)) for column in zip(*body[:n])] or [()] * len(header)
+    declared = np.array(columns[header.index("expected_loss")] if "expected_loss" in extras else [""] * n, object)
+    cells = [*zip(CSV_COLUMNS[2:], columns[2:]), ("expected_loss", np.where(declared == "", "nan", declared))]
+    numbers, malformed = zip(*(_floats(column, c) for column, c in cells))
+    fault = _first_fault(columns[0], numbers, declared != "", malformed)
+    if fault:
+        raise InputError(f"row {fault[0] + 2}: {fault[1]}")
+    if n < len(body):
+        raise InputError(f"row {n + 2}: expected {len(header)} fields, got {len(body[n])}")
+    return Portfolio(columns[0], columns[1], *numbers)
 
 
 def load_portfolio(path: str | Path) -> Portfolio:
@@ -276,54 +295,35 @@ def validate_portfolio(portfolio: Portfolio, tol: float = 0.02) -> list[Validati
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"validation tolerance must be finite and >= 0, got {tol}")
+    expected, declared = portfolio.exposure * portfolio.mean_loss_rate, portfolio.expected_loss_declared
+    mismatch = np.abs(expected - declared) / np.maximum(declared, 1.0) > tol  # False where none was declared
+    ratio_sum = portfolio.crop_ratio + portfolio.livestock_ratio
+    off = ~((1.0 - tol <= ratio_sum) & (ratio_sum <= 1.0 + tol))
     findings: list[ValidationFinding] = []
-    for o in portfolio:
-        if o.expected_loss_declared is not None:
-            gap = abs(o.expected_loss - o.expected_loss_declared)
-            if gap / max(o.expected_loss_declared, 1.0) > tol:
-                findings.append(
-                    ValidationFinding(
-                        kind="expected_loss_mismatch",
-                        severity="error",
-                        obligor_id=o.id,
-                        message=(
-                            f"exposure * mean_loss_rate = {o.expected_loss:.6g} but "
-                            f"declared expected loss is {o.expected_loss_declared:.6g}"
-                        ),
-                    )
-                )
-        ratio_sum = o.crop_ratio + o.livestock_ratio
-        if not (1.0 - tol) <= ratio_sum <= (1.0 + tol):
-            findings.append(
-                ValidationFinding(
-                    kind="ratio_sum",
-                    severity="warning",
-                    obligor_id=o.id,
-                    message=(
-                        f"crop_ratio + livestock_ratio = {ratio_sum:.6g}; "
-                        "ratios are renormalized in crop-livestock mode"
-                    ),
-                )
-            )
+    for i in np.flatnonzero(mismatch | off).tolist():
+        oid = portfolio.ids[i]
+        if mismatch[i]:
+            findings.append(ValidationFinding("expected_loss_mismatch", "error", oid, (
+                f"exposure * mean_loss_rate = {expected[i]:.6g} but declared expected loss is {declared[i]:.6g}")))
+        if off[i]:
+            findings.append(ValidationFinding("ratio_sum", "warning", oid, (
+                f"crop_ratio + livestock_ratio = {ratio_sum[i]:.6g}; ratios are renormalized in crop-livestock mode")))
     return findings
 
 
 def discount_exposures(portfolio: Portfolio, spec: DiscountSpec) -> Portfolio:
-    """Scale every exposure to present value by exp(-rate * horizon)."""
-    factor = spec.factor
-    return replace(
-        portfolio,
-        obligors=tuple(replace(o, exposure=o.exposure * factor) for o in portfolio),
-    )
+    """Scale every exposure to present value by exp(-rate * horizon); the result is checked as built."""
+    with np.errstate(over="ignore"):  # an exposure that overflows is refused by name, not warned about
+        return replace(portfolio, exposure=portfolio.exposure * spec.factor)
 
 
-def _split_ratios(ids: tuple[str, ...], crop: np.ndarray, livestock: np.ndarray) -> np.ndarray:
+def _split_ratios(portfolio: Portfolio) -> np.ndarray:
     # (2, obligors): crop and livestock shares, renormalized where their sum misses 1
-    total = crop + livestock
+    total = portfolio.crop_ratio + portfolio.livestock_ratio
     if not np.all(total > 0.0):
-        oid = ids[int(np.argmin(total > 0.0))]
+        oid = portfolio.ids[int(np.argmin(total > 0.0))]
         raise InputError(f"obligor {oid}: crop and livestock ratios are both zero; cannot split")
-    ratios = np.stack((crop, livestock))
+    ratios = np.stack((portfolio.crop_ratio, portfolio.livestock_ratio))
     return np.where(np.abs(total - 1.0) > RATIO_RENORM_TOL, ratios / total, ratios)
 
 
@@ -338,21 +338,19 @@ def assign_sectors(portfolio: Portfolio, assignment: SectorAssignment) -> Sector
     form one SUB_DTYPE table in sector order; each Sector.subs is its slice.
     """
     overrides = assignment.sector_rates or {}
-    ids = tuple(o.id for o in portfolio)
-    columns = [(o.exposure, o.mean_loss_rate, o.loss_rate_stddev, o.crop_ratio, o.livestock_ratio) for o in portfolio]
-    exposure, mean, stddev, crop, livestock = np.array(columns).T
+    ids, mean, stddev = portfolio.ids, portfolio.mean_loss_rate, portfolio.loss_rate_stddev
     if assignment.mode == "per-obligor":
-        names, sector, obligor, amount = ids, np.arange(len(ids)), np.arange(len(ids)), exposure
+        names, sector, obligor, amount = ids, np.arange(len(ids)), np.arange(len(ids)), portfolio.exposure
         rates = zip(mean.tolist(), stddev.tolist())
     else:
         if assignment.mode == "single":
             names, shares = ("portfolio",), np.ones((1, len(ids)))
         else:
-            names, shares = ("crop", "livestock"), _split_ratios(ids, crop, livestock)
+            names, shares = ("crop", "livestock"), _split_ratios(portfolio)
         held = (shares > 0.0).any(axis=1)
         names, shares = tuple(name for name, h in zip(names, held) if h), shares[held]
         sector, obligor = np.nonzero(shares > 0.0)  # sector by sector, obligors in order
-        amount = exposure[obligor] * shares[sector, obligor]
+        amount = portfolio.exposure[obligor] * shares[sector, obligor]
         weight = np.bincount(sector, amount)  # sums in table order
         averages = [(np.bincount(sector, amount * r[obligor]) / weight).tolist() for r in (mean, stddev)]
         rates = [overrides.get(name) or rate for name, rate in zip(names, zip(*averages))]

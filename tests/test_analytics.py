@@ -1,7 +1,9 @@
 import csv
+import functools
 import io
 import json
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -63,16 +65,13 @@ def synthetic_book(n: int, seed: int) -> ar.Portfolio:
     rng = np.random.default_rng(seed)
     crop = rng.random(n)
     off = np.where(rng.random(n) < 0.1, 0.2, 0.0)
-    return ar.Portfolio(obligors=tuple(
-        ar.ObligorRecord(
-            id=f"{AWKWARD_TEXT[i % len(AWKWARD_TEXT)]}-{i}", name=f"{AWKWARD_TEXT[(i * 7) % len(AWKWARD_TEXT)]} {i}",
-            exposure=float(exposure), mean_loss_rate=float(rate), loss_rate_stddev=float(rate * cv),
-            crop_ratio=float(c), livestock_ratio=float((1.0 - c) * (1.0 - o)),
-        )
-        for i, (exposure, rate, cv, c, o) in enumerate(zip(
-            4.3 * rng.lognormal(0.0, 1.0, n), rng.uniform(0.005, 0.08, n), rng.uniform(0.2, 1.5, n), crop, off
-        ))
-    ))
+    exposure, rate, cv = 4.3 * rng.lognormal(0.0, 1.0, n), rng.uniform(0.005, 0.08, n), rng.uniform(0.2, 1.5, n)
+    return ar.Portfolio(
+        ids=tuple(f"{AWKWARD_TEXT[i % len(AWKWARD_TEXT)]}-{i}" for i in range(n)),
+        names=tuple(f"{AWKWARD_TEXT[(i * 7) % len(AWKWARD_TEXT)]} {i}" for i in range(n)),
+        exposure=exposure, mean_loss_rate=rate, loss_rate_stddev=rate * cv,
+        crop_ratio=crop, livestock_ratio=(1.0 - crop) * (1.0 - off), expected_loss_declared=np.full(n, np.nan),
+    )
 
 
 def book_report(portfolio: ar.Portfolio, levels, config=None) -> ar.RiskReport:
@@ -226,15 +225,7 @@ class TestRiskContributions:
         scale = 2.0
         tables = []
         for factor in (1.0, scale):
-            obligors = tuple(
-                ar.ObligorRecord(
-                    id=o.id, name=o.name, exposure=o.exposure * factor,
-                    mean_loss_rate=o.mean_loss_rate, loss_rate_stddev=o.loss_rate_stddev,
-                    crop_ratio=o.crop_ratio, livestock_ratio=o.livestock_ratio,
-                )
-                for o in bundled_portfolio
-            )
-            p = ar.Portfolio(obligors=obligors)
+            p = replace(bundled_portfolio, exposure=bundled_portfolio.exposure * factor)
             sectored = ar.assign_sectors(p, ar.SectorAssignment("crop-livestock"))
             banded = ar.band_exposures(sectored, factor)
             dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
@@ -252,9 +243,10 @@ class TestRiskContributions:
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode))
         banded = ar.band_exposures(sectored, 10.0)
         table = ar.risk_contributions(banded, ar.loss_dist_fft(banded, ar.auto_grid_size(banded)), [0.1])
-        assert [r.obligor_id for r in table.rows] == [o.id for o in bundled_portfolio]
-        for row, o in zip(table.rows, bundled_portfolio):
-            assert row.expected_loss == pytest.approx(o.exposure * o.mean_loss_rate, rel=1e-12)
+        assert [r.obligor_id for r in table.rows] == list(bundled_portfolio.ids)
+        expected = bundled_portfolio.exposure * bundled_portfolio.mean_loss_rate
+        for row, el in zip(table.rows, expected.tolist()):
+            assert row.expected_loss == pytest.approx(el, rel=1e-12)
 
     def test_zero_variance_rejected(self):
         bands = [(1, 0.0)]
@@ -262,6 +254,17 @@ class TestRiskContributions:
         dist = point_mass(0)
         with pytest.raises(ModelError, match="degenerate"):
             ar.risk_contributions(banded, dist, [0.1])
+
+    def test_totals_add_left_to_right(self, bundled_run):
+        # Python 3.12's builtin sum is compensated: it gave ...6131 for the expected-loss total here
+        table = ar.risk_contributions(bundled_run.banded, bundled_run.dist, [0.1, 0.05, 0.01])
+        expected = np.array([r.expected_loss for r in table.rows])
+        el_total = functools.reduce(operator.add, expected.tolist())
+        assert table.total_expected_loss == el_total == 1524.9400000566127
+        vc = ar.analytics._variance_contributions(bundled_run.banded)
+        shares = vc / functools.reduce(operator.add, vc.tolist())
+        contributions = expected[:, None] + (np.array(table.totals) - el_total)[None, :] * shares[:, None]
+        assert [r.contributions for r in table.rows] == list(map(tuple, contributions.tolist()))
 
 
 class TestBuildReport:

@@ -159,6 +159,13 @@ def test_discount_rate_at_or_below_minus_one_exit_2(tmp_path, rate):
     assert "discount rate must be > -1" in result.stderr
 
 
+def test_discounted_exposure_overflow_names_the_first_obligor(tmp_path):
+    # e^709.5 is finite, but 800.12 * e^709.5 is not: the discounted portfolio is checked as it is built
+    result = run_cli(["analyze", "--rate", "-0.5", "--horizon", "1419"], tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert result.stderr == "obligor BGR: exposure must be finite, got inf\n"
+
+
 def test_discount_factor_underflow_names_rate_and_horizon(tmp_path):
     # e^-800 is 0.0 in doubles: every exposure became 0 and the first obligor took the blame
     result = run_cli(["analyze", "--rate", "800", "--horizon", "1"], tmp_path)

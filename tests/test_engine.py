@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -55,7 +56,8 @@ class TestUnitsCeiling:
 
 class TestBanding:
     def test_bulgaria_band(self, bundled_portfolio):
-        bulgaria = ar.Portfolio(obligors=(bundled_portfolio.obligors[0],))
+        columns = dataclasses.fields(ar.Portfolio)
+        bulgaria = ar.Portfolio(**{f.name: getattr(bundled_portfolio, f.name)[:1] for f in columns})
         sectored = ar.assign_sectors(bulgaria, ar.SectorAssignment("single"))
         banded = ar.band_exposures(sectored, 1.0)
         band = banded.sectors[0].bands[0]
@@ -110,9 +112,10 @@ class TestBanding:
     def test_per_obligor_cv_is_each_obligors_rate_cv(self, bundled_portfolio):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
         banded = ar.band_exposures(sectored, 1.0)
-        assert [s.name for s in banded.sectors] == [o.id for o in bundled_portfolio]
-        for o, sector in zip(bundled_portfolio, banded.sectors):
-            assert sector.params.cv == o.loss_rate_stddev / o.mean_loss_rate
+        assert [s.name for s in banded.sectors] == list(bundled_portfolio.ids)
+        rates = zip(bundled_portfolio.loss_rate_stddev.tolist(), bundled_portfolio.mean_loss_rate.tolist())
+        for (stddev, mean), sector in zip(rates, banded.sectors):
+            assert sector.params.cv == stddev / mean
 
     def test_sector_without_expected_defaults_is_poisson(self):
         # a zero mean rate, or a mean rate over subs that carry no loss: nothing to mix
@@ -153,9 +156,8 @@ class TestPoissonRate:
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("single"))
         banded = ar.band_exposures(sectored, 1.0)
         # independent recomputation straight from the obligor records
-        direct = sum(
-            (o.exposure * o.mean_loss_rate) / math.ceil(o.exposure) for o in bundled_portfolio
-        )
+        exposure, mean = bundled_portfolio.exposure.tolist(), bundled_portfolio.mean_loss_rate.tolist()
+        direct = sum((x * r) / math.ceil(x) for x, r in zip(exposure, mean))
         assert ar.poisson_rate(banded) == pytest.approx(direct, rel=1e-12)
         assert ar.poisson_rate(banded) == pytest.approx(BUNDLED_SINGLE_SECTOR_RATE, abs=1e-9)
 

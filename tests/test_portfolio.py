@@ -1,4 +1,10 @@
+import csv
+import functools
+import io
 import math
+import operator
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,26 +16,44 @@ from conftest import HEADER
 
 BGR_ROW = "BGR,Bulgaria,800.12,0.0312,0.0072,0.65,0.35,24.96"
 
+# the columns of a two-obligor portfolio, the second without a declared expected loss
+TWO = dict(
+    ids=("XXX", "YYY"), names=("X", "Y"), exposure=[100.0, 50.0], mean_loss_rate=[0.02, 0.03],
+    loss_rate_stddev=[0.01, 0.0], crop_ratio=[0.5, 1.0], livestock_ratio=[0.5, 0.0],
+    expected_loss_declared=[2.0, math.nan],
+)
 
-def make_obligor(**overrides):
-    fields = dict(
-        id="XXX", name="Test", exposure=100.0, mean_loss_rate=0.02,
-        loss_rate_stddev=0.01, crop_ratio=0.5, livestock_ratio=0.5,
+
+def make_portfolio(**overrides):
+    """A one-obligor portfolio built from columns; each override gives one field's value."""
+    values = dict(
+        exposure=100.0, mean_loss_rate=0.02, loss_rate_stddev=0.01, crop_ratio=0.5, livestock_ratio=0.5,
+        expected_loss_declared=math.nan,
     )
-    fields.update(overrides)
-    return ar.ObligorRecord(**fields)
+    values.update(overrides)
+    return ar.Portfolio(("XXX",), ("Test",), **{name: [value] for name, value in values.items()})
 
 
 class TestParse:
     def test_single_row(self):
         p = ar.parse_portfolio(f"{HEADER}\n{BGR_ROW}\n")
-        o = p.obligors[0]
-        assert o.id == "BGR"
-        assert o.name == "Bulgaria"
-        assert o.exposure == 800.12
-        assert o.mean_loss_rate == 0.0312
-        assert o.loss_rate_stddev == 0.0072
-        assert o.expected_loss_declared == 24.96
+        assert p.ids == ("BGR",)
+        assert p.names == ("Bulgaria",)
+        assert p.exposure.tolist() == [800.12]
+        assert p.mean_loss_rate.tolist() == [0.0312]
+        assert p.loss_rate_stddev.tolist() == [0.0072]
+        assert p.expected_loss_declared.tolist() == [24.96]
+
+    def test_columns_hold_float_of_each_cell(self):
+        # float()'s own grammar: surrounding space, digit separators, non-ASCII digits; an empty declared cell is NaN
+        extra = ["AAA, Ä ,1_000, .5 ,0,١,0,", "BBB,B,2e3,0.25,1E-2,0.5,0.5, 7 "]
+        text = ar.bundled_dataset_path().read_text(encoding="utf-8") + "\n".join(extra) + "\n"
+        rows = [[cell.strip() for cell in row] for row in csv.reader(io.StringIO(text))][1:]
+        p = ar.parse_portfolio(text)
+        assert list(p.ids) == [r[0] for r in rows] and list(p.names) == [r[1] for r in rows]
+        for j, f in enumerate(fields(ar.Portfolio)[2:], start=2):
+            column = [float(r[j]) if r[j] else math.nan for r in rows]
+            assert np.array_equal(getattr(p, f.name), column, equal_nan=True), f.name
 
     def test_header_only_is_empty_portfolio(self):
         with pytest.raises(InputError, match="empty portfolio"):
@@ -57,12 +81,12 @@ class TestParse:
     def test_expected_loss_column_optional(self):
         text = HEADER.rsplit(",", 1)[0] + "\nAAA,A,100,0.1,0.0,1.0,0.0\n"
         p = ar.parse_portfolio(text)
-        assert p.obligors[0].expected_loss_declared is None
+        assert math.isnan(p.expected_loss_declared[0])
 
     def test_rating_column_parsed_and_ignored(self):
         text = f"{HEADER},rating\nAAA,A,100,0.1,0.0,1.0,0.0,10.0,BB+\n"
         p = ar.parse_portfolio(text)
-        assert p.obligors[0].exposure == 100.0
+        assert p.exposure[0] == 100.0
 
     def test_unknown_column_rejected(self):
         with pytest.raises(InputError, match="unknown column"):
@@ -79,18 +103,54 @@ class TestParse:
             ar.parse_portfolio(f"{HEADER}\nAAA,A,100,3.12,0.0,1.0,0.0,\n")
 
 
+# (data rows, the message): the first faulty row is named, by its first fault
+PRECEDENCE = [
+    # a range error in row 2 wins over a malformed cell in row 3
+    (["AAA,A,0,0.1,0.0,1.0,0.0,", "BBB,B,oops,0.1,0.0,1.0,0.0,"], "row 2: obligor AAA: exposure must be > 0, got 0.0"),
+    # 1. malformed cells, in column order, then the declared expected loss
+    (["AAA,A,1,zz,0.0,1.0,yy,q"], "row 2: malformed mean_loss_rate: 'zz'"),
+    (["AAA,A,inf,0.1,0.0,1.0,yy,q"], "row 2: malformed livestock_ratio: 'yy'"),
+    ([",A,0,0.1,0.0,1.0,0.0,q"], "row 2: malformed expected_loss: 'q'"),
+    # 2. an empty id
+    ([",A,nan,0.1,0.0,1.0,0.0,"], "row 2: obligor id must be non-empty"),
+    # 3. a non-finite value, in column order, then the declared expected loss
+    (["AAA,A,1,inf,nan,1.0,0.0,"], "row 2: obligor AAA: mean_loss_rate must be finite, got inf"),
+    (["AAA,A,0,2,-1,1.0,0.0,-inf"], "row 2: obligor AAA: expected_loss_declared must be finite, got -inf"),
+    # 4.-8. exposure, mean rate, stddev, crop ratio, livestock ratio
+    (["AAA,A,0,2,-1,2,2,"], "row 2: obligor AAA: exposure must be > 0, got 0.0"),
+    (["AAA,A,1,2,-1,2,2,"], "row 2: obligor AAA: mean_loss_rate must be in [0, 1], got 2.0"),
+    (["AAA,A,1,0.1,-1,2,2,"], "row 2: obligor AAA: loss_rate_stddev must be >= 0, got -1.0"),
+    (["AAA,A,1,0.1,0.0,2,2,"], "row 2: obligor AAA: crop_ratio must be in [0, 1], got 2.0"),
+    (["AAA,A,1,0.1,0.0,1.0,-1,"], "row 2: obligor AAA: livestock_ratio must be in [0, 1], got -1.0"),
+    # a duplicate id only when every row passes
+    (["AAA,A,1,0.1,0.0,1.0,0.0,", "AAA,B,1,0.1,0.0,1.0,0.0,", "CCC,C,0,0.1,0.0,1.0,0.0,"],
+     "row 4: obligor CCC: exposure must be > 0, got 0.0"),
+    (["AAA,A,1,0.1,0.0,1.0,0.0,", "AAA,B,1,0.1,0.0,1.0,0.0,"], "duplicate obligor id 'AAA'"),
+    # a row of another length only when every row before it passes
+    (["AAA,A,0,0.1,0.0,1.0,0.0,", "BBB,B,1,0.1"], "row 2: obligor AAA: exposure must be > 0, got 0.0"),
+    (["AAA,A,1,0.1,0.0,1.0,0.0,", "BBB,B,1,0.1", "CCC,C,0,0.1,0.0,1.0,0.0,"], "row 3: expected 8 fields, got 4"),
+]
+
+
+@pytest.mark.parametrize("rows, message", PRECEDENCE)
+def test_parse_error_precedence(rows, message):
+    with pytest.raises(InputError) as raised:
+        ar.parse_portfolio("\n".join([HEADER, *rows]) + "\n")
+    assert str(raised.value) == message
+
+
 class TestRecordInvariants:
     def test_nonpositive_exposure_rejected(self):
         with pytest.raises(InputError):
-            make_obligor(exposure=0.0)
+            make_portfolio(exposure=0.0)
 
     def test_negative_stddev_rejected(self):
         with pytest.raises(InputError):
-            make_obligor(loss_rate_stddev=-0.1)
+            make_portfolio(loss_rate_stddev=-0.1)
 
     def test_ratio_outside_unit_interval_rejected(self):
         with pytest.raises(InputError):
-            make_obligor(crop_ratio=1.2)
+            make_portfolio(crop_ratio=1.2)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -105,10 +165,71 @@ class TestRecordInvariants:
 
     def test_empty_portfolio_rejected(self):
         with pytest.raises(InputError, match="empty portfolio"):
-            ar.Portfolio(obligors=())
+            ar.Portfolio((), (), *[()] * 6)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("exposure", 0.0, "exposure must be > 0, got 0.0"),
+         ("mean_loss_rate", math.nan, "mean_loss_rate must be finite, got nan"),
+         ("expected_loss_declared", math.inf, "expected_loss_declared must be finite, got inf"),
+         ("livestock_ratio", -0.5, "livestock_ratio must be in [0, 1], got -0.5")],
+    )
+    def test_construction_names_the_first_bad_obligor(self, field, value, message):
+        # parse_portfolio's rules and messages, without its row prefix
+        with pytest.raises(InputError, match=rf"^obligor YYY: {re.escape(message)}$"):
+            ar.Portfolio(**dict(TWO, **{field: [TWO[field][0], value]}))
+        with pytest.raises(InputError, match=rf"^obligor XXX: {re.escape(message)}$"):
+            ar.Portfolio(**dict(TWO, **{field: [value, value]}))
+
+    def test_columns_become_float64_arrays(self):
+        p = ar.Portfolio(**TWO)
+        assert p.ids == ("XXX", "YYY") and p.names == ("X", "Y")
+        for f in fields(ar.Portfolio)[2:]:
+            column = getattr(p, f.name)
+            assert column.dtype == np.float64 and column.tolist()[:1] == TWO[f.name][:1]
+        assert math.isnan(p.expected_loss_declared[1])  # NaN: no declared expected loss
+
+    @pytest.mark.parametrize("field", ["names", "exposure", "expected_loss_declared"])
+    def test_columns_of_another_length_refused(self, field):
+        with pytest.raises(InputError, match="^portfolio: ids, names and each numeric column need one entry per"):
+            ar.Portfolio(**dict(TWO, **{field: TWO[field][:1]}))
+
+    def test_empty_or_repeated_id_refused(self):
+        with pytest.raises(InputError, match="^obligor id must be non-empty$"):
+            ar.Portfolio(**dict(TWO, ids=("XXX", "")))
+        with pytest.raises(InputError, match="^duplicate obligor id 'XXX'$"):
+            ar.Portfolio(**dict(TWO, ids=("XXX", "XXX")))
+
+
+def validate_reference(p: ar.Portfolio, tol: float) -> list:
+    """validate_portfolio's rules, obligor by obligor in Python floats."""
+    findings = []
+    columns = (p.exposure, p.mean_loss_rate, p.crop_ratio, p.livestock_ratio, p.expected_loss_declared)
+    for oid, x, rate, crop, livestock, declared in zip(p.ids, *(c.tolist() for c in columns)):
+        if not math.isnan(declared) and abs(x * rate - declared) / max(declared, 1.0) > tol:
+            message = f"exposure * mean_loss_rate = {x * rate:.6g} but declared expected loss is {declared:.6g}"
+            findings.append(ar.ValidationFinding("expected_loss_mismatch", "error", oid, message))
+        if not (1.0 - tol) <= crop + livestock <= (1.0 + tol):
+            message = f"crop_ratio + livestock_ratio = {crop + livestock:.6g}; "
+            message += "ratios are renormalized in crop-livestock mode"
+            findings.append(ar.ValidationFinding("ratio_sum", "warning", oid, message))
+    return findings
 
 
 class TestValidate:
+    def test_findings_match_a_loop_reference(self):
+        rng = np.random.default_rng(5)
+        n = 400
+        exposure, rate = rng.lognormal(3.0, 1.5, n), rng.uniform(0.0, 0.1, n)
+        declared = exposure * rate * rng.choice([1.0, 1.005, 1.5, 0.5, -1.0], n)
+        declared[rng.random(n) < 0.2] = math.nan
+        crop, livestock = rng.choice([0.3, 0.5, 0.6, 0.0], n), rng.choice([0.4, 0.5, 0.7, 1.0], n)
+        p = ar.Portfolio(tuple(f"O{i}" for i in range(n)), ("x",) * n, exposure, rate, rate, crop, livestock, declared)
+        for tol in (0.0, 0.003, 0.02, 0.3, 2.0):
+            findings = ar.validate_portfolio(p, tol)
+            assert findings == validate_reference(p, tol)
+        assert {f.kind for f in ar.validate_portfolio(p, 0.003)} == {"expected_loss_mismatch", "ratio_sum"}
+
     def test_bulgaria_consistent(self):
         p = ar.parse_portfolio(f"{HEADER}\n{BGR_ROW}\n")
         assert ar.validate_portfolio(p, tol=0.02) == []
@@ -137,21 +258,33 @@ class TestValidate:
     def test_bundled_total_expected_loss(self, bundled_portfolio):
         assert abs(bundled_portfolio.total_expected_loss - 1525.03) <= 0.5
 
+    def test_totals_add_left_to_right(self, bundled_portfolio):
+        # Python 3.12's builtin sum is compensated: it gave ...6131 here
+        p = bundled_portfolio
+        assert p.total_expected_loss == 1524.9400000566127
+        assert p.total_expected_loss == functools.reduce(operator.add, (p.exposure * p.mean_loss_rate).tolist())
+        assert p.total_exposure == functools.reduce(operator.add, p.exposure.tolist())
+
 
 class TestDiscount:
     def test_zero_rate_is_exact_identity(self, bundled_portfolio):
         out = ar.discount_exposures(bundled_portfolio, ar.DiscountSpec(0.0, 5.0))
-        assert [o.exposure for o in out] == [o.exposure for o in bundled_portfolio]
+        assert out.exposure.tolist() == bundled_portfolio.exposure.tolist()
 
     def test_zero_horizon_is_exact_identity(self):
-        p = ar.Portfolio(obligors=(make_obligor(exposure=100.0),))
+        p = make_portfolio(exposure=100.0)
         out = ar.discount_exposures(p, ar.DiscountSpec(0.05, 0.0))
-        assert out.obligors[0].exposure == 100.0
+        assert out.exposure[0] == 100.0
 
     def test_one_year_at_five_percent(self):
-        p = ar.Portfolio(obligors=(make_obligor(exposure=100.0),))
+        p = make_portfolio(exposure=100.0)
         out = ar.discount_exposures(p, ar.DiscountSpec(0.05, 1.0))
-        assert out.obligors[0].exposure == pytest.approx(100.0 * math.exp(-0.05), rel=1e-15)
+        assert out.exposure[0] == pytest.approx(100.0 * math.exp(-0.05), rel=1e-15)
+
+    def test_overflowing_exposure_refused_by_name(self, bundled_portfolio):
+        # the factor e^709.5 is finite; the discounted portfolio is checked as it is built
+        with pytest.raises(InputError, match=r"^obligor BGR: exposure must be finite, got inf$"):
+            ar.discount_exposures(bundled_portfolio, ar.DiscountSpec(-0.5, 1419.0))
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(InputError):
@@ -170,9 +303,8 @@ class TestDiscount:
 
     def test_other_fields_unchanged(self, bundled_portfolio):
         out = ar.discount_exposures(bundled_portfolio, ar.DiscountSpec(0.03, 2.0))
-        for before, after in zip(bundled_portfolio, out):
-            assert after.mean_loss_rate == before.mean_loss_rate
-            assert after.expected_loss_declared == before.expected_loss_declared
+        assert out.mean_loss_rate.tolist() == bundled_portfolio.mean_loss_rate.tolist()
+        assert out.expected_loss_declared.tolist() == bundled_portfolio.expected_loss_declared.tolist()
 
 
 class TestAssignSectors:
@@ -189,15 +321,17 @@ class TestAssignSectors:
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("single"))
         assert len(sectored.sectors) == 1
         assert sectored.sectors[0].name == "portfolio"
-        assert sectored.sectors[0].subs["amount"].tolist() == [o.exposure for o in bundled_portfolio]
+        assert sectored.sectors[0].subs["amount"].tolist() == bundled_portfolio.exposure.tolist()
 
     def test_per_obligor_cardinality(self, bundled_portfolio):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
         assert len(sectored.sectors) == 22
-        for sector, obligor in zip(sectored.sectors, bundled_portfolio):
-            assert sector.name == obligor.id
-            assert sector.mean_rate == obligor.mean_loss_rate
-            assert sector.stddev_rate == obligor.loss_rate_stddev
+        p = bundled_portfolio
+        rates = zip(p.mean_loss_rate.tolist(), p.loss_rate_stddev.tolist())
+        for sector, oid, (mean, stddev) in zip(sectored.sectors, p.ids, rates):
+            assert sector.name == oid
+            assert sector.mean_rate == mean
+            assert sector.stddev_rate == stddev
 
     def test_hungary_ratios_renormalized(self):
         row = "HUN,Hungary,3382.78,0.0096,0.0354,0.60,0.10,32.62"
@@ -214,11 +348,11 @@ class TestAssignSectors:
         for sector in sectored.sectors:
             for sub in sector.subs:
                 sums[sectored.obligor_ids[sub["obligor"]]] += sub["amount"]
-        for obligor in bundled_portfolio:
-            assert sums[obligor.id] == pytest.approx(obligor.exposure, rel=1e-9)
+        for oid, exposure in zip(bundled_portfolio.ids, bundled_portfolio.exposure.tolist()):
+            assert sums[oid] == pytest.approx(exposure, rel=1e-9)
 
     def test_zero_mean_with_volatility_rejected(self):
-        p = ar.Portfolio(obligors=(make_obligor(mean_loss_rate=0.0, loss_rate_stddev=0.05),))
+        p = make_portfolio(mean_loss_rate=0.0, loss_rate_stddev=0.05)
         with pytest.raises(InputError, match="zero mean rate"):
             ar.assign_sectors(p, ar.SectorAssignment("per-obligor"))
 
@@ -250,23 +384,22 @@ class TestAssignSectors:
         assert all(s.subs.base is table for s in sectored.sectors)
         assert np.concatenate([s.subs for s in sectored.sectors]).tobytes() == table.tobytes()
         ids = [sectored.obligor_ids[i] for i in table["obligor"]]
-        rates = {o.id: o.mean_loss_rate for o in bundled_portfolio}
+        rates = dict(zip(bundled_portfolio.ids, bundled_portfolio.mean_loss_rate.tolist()))
         assert table["loss_rate"].tolist() == [rates[oid] for oid in ids]
 
     def test_sector_rates_are_amount_weighted(self, bundled_portfolio):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("crop-livestock"))
-        obligors = bundled_portfolio.obligors
+        means, stddevs = bundled_portfolio.mean_loss_rate.tolist(), bundled_portfolio.loss_rate_stddev.tolist()
         for sector in sectored.sectors:
             amount = sector.subs["amount"]
-            members = [obligors[i] for i in sector.subs["obligor"]]
             # the amount-weighted sums, added one sub at a time in table order
             weight = mean = stddev = 0.0
-            for x, o in zip(amount.tolist(), members):
-                weight, mean, stddev = weight + x, mean + x * o.mean_loss_rate, stddev + x * o.loss_rate_stddev
+            for x, i in zip(amount.tolist(), sector.subs["obligor"].tolist()):
+                weight, mean, stddev = weight + x, mean + x * means[i], stddev + x * stddevs[i]
             assert (sector.mean_rate, sector.stddev_rate) == (mean / weight, stddev / weight)
 
     def test_zero_ratios_cannot_split(self):
-        p = ar.Portfolio(obligors=(make_obligor(crop_ratio=0.0, livestock_ratio=0.0),))
+        p = make_portfolio(crop_ratio=0.0, livestock_ratio=0.0)
         with pytest.raises(InputError, match="cannot split"):
             ar.assign_sectors(p, ar.SectorAssignment("crop-livestock"))
 
