@@ -59,7 +59,7 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 
 def __getattr__(name: str):

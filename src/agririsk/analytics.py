@@ -195,9 +195,9 @@ def _variance_contributions(banded: BandedPortfolio) -> np.ndarray:
     # per obligor, in sub order: eps*v*unit^2 then cv_k^2 * (eps*unit) * (sector k's eps*unit), per sub;
     # sector k's eps sums its bands' eps, each summed over its subs: a plain per-sub sum rounds differently
     unit, k, eps = banded.unit, banded.sub_sector, banded.sub_epsilon
-    cv2 = np.array([p.cv**2 for p in banded.params])
+    cv2 = banded.cv**2
     (band_sector, _), band_eps = banded._bands
-    sector_eps = np.bincount(band_sector, weights=band_eps, minlength=len(banded.params))
+    sector_eps = np.bincount(band_sector, weights=band_eps, minlength=len(banded.names))
     terms = np.stack((eps * banded.sub_level * unit**2, cv2[k] * (eps * unit) * (sector_eps[k] * unit)))
     n = len(banded.obligor_ids)
     return np.bincount(np.repeat(banded.sub_obligor, 2), weights=terms.T.ravel(), minlength=n)

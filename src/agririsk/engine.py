@@ -52,18 +52,9 @@ class Band:
 
 @dataclass(frozen=True)
 class SectorParams:
-    """Gamma mixing of one sector: the coefficient of variation of its mean-1 intensity scaling.
-
-    cv is sigma_k / mu_k, the same in rate and count units; the expected
-    count mu_k is the sector's bands'. cv == 0 marks a pure Poisson
-    (unmixed) sector.
-    """
+    """One sector's gamma mixing, its entry of BandedPortfolio.cv, as the sectors view gives it."""
 
     cv: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.cv) and self.cv >= 0.0):
-            raise ModelError(f"sector cv must be finite and >= 0, got {self.cv!r}")
 
     @property
     def is_poisson(self) -> bool:
@@ -81,15 +72,18 @@ class BandedSector:
 class BandedPortfolio:
     """Named sectors with their gamma mixing, plus a table of every sub-exposure's banded position.
 
-    The sub_* arrays run over sub-exposures: the obligor's index in
-    obligor_ids, the sector's index in names and params, the band level
-    (int64, at least 1) and expected loss epsilon in units (finite, >= 0).
-    Sub-exposures sharing a sector and a level form one band.
+    cv holds each sector's gamma mixing, a float64 finite and >= 0: the
+    coefficient of variation sigma_k / mu_k of its mean-1 intensity scaling,
+    mu_k its bands' expected count; 0 marks an unmixed Poisson sector. The
+    sub_* arrays run over sub-exposures: the obligor's index in obligor_ids,
+    the sector's index in names and cv, the band level (int64, at least 1)
+    and expected loss epsilon in units (finite, >= 0). Sub-exposures sharing
+    a sector and a level form one band.
     """
 
     unit: float
     names: tuple[str, ...]
-    params: tuple[SectorParams, ...]
+    cv: np.ndarray
     obligor_ids: tuple[str, ...]
     sub_obligor: np.ndarray
     sub_sector: np.ndarray
@@ -97,18 +91,20 @@ class BandedPortfolio:
     sub_epsilon: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "cv", np.asarray(self.cv, np.float64))
         columns = (self.sub_obligor, self.sub_sector, self.sub_level, self.sub_epsilon)
-        if len(self.params) != len(self.names) or len({np.shape(c) for c in columns}) != 1:
-            raise ModelError("banded portfolio: names and params, and the four sub_* arrays, need equal lengths")
+        if self.cv.shape != (len(self.names),) or len({np.shape(c) for c in columns}) != 1:
+            raise ModelError("banded portfolio: names and cv, and the four sub_* arrays, need equal lengths")
+        for what, values in (("sector cv", self.cv), ("band expected loss", self.sub_epsilon)):
+            bad = ~((0.0 <= values) & (values < math.inf))  # NaN fails both
+            if bad.any():
+                raise ModelError(f"{what} must be finite and >= 0, got {float(values[bad][0])!r}")
         for what, index, n in (("sector", self.sub_sector, len(self.names)),
                                ("obligor", self.sub_obligor, len(self.obligor_ids))):
             if not np.all((0 <= index) & (index < n)):
                 raise ModelError(f"sub-exposure {what} index outside 0..{n - 1}")
         if not np.all(self.sub_level >= 1):
             raise ModelError(f"band level must be a positive integer, got {int(self.sub_level.min())}")
-        bad = ~((0.0 <= self.sub_epsilon) & (self.sub_epsilon < math.inf))  # NaN fails both
-        if bad.any():
-            raise ModelError(f"band expected loss must be finite and >= 0, got {float(self.sub_epsilon[bad][0])!r}")
 
     @cached_property
     def _bands(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -117,12 +113,12 @@ class BandedPortfolio:
 
     @cached_property
     def sectors(self) -> tuple[BandedSector, ...]:
-        """Each sector's name, params and bands in level order, as objects built on demand from the table."""
+        """Each sector's name, cv and bands in level order, as objects built on demand from the columns."""
         (sector, level), eps = self._bands
         bands = list(map(Band, level.tolist(), eps.tolist()))
         ends = np.cumsum(np.bincount(sector, minlength=len(self.names))).tolist()
-        return tuple(BandedSector(name, params, tuple(bands[lo:hi]))
-                     for name, params, lo, hi in zip(self.names, self.params, [0] + ends, ends))
+        return tuple(BandedSector(name, SectorParams(cv), tuple(bands[lo:hi]))
+                     for name, cv, lo, hi in zip(self.names, self.cv.tolist(), [0] + ends, ends))
 
     @cached_property
     def _cumulant(self) -> "_Cumulant":
@@ -204,38 +200,36 @@ def units_ceiling(amount, unit: float):
 
 
 def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
-    """Discretize sub-exposures into integer bands of size unit.
+    """Discretize the sectored portfolio's sub-exposures into integer bands of size unit.
 
     Each sub-exposure x with loss rate p maps to level v = ceiling(x/unit)
     and expected loss epsilon = x*p/unit; sub-exposures sharing (sector, v)
     form one band. Banding preserves expected loss exactly; the round-up
     inflates severity only. A sector's cv is its stddev_rate / mean_rate,
-    or 0 where it has no expected defaults.
+    or 0 where it has no expected defaults. The banded sub_obligor and
+    sub_sector are views of the sectored table's columns.
     """
     if not (math.isfinite(unit) and unit > 0.0):
         raise InputError(f"unit must be finite and > 0, got {unit}")
-    # every sector's rows in one copy: numpy's structured concatenate promotes dtypes per array, about 5 us each
-    subs = np.frombuffer(b"".join([s.subs.tobytes() for s in sectored.sectors]), SUB_DTYPE)
-    sector = np.repeat(np.arange(len(sectored.sectors)), [len(s.subs) for s in sectored.sectors])
-    obligor, amount, rate = subs["obligor"], subs["amount"], subs["loss_rate"]
+    names, mean, stddev = sectored.names, sectored.mean_rate, sectored.stddev_rate
+    obligor, sector, amount, rate = (sectored.subs[f] for f in SUB_DTYPE.names)
     if not np.all(amount > 0.0):
         i = int(np.argmin(amount > 0.0))
-        name = sectored.sectors[sector[i]].name
-        raise ModelError(f"sub-exposure of {sectored.obligor_ids[obligor[i]]} in {name!r} is not positive")
+        raise ModelError(f"sub-exposure of {sectored.obligor_ids[obligor[i]]} in {names[sector[i]]!r} is not positive")
     level = units_ceiling(amount, unit)
     epsilon = amount * rate / unit
-    counts = np.bincount(sector, weights=epsilon / level, minlength=len(sectored.sectors))
-    params = []
-    for s, count in zip(sectored.sectors, counts.tolist()):
-        cv = s.stddev_rate / s.mean_rate if s.mean_rate and count else 0.0  # no expected defaults: nothing to mix
-        if cv:
-            if cv <= 1e-154:  # the gamma shape alpha = cv**-2 would overflow
-                raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too small for a gamma shape")
-            if cv**2 * count > _MAX_GAMMA_SCALE:  # the gamma scale of the sector's count, as _Cumulant computes it
-                raise InputError(f"sector {s.name!r}: rate volatility {s.stddev_rate!r} is too large for a gamma scale")
-        params.append(SectorParams(cv))
-    names = tuple(s.name for s in sectored.sectors)
-    return BandedPortfolio(unit, names, tuple(params), sectored.obligor_ids, obligor, sector, level, epsilon)
+    count = np.bincount(sector, weights=epsilon / level, minlength=len(names))
+    with np.errstate(over="ignore"):  # a cv or cv**2 that overflows to inf is too large, as it should be
+        # no expected defaults: nothing to mix
+        cv = np.divide(stddev, mean, out=np.zeros(len(names)), where=(mean != 0.0) & (count != 0.0))
+        # alpha = cv**-2 would overflow, or the count's gamma scale beta = cv**2 * count round rho to 1
+        small = cv <= 1e-154
+        bad = (cv != 0.0) & (small | (cv**2 * count > _MAX_GAMMA_SCALE))
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "small for a gamma shape" if small[k] else "large for a gamma scale"
+        raise InputError(f"sector {names[k]!r}: rate volatility {float(stddev[k])!r} is too {what}")
+    return BandedPortfolio(unit, names, cv, sectored.obligor_ids, obligor, sector, level, epsilon)
 
 
 def _merge(keys: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,14 +292,13 @@ class _Cumulant:
     """
 
     def __init__(self, banded: BandedPortfolio):
-        cv = np.array([p.cv for p in banded.params])
-        gamma = cv > 0.0
+        gamma = banded.cv > 0.0
         sector_part = np.where(gamma, np.cumsum(gamma), 0)
         (part, v), eps = _merge((sector_part[banded.sub_sector], banded.sub_level), banded.sub_epsilon)
         keep = eps > 0.0  # zero-loss levels would only lower t_max
         self.part, self.v, self.eps = part[keep], v[keep], eps[keep]
         self.mu = mu = self.eps / self.v
-        cv = cv[gamma]
+        cv = banded.cv[gamma]
         totals = np.bincount(self.part, weights=mu, minlength=cv.size + 1)
         self.w = np.where(self.part > 0, mu / totals[self.part], mu)
         self.alpha = cv**-2
@@ -440,7 +433,7 @@ def loss_dist_poisson(banded: BandedPortfolio, grid_size: int) -> LossDistributi
     Computed by the classical Panjer recursion for the compound Poisson
     generating function; sector gamma parameters are ignored on this path.
     """
-    return loss_dist_sector(replace(banded, params=(SectorParams(0.0),) * len(banded.params)), grid_size)
+    return loss_dist_sector(replace(banded, cv=np.zeros(len(banded.names))), grid_size)
 
 
 def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistribution:

@@ -8,7 +8,9 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +43,9 @@ _RANGES = {"exposure": "> 0", "mean_loss_rate": "in [0, 1]", "loss_rate_stddev":
            "crop_ratio": "in [0, 1]", "livestock_ratio": "in [0, 1]"}
 _HOLDS = {"> 0": lambda x: x > 0.0, ">= 0": lambda x: x >= 0.0, "in [0, 1]": lambda x: (0.0 <= x) & (x <= 1.0)}
 
-# one row per sub-exposure: the obligor's index in SectoredPortfolio.obligor_ids, the amount
-# in the sector, and the obligor's own mean loss rate
-SUB_DTYPE = np.dtype([("obligor", np.int64), ("amount", np.float64), ("loss_rate", np.float64)])
+# one row per sub-exposure: the obligor's index in SectoredPortfolio.obligor_ids, the sector's
+# index in its names, the amount in the sector, and the obligor's own mean loss rate
+SUB_DTYPE = np.dtype([("obligor", np.int64), ("sector", np.int64), ("amount", np.float64), ("loss_rate", np.float64)])
 
 
 def _first_fault(ids: tuple[str, ...], numbers, declared: np.ndarray, malformed=()) -> tuple[int, str] | None:
@@ -179,31 +181,52 @@ class SectorAssignment:
 
 @dataclass(frozen=True, eq=False)
 class Sector:
-    """A named sector's rates and its sub-exposures: SUB_DTYPE rows, a slice of one table."""
+    """A named sector's rates and its sub-exposures, its slice of SectoredPortfolio.subs."""
 
     name: str
     mean_rate: float
     stddev_rate: float
     subs: np.ndarray
 
-    def __post_init__(self):
-        if not (isinstance(self.subs, np.ndarray) and self.subs.ndim == 1 and self.subs.dtype == SUB_DTYPE):
-            raise InputError(f"sector {self.name!r}: subs must be a 1-d array of {SUB_DTYPE} rows")
-        if self.mean_rate == 0.0 and self.stddev_rate > 0.0:
-            raise InputError(
-                f"sector {self.name!r}: zero mean rate with positive volatility has no "
-                "gamma parameterization"
-            )
-        if self.mean_rate < 0.0 or self.stddev_rate < 0.0:
-            raise InputError(f"sector {self.name!r}: rates must be nonnegative")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectoredPortfolio:
-    """Portfolio view after sector assignment; input to exposure banding."""
+    """Portfolio after sector assignment, stored as columns and checked once when built; input to banding.
 
-    sectors: tuple[Sector, ...]
+    names and the float64 mean_rate and stddev_rate run over sectors; subs is
+    one SUB_DTYPE table of every sub-exposure, sector by sector in names order.
+    """
+
+    names: tuple[str, ...]
+    mean_rate: np.ndarray
+    stddev_rate: np.ndarray
     obligor_ids: tuple[str, ...]
+    subs: np.ndarray
+
+    def __post_init__(self):
+        for name in ("mean_rate", "stddev_rate"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), np.float64))
+        n, mean, stddev, subs = len(self.names), self.mean_rate, self.stddev_rate, self.subs
+        if mean.shape != (n,) or stddev.shape != (n,):
+            raise InputError("sectored portfolio: names, mean_rate and stddev_rate need one entry per sector")
+        if not (isinstance(subs, np.ndarray) and subs.ndim == 1 and subs.dtype == SUB_DTYPE):
+            raise InputError(f"sectored portfolio: subs must be a 1-d array of {SUB_DTYPE} rows")
+        if np.any(np.diff(subs["sector"], prepend=0, append=n - 1) < 0):
+            raise InputError(f"sub-exposure sector indexes must run in order within 0..{n - 1}")
+        # a zero mean rate must not band into a Poisson sector with its volatility dropped
+        bad = (mean < 0.0) | (stddev < 0.0) | ((mean == 0.0) & (stddev > 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            rule = "rates must be nonnegative" if min(mean[k], stddev[k]) < 0.0 else (
+                "zero mean rate with positive volatility has no gamma parameterization")
+            raise InputError(f"sector {self.names[k]!r}: {rule}")
+
+    @cached_property
+    def sectors(self) -> tuple[Sector, ...]:
+        """Each sector as a Sector whose subs are its slice of the table, built on demand."""
+        ends = np.cumsum(np.bincount(self.subs["sector"], minlength=len(self.names)))[:-1]
+        rates = self.mean_rate.tolist(), self.stddev_rate.tolist()
+        return tuple(map(Sector, self.names, *rates, np.split(self.subs, ends)))
 
 
 @dataclass(frozen=True)
@@ -331,35 +354,37 @@ def assign_sectors(portfolio: Portfolio, assignment: SectorAssignment) -> Sector
     """Split each obligor's exposure across sectors per the assignment mode.
 
     single: one sector holding every full exposure; crop-livestock: two
-    sectors fed by the (renormalized) ratio split, a sector without subs
-    left out; per-obligor: one sector per obligor, with its own rates.
-    Each sub-exposure keeps its obligor's own mean loss rate, and the other
-    modes' sector rates are the subs' amount-weighted averages. All subs
-    form one SUB_DTYPE table in sector order; each Sector.subs is its slice.
+    sectors fed by the (renormalized) ratio split, a sub whose amount is 0
+    and a sector without subs left out; per-obligor: one sector per obligor,
+    with its own rates. Each sub-exposure keeps its obligor's own mean loss
+    rate, and the other modes' sector rates are the subs' amount-weighted
+    averages. All subs form one SUB_DTYPE table in sector order.
     """
     overrides = assignment.sector_rates or {}
     ids, mean, stddev = portfolio.ids, portfolio.mean_loss_rate, portfolio.loss_rate_stddev
     if assignment.mode == "per-obligor":
         names, sector, obligor, amount = ids, np.arange(len(ids)), np.arange(len(ids)), portfolio.exposure
-        rates = zip(mean.tolist(), stddev.tolist())
+        rates = [mean, stddev]
     else:
         if assignment.mode == "single":
             names, shares = ("portfolio",), np.ones((1, len(ids)))
         else:
             names, shares = ("crop", "livestock"), _split_ratios(portfolio)
-        held = (shares > 0.0).any(axis=1)
-        names, shares = tuple(name for name, h in zip(names, held) if h), shares[held]
-        sector, obligor = np.nonzero(shares > 0.0)  # sector by sector, obligors in order
-        amount = portfolio.exposure[obligor] * shares[sector, obligor]
+        # a share can underflow the amount to 0: that sub carries no exposure and no loss
+        amounts = portfolio.exposure * shares
+        held = (amounts > 0.0).any(axis=1)
+        names, amounts = tuple(compress(names, held)), amounts[held]
+        sector, obligor = np.nonzero(amounts > 0.0)  # sector by sector, obligors in order
+        amount = amounts[sector, obligor]
         weight = np.bincount(sector, amount)  # sums in table order
-        averages = [(np.bincount(sector, amount * r[obligor]) / weight).tolist() for r in (mean, stddev)]
-        rates = [overrides.get(name) or rate for name, rate in zip(names, zip(*averages))]
+        rates = [np.bincount(sector, amount * r[obligor]) / weight for r in (mean, stddev)]
+        for name in set(overrides) & set(names):
+            k = names.index(name)
+            rates[0][k], rates[1][k] = overrides[name]
     table = np.empty(obligor.size, SUB_DTYPE)
-    table["obligor"], table["amount"], table["loss_rate"] = obligor, amount, mean[obligor]
-    ends = np.cumsum(np.bincount(sector, minlength=len(names))).tolist()
-    sectors = tuple(Sector(name, m, sd, table[lo:hi])
-                    for name, (m, sd), lo, hi in zip(names, rates, [0] + ends, ends))
+    table["obligor"], table["sector"], table["amount"], table["loss_rate"] = obligor, sector, amount, mean[obligor]
+    sectored = SectoredPortfolio(names, *rates, ids, table)
     unknown = set(overrides) - set(names)
     if unknown:
         raise InputError(f"sector rate overrides for unknown sectors: {sorted(unknown)}")
-    return SectoredPortfolio(sectors=sectors, obligor_ids=ids)
+    return sectored

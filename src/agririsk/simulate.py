@@ -157,13 +157,14 @@ def simulate(
     else:
         if sectored is None:
             raise InputError("bernoulli-exact mode needs the sectored (pre-banding) portfolio")
-        sizes = np.bincount(banded.sub_sector, minlength=len(banded.names)).tolist()
-        if ([(s.name, len(s.subs)) for s in sectored.sectors] != list(zip(banded.names, sizes))
-                or sectored.obligor_ids != banded.obligor_ids):
+        subs = sectored.subs
+        if (sectored.names != banded.names or sectored.obligor_ids != banded.obligor_ids
+                or not np.array_equal(subs["sector"], banded.sub_sector)):
             raise InputError("bernoulli-exact mode needs the sectored portfolio the banded one was built from")
-        alphas = iter(banded._cumulant.alpha.tolist())  # one per gamma sector, in sector order
-        plans = [(None if params.is_poisson else next(alphas), s.subs["loss_rate"], s.subs["amount"])
-                 for s, params in zip(sectored.sectors, banded.params)]
+        alphas = np.full(len(banded.names), None)  # the engine's gamma shape of each gamma sector
+        alphas[banded.cv > 0.0] = banded._cumulant.alpha.tolist()
+        ends = np.cumsum(np.bincount(subs["sector"], minlength=len(banded.names)))[:-1]
+        plans = list(zip(alphas.tolist(), np.split(subs["loss_rate"], ends), np.split(subs["amount"], ends)))
 
     losses = np.empty(cfg.n_draws)
     clamped = 0

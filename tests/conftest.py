@@ -69,7 +69,7 @@ def single_sector(rows: str, unit: float = 1.0) -> tuple[ar.SectoredPortfolio, a
 
 
 def make_banded(sectors, unit: float = 1.0) -> ar.BandedPortfolio:
-    """Hand-built banded portfolio: sectors = [(name, SectorParams, [(v, eps), ...])].
+    """Hand-built banded portfolio: sectors = [(name, cv, [(v, eps), ...])].
 
     Each (v, eps) is one sub-exposure of its own synthetic obligor, so
     contribution reporting stays well-defined; subs sharing a level form one band.
@@ -83,7 +83,7 @@ def make_banded(sectors, unit: float = 1.0) -> ar.BandedPortfolio:
     return ar.BandedPortfolio(
         unit=unit,
         names=tuple(name for name, _, _ in sectors),
-        params=tuple(params for _, params, _ in sectors),
+        cv=[cv for _, cv, _ in sectors],
         obligor_ids=tuple(obligor_ids),
         sub_obligor=obligor,
         sub_sector=sector,

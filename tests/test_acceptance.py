@@ -70,7 +70,7 @@ def test_criterion_3_negative_binomial_oracle():
     for alpha in (0.5, 2.0, 10.0):
         for rho in (0.1, 0.5, 0.9):
             # cv**-2 = alpha; one level-1 band of count alpha*beta, beta = rho/(1-rho)
-            banded = make_banded([("s", ar.SectorParams(alpha**-0.5), [(1, alpha * rho / (1.0 - rho))])])
+            banded = make_banded([("s", alpha**-0.5, [(1, alpha * rho / (1.0 - rho))])])
             expected = nbinom.pmf(np.arange(201), alpha, 1.0 - rho)
             for dist in (ar.loss_dist_sector(banded, grid), ar.loss_dist_fft(banded, grid)):
                 assert float(np.abs(dist.pmf[:201] - expected).max()) <= 1e-10

@@ -177,7 +177,7 @@ class TestMoments:
 class TestRiskContributions:
     def test_single_obligor_takes_all(self):
         bands = [(4, 1.2)]
-        banded = make_banded([("s", ar.SectorParams(0.7), bands)])
+        banded = make_banded([("s", 0.7, bands)])
         dist = ar.loss_dist_sector(banded, 256)
         table = ar.risk_contributions(banded, dist, [0.1, 0.01])
         for column, total in enumerate(table.totals):
@@ -250,7 +250,7 @@ class TestRiskContributions:
 
     def test_zero_variance_rejected(self):
         bands = [(1, 0.0)]
-        banded = make_banded([("s", ar.SectorParams(0.0), bands)])
+        banded = make_banded([("s", 0.0, bands)])
         dist = point_mass(0)
         with pytest.raises(ModelError, match="degenerate"):
             ar.risk_contributions(banded, dist, [0.1])

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,15 @@ def test_gamma_scale_refused_where_rho_stays_below_one(tmp_path):
     assert result.stderr == "sector 'crop': rate volatility 5000000.0 is too large for a gamma scale\n"
 
 
+@pytest.mark.parametrize("mean", ["1e-200", "1e-310"])
+def test_gamma_scale_refused_where_cv_or_its_square_overflows(tmp_path, mean):
+    # stddev / mean = 1e208 squares past the largest double; 1e8 / 1e-310 overflows already
+    (tmp_path / "spiky.csv").write_text(f"{HEADER}\nAAA,A,100,{mean},1e8,1,0,\nBBB,B,100,0.03,0.02,1,0,\n")
+    result = run_cli(["analyze", "--input", "spiky.csv", "--sector-mode", "per-obligor"], tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert result.stderr == "sector 'AAA': rate volatility 100000000.0 is too large for a gamma scale\n"
+
+
 def test_gamma_pole_overflow_warns_nothing(tmp_path):
     # beta * d(t) overflows to inf near the top of the pole search, which is only "above the pole"
     result = run_cli(["analyze", "--unit", "1e4", "--sector-rate", "crop=0.03,1000"], tmp_path)
@@ -201,6 +211,22 @@ class TestAnalyze:
         a = (tmp_path / "a" / "quantiles.csv").read_bytes()
         b = (tmp_path / "b" / "quantiles.csv").read_bytes()
         assert a == b
+
+    def test_share_underflowing_to_zero_matches_a_zero_ratio(self, tmp_path):
+        # 1e-5 * 1e-320 underflows to 0.0: the crop sub of A carries nothing and is left out
+        header = HEADER.rsplit(",", 1)[0]
+        (tmp_path / "under.csv").write_text(f"{header}\nA,a,0.00001,0.02,0.01,1e-320,1\nB,b,100,0.03,0.02,0.5,0.5\n")
+        (tmp_path / "zero.csv").write_text(f"{header}\nA,a,0.00001,0.02,0.01,0,1\nB,b,100,0.03,0.02,0.5,0.5\n")
+        runs = [run_cli(["analyze", "--input", f"{name}.csv", "--unit", "1", "--out", name], tmp_path)
+                for name in ("under", "zero")]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout.replace("under", "zero") == runs[1].stdout
+        for name in ("quantiles.csv", "contributions.csv"):
+            assert (tmp_path / "under" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
+        under, zero = (json.loads((tmp_path / name / "report.json").read_text()) for name in ("under", "zero"))
+        assert under["config"].pop("input") == "under.csv"
+        assert zero["config"].pop("input") == "zero.csv"
+        assert under == zero
 
     def test_nonpositive_unit_exit_2(self, tmp_path):
         result = run_cli(["analyze", "--unit", "0"], tmp_path)

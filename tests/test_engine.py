@@ -21,12 +21,12 @@ def poisson_pmf(lam: float, n: int) -> float:
     return math.exp(-lam) * lam**n / math.factorial(n)
 
 
-def one_sector(params: ar.SectorParams, bands, unit: float = 1.0) -> ar.BandedPortfolio:
-    return make_banded([("s", params, bands)], unit=unit)
+def one_sector(cv: float, bands, unit: float = 1.0) -> ar.BandedPortfolio:
+    return make_banded([("s", cv, bands)], unit=unit)
 
 
 def poisson_sector(bands, unit: float = 1.0) -> ar.BandedPortfolio:
-    return one_sector(ar.SectorParams(0.0), bands, unit=unit)
+    return one_sector(0.0, bands, unit=unit)
 
 
 class TestUnitsCeiling:
@@ -121,15 +121,28 @@ class TestBanding:
         # a zero mean rate, or a mean rate over subs that carry no loss: nothing to mix
         _, banded = single_sector("A,A,100,0.0,0.0,1.0,0.0\n")
         assert banded.sectors[0].params.is_poisson
-        sector = ar.Sector("s", 0.03, 0.02, np.array([(0, 100.0, 0.0)], ar.SUB_DTYPE))
-        banded = ar.band_exposures(ar.SectoredPortfolio((sector,), ("A",)), 1.0)
+        subs = np.array([(0, 0, 100.0, 0.0)], ar.SUB_DTYPE)
+        banded = ar.band_exposures(ar.SectoredPortfolio(("s",), [0.03], [0.02], ("A",), subs), 1.0)
         assert banded.sectors[0].params.is_poisson
 
     def test_gamma_scale_rounding_rho_to_one_refused(self):
         # beta = cv**2 * count = (1e8 / 0.03)**2 * 0.3 ~ 3e18: rho = beta / (1 + beta) rounds to 1
-        sector = ar.Sector("big", 0.03, 1e8, np.array([(0, 100.0, 0.03)], ar.SUB_DTYPE))
+        sectored = ar.SectoredPortfolio(("big",), [0.03], [1e8], ("A",), np.array([(0, 0, 100.0, 0.03)], ar.SUB_DTYPE))
         with pytest.raises(InputError, match=r"^sector 'big': rate volatility 100000000.0 is too large"):
-            ar.band_exposures(ar.SectoredPortfolio((sector,), ("A",)), 10.0)
+            ar.band_exposures(sectored, 10.0)
+
+    @pytest.mark.parametrize(
+        "stddev, message",
+        [([0.02, 1e8, 1e-160], r"^sector 'b': rate volatility 100000000.0 is too large for a gamma scale$"),
+         ([0.02, 1e-160, 1e8], r"^sector 'b': rate volatility 1e-160 is too small for a gamma shape$"),
+         ([0.0, 0.0, 1e8], r"^sector 'c': rate volatility 100000000.0 is too large for a gamma scale$")],
+        ids=["large-before-small", "small-before-large", "after-two-unmixed"],
+    )
+    def test_gamma_refusals_name_the_first_bad_sector(self, stddev, message):
+        subs = np.array([(0, k, 100.0, 0.03) for k in range(3)], ar.SUB_DTYPE)
+        sectored = ar.SectoredPortfolio(("a", "b", "c"), [0.03] * 3, stddev, ("A",), subs)
+        with pytest.raises(InputError, match=message):
+            ar.band_exposures(sectored, 10.0)
 
     def test_gamma_scale_refusal_is_monotone(self, bundled_portfolio):
         # at 5e6, beta ~ 1.5e16 left rho just below 1, and the grid rule's "use a larger unit" followed
@@ -187,7 +200,7 @@ class TestLossDistPoisson:
 class TestLossDistSector:
     def test_negative_binomial_closed_form(self):
         alpha, rho = 2.0, 0.3
-        dist = ar.loss_dist_sector(one_sector(ar.SectorParams(alpha**-0.5), [(1, alpha * rho / (1 - rho))]), 64)
+        dist = ar.loss_dist_sector(one_sector(alpha**-0.5, [(1, alpha * rho / (1 - rho))]), 64)
         expected = nbinom.pmf(np.arange(11), 2.0, 0.7)
         np.testing.assert_allclose(dist.pmf[:11], expected, rtol=0, atol=1e-12)
 
@@ -198,7 +211,7 @@ class TestLossDistSector:
 
     def test_poisson_limit(self):
         bands = [(1, 0.5), (3, 0.9), (7, 0.35)]
-        mixed = one_sector(ar.SectorParams(1e-6 / 0.02), bands)
+        mixed = one_sector(1e-6 / 0.02, bands)
         dist_mixed = ar.loss_dist_sector(mixed, 512)
         dist_poisson = ar.loss_dist_poisson(mixed, 512)
         tv = 0.5 * np.abs(dist_mixed.pmf - dist_poisson.pmf).sum()
@@ -207,8 +220,8 @@ class TestLossDistSector:
     def test_two_sectors_equal_convolution_of_parts(self):
         bands_a = [(1, 0.8), (4, 1.2)]
         bands_b = [(2, 0.6), (3, 0.9)]
-        pa = ar.SectorParams(0.9)
-        pb = ar.SectorParams(0.5)
+        pa = 0.9
+        pb = 0.5
         combined = ar.loss_dist_sector(make_banded([("a", pa, bands_a), ("b", pb, bands_b)]), 512)
         alone_a = ar.loss_dist_sector(make_banded([("a", pa, bands_a)]), 512)
         alone_b = ar.loss_dist_sector(make_banded([("b", pb, bands_b)]), 512)
@@ -229,7 +242,7 @@ class TestLossDistSector:
         tails = []
         for sigma in (1.0, 2.0, 4.0):
             dist = ar.loss_dist_sector(
-                one_sector(ar.SectorParams(sigma / mean_count), [(1, mean_count)]), 4096
+                one_sector(sigma / mean_count, [(1, mean_count)]), 4096
             )
             tails.append(1.0 - dist.cdf)
         for q in (4, 6, 10, 20):
@@ -244,11 +257,10 @@ class TestHandBuiltSectors:
     @pytest.mark.parametrize("cv", [0.0, 0.8])
     @pytest.mark.parametrize("backend", [ar.loss_dist_sector, ar.loss_dist_fft, ar.loss_dist_poisson])
     def test_unsorted_repeated_and_zero_bands_match_merged(self, backend, cv):
-        params = ar.SectorParams(cv)
         level, eps = (np.array(col) for col in zip(*self.RAW))
         zeros = np.zeros(len(self.RAW), dtype=np.int64)
-        raw = ar.BandedPortfolio(1.0, ("s",), (params,), ("A",), zeros, zeros, level, eps)
-        merged = one_sector(params, self.MERGED)
+        raw = ar.BandedPortfolio(1.0, ("s",), [cv], ("A",), zeros, zeros, level, eps)
+        merged = one_sector(cv, self.MERGED)
         tv = 0.5 * np.abs(backend(raw, 64).pmf - backend(merged, 64).pmf).sum()
         assert tv <= 1e-12
 
@@ -260,7 +272,7 @@ class TestTableChecks:
     @staticmethod
     def build(obligor, sector, level, epsilon) -> ar.BandedPortfolio:
         return ar.BandedPortfolio(
-            1.0, ("s",), (ar.SectorParams(0.5),), ("A",),
+            1.0, ("s",), [0.5], ("A",),
             np.array(obligor), np.array(sector), np.array(level), np.array(epsilon, dtype=float),
         )
 
@@ -287,9 +299,30 @@ class TestTableChecks:
         with pytest.raises(ModelError, match=message):
             self.build(*columns)
 
+    @pytest.mark.parametrize(
+        "names, cv, message",
+        [
+            (("s",), [0.5, 0.0], r"^banded portfolio: names and cv, and the four sub_\* arrays, need equal lengths$"),
+            (("s",), [[0.5]], r"need equal lengths$"),
+            (("s",), [math.nan], r"^sector cv must be finite and >= 0, got nan$"),
+            (("s",), [math.inf], r"^sector cv must be finite and >= 0, got inf$"),
+            (("s",), [-0.5], r"^sector cv must be finite and >= 0, got -0.5$"),
+            (("s", "t", "u"), [0.5, -1.0, math.nan], r"^sector cv must be finite and >= 0, got -1.0$"),
+        ],
+        ids=["longer", "2-d", "nan", "inf", "negative", "first-of-two"],
+    )
+    def test_bad_cv_refused(self, names, cv, message):
+        with pytest.raises(ModelError, match=message):
+            ar.BandedPortfolio(1.0, names, cv, ("A",), *(np.array(c) for c in self.GOOD[:3]), np.array(self.GOOD[3]))
+
+    def test_cv_becomes_a_float64_array(self):
+        banded = make_banded([("a", 0, [(1, 0.5)]), ("b", 1, [(2, 0.5)])])
+        assert banded.cv.dtype == np.float64 and banded.cv.tolist() == [0.0, 1.0]
+        assert [s.params for s in banded.sectors] == [ar.SectorParams(0.0), ar.SectorParams(1.0)]
+
     def test_names_and_params_of_unequal_length_refused(self):
         with pytest.raises(ModelError, match="need equal lengths"):
-            ar.BandedPortfolio(1.0, ("s", "t"), (ar.SectorParams(0.0),), ("A",), *(np.zeros(0, int),) * 3, np.zeros(0))
+            ar.BandedPortfolio(1.0, ("s", "t"), [0.0], ("A",), *(np.zeros(0, int),) * 3, np.zeros(0))
 
 
 class TestParts:
@@ -300,7 +333,7 @@ class TestParts:
 
     def test_unmixed_sectors_pool_into_one_recursion(self):
         a, b = self.BANDS_A, self.BANDS_B
-        banded = make_banded([("a", ar.SectorParams(0.0), a), ("b", ar.SectorParams(0.0), b)])
+        banded = make_banded([("a", 0.0, a), ("b", 0.0, b)])
         sector, poisson = ar.loss_dist_sector(banded, 256), ar.loss_dist_poisson(banded, 256)
         np.testing.assert_array_equal(sector.pmf, poisson.pmf)
         assert sector.tail_bound == poisson.tail_bound
@@ -308,7 +341,7 @@ class TestParts:
     def test_gamma_sector_beside_the_pooled_part_matches_fft(self):
         a, b, g = self.BANDS_A, self.BANDS_B, self.BANDS_G
         banded = make_banded(
-            [("a", ar.SectorParams(0.0), a), ("g", ar.SectorParams(0.8), g), ("b", ar.SectorParams(0.0), b)]
+            [("a", 0.0, a), ("g", 0.8, g), ("b", 0.0, b)]
         )
         grid = ar.auto_grid_size(banded)
         panjer, fft = ar.loss_dist_sector(banded, grid), ar.loss_dist_fft(banded, grid)
@@ -364,7 +397,7 @@ class TestBlockedPanjer:
     @pytest.mark.parametrize("cv", [0.0, 0.8])
     def test_zero_loss_bands_match_scalar_recursion(self, cv):
         # no part carries loss, so loss_dist_sector gives the point mass without running _panjer
-        got = ar.loss_dist_sector(one_sector(ar.SectorParams(cv), [(2, 0.0), (6, 0.0)]), 64).pmf
+        got = ar.loss_dist_sector(one_sector(cv, [(2, 0.0), (6, 0.0)]), 64).pmf
         np.testing.assert_array_equal(got, scalar_panjer(np.zeros(0, np.int64), np.zeros(0), cv, 64))
 
     @pytest.mark.parametrize(
@@ -373,7 +406,7 @@ class TestBlockedPanjer:
     def test_large_count_splits_instead_of_underflowing(self, backend, cv):
         # 1100 expected defaults: g_0 = exp(-1100) (cv 0.01: exp(-1044)) is below the float range
         bands = [(1, 400.0), (2, 800.0), (3, 900.0)]
-        banded = one_sector(ar.SectorParams(cv), bands)
+        banded = one_sector(cv, bands)
         grid = ar.auto_grid_size(banded)
         dist = backend(banded, grid)
         fft = ar.loss_dist_fft(banded, grid)
@@ -391,7 +424,7 @@ class TestLossDistFft:
         bands_a = [(1, 0.4), (5, 1.0)]
         bands_b = [(2, 0.8), (7, 0.6)]
         banded = make_banded(
-            [("a", ar.SectorParams(1.2), bands_a), ("b", ar.SectorParams(0.0), bands_b)]
+            [("a", 1.2, bands_a), ("b", 0.0, bands_b)]
         )
         fft = ar.loss_dist_fft(banded, 1024)
         panjer = ar.loss_dist_sector(banded, 1024)
@@ -403,7 +436,7 @@ class TestLossDistFft:
         bands = [(1, 0.3), (4, 0.9)]
         beta = cv**2 * sum(eps / v for v, eps in bands)
         assert 0.0 < beta / (1.0 + beta) < 1e-4
-        banded = one_sector(ar.SectorParams(cv), bands)
+        banded = one_sector(cv, bands)
         fft = ar.loss_dist_fft(banded, 512)
         panjer = ar.loss_dist_sector(banded, 512)
         assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
@@ -411,7 +444,7 @@ class TestLossDistFft:
     def test_low_volatility_large_count_matches_panjer(self):
         # rho = 5.2e-4: alpha*(log(1-rho) - log(1-rho*Q)) cancels to a pmf entry of -4e-14
         bands = [(1, 300.0), (4, 900.0)]
-        banded = one_sector(ar.SectorParams(1e-3), bands)
+        banded = one_sector(1e-3, bands)
         fft = ar.loss_dist_fft(banded, 16384)
         panjer = ar.loss_dist_sector(banded, 16384)
         assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
@@ -446,9 +479,9 @@ class TestTailBound:
     BANDS_A = [(1, 0.5), (3, 0.9), (7, 0.35)]
     BANDS_B = [(2, 0.6), (5, 0.8)]
     CASES = {
-        "poisson": [("a", ar.SectorParams(0.0), BANDS_A)],
-        "gamma": [("a", ar.SectorParams(0.8), BANDS_A)],
-        "mixed": [("a", ar.SectorParams(0.8), BANDS_A), ("b", ar.SectorParams(0.0), BANDS_B)],
+        "poisson": [("a", 0.0, BANDS_A)],
+        "gamma": [("a", 0.8, BANDS_A)],
+        "mixed": [("a", 0.8, BANDS_A), ("b", 0.0, BANDS_B)],
     }
 
     # tails from 1e-2 down to 1e-17; deeper, the round-off of convolving sectors (~1e-15) swamps them
@@ -594,7 +627,7 @@ class TestSectorParams:
     @pytest.mark.parametrize("cv", [-0.5, math.nan, math.inf])
     def test_cv_outside_finite_nonnegative_refused(self, cv):
         with pytest.raises(ModelError, match="cv must be finite and >= 0"):
-            ar.SectorParams(cv)
+            one_sector(cv, [(1, 0.5)])
 
     def test_zero_cv_is_poisson(self):
         assert ar.SectorParams(0.0).is_poisson
@@ -602,9 +635,9 @@ class TestSectorParams:
         assert poisson_sector([(1, 0.5)])._cumulant.alpha.size == 0
 
     def test_alpha_is_inverse_square_cv(self):
-        params = ar.SectorParams(0.018 / 0.021)
-        assert not params.is_poisson
-        (alpha,) = one_sector(params, [(1, 0.5)])._cumulant.alpha.tolist()
+        banded = one_sector(0.018 / 0.021, [(1, 0.5)])
+        assert not banded.sectors[0].params.is_poisson
+        (alpha,) = banded._cumulant.alpha.tolist()
         assert alpha == pytest.approx((0.021 / 0.018) ** 2, rel=1e-12)
 
 
@@ -616,7 +649,7 @@ class TestMomentConservation:
 
     def test_one_sector_variance_formula(self):
         bands = [(1, 0.3), (4, 0.5), (9, 0.3)]
-        banded = one_sector(ar.SectorParams(0.024 / 0.03), bands, unit=2.0)
+        banded = one_sector(0.024 / 0.03, bands, unit=2.0)
         dist = ar.loss_dist_fft(banded, ar.auto_grid_size(banded))
         assert dist.truncation_mass < 1e-9
         eps_total = sum(eps for _, eps in bands)

@@ -13,6 +13,7 @@ import agririsk as ar
 from agririsk.errors import InputError
 
 from conftest import HEADER
+from test_analytics import synthetic_book
 
 BGR_ROW = "BGR,Bulgaria,800.12,0.0312,0.0072,0.65,0.35,24.96"
 
@@ -364,23 +365,61 @@ class TestAssignSectors:
     def test_hand_built_sector_rates_refused(self, mean, stddev, message):
         # a zero mean rate must not band into a Poisson sector with its volatility dropped
         with pytest.raises(InputError, match=f"^sector 's': {message}"):
-            ar.Sector("s", mean, stddev, np.array([(0, 100.0, mean)], ar.SUB_DTYPE))
+            ar.SectoredPortfolio(("s",), [mean], [stddev], ("A",), np.array([(0, 0, 100.0, mean)], ar.SUB_DTYPE))
 
     @pytest.mark.parametrize(
         "subs",
-        [((0, 100.0, 0.02),), np.array([100.0]), np.array([[(0, 100.0, 0.02)]], ar.SUB_DTYPE),
-         np.array([(0, 100.0, 0.02)], [("obligor", np.int32), ("amount", float), ("loss_rate", float)]),
-         np.array([(100.0, 0, 0.02)], [("amount", float), ("obligor", np.int64), ("loss_rate", float)])],
+        [((0, 0, 100.0, 0.02),), np.array([100.0]), np.array([[(0, 0, 100.0, 0.02)]], ar.SUB_DTYPE),
+         np.array([(0, 0, 100.0, 0.02)],
+                  [("obligor", np.int32), ("sector", np.int64), ("amount", float), ("loss_rate", float)]),
+         np.array([(100.0, 0, 0, 0.02)],
+                  [("amount", float), ("obligor", np.int64), ("sector", np.int64), ("loss_rate", float)])],
         ids=["tuple", "float", "2-d", "int32-obligor", "field-order"],
     )
     def test_subs_of_another_dtype_refused(self, subs):
-        with pytest.raises(InputError, match="^sector 's': subs must be a 1-d array of"):
-            ar.Sector("s", 0.02, 0.01, subs)
+        with pytest.raises(InputError, match="^sectored portfolio: subs must be a 1-d array of"):
+            ar.SectoredPortfolio(("s",), [0.02], [0.01], ("A",), subs)
+
+    # three sectors s, t, u of obligors A and B, one sub each: the columns (names, mean, stddev, ids, subs)
+    GOOD = (("s", "t", "u"), [0.02, 0.03, 0.04], [0.01, 0.0, 0.02], ("A", "B"),
+            [(0, 0, 100.0, 0.02), (1, 1, 50.0, 0.03), (0, 2, 80.0, 0.04)])
+    ORDER = r"^sub-exposure sector indexes must run in order within 0..2$"
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (1, [0.02, 0.03], r"^sectored portfolio: names, mean_rate and stddev_rate need one entry per sector$"),
+            (2, [[0.01, 0.0, 0.02]], r"need one entry per sector$"),
+            (4, [(0, 0, 100.0, 0.02), (1, 3, 50.0, 0.03)], ORDER),
+            (4, [(0, -1, 100.0, 0.02)], ORDER),
+            (4, [(0, 0, 100.0, 0.02), (1, 2, 50.0, 0.03), (0, 1, 80.0, 0.04)], ORDER),
+            (1, [0.02, -0.01, 0.0], r"^sector 't': rates must be nonnegative$"),
+            (2, [0.01, -0.5, 0.02], r"^sector 't': rates must be nonnegative$"),
+            (1, [0.02, 0.03, 0.0], r"^sector 'u': zero mean rate with positive volatility has no gamma"),
+            (2, [0.01, 0.01, -0.02], r"^sector 'u': rates must be nonnegative$"),
+            (1, [0.0, 0.03, -0.01], r"^sector 's': zero mean rate with positive volatility has no gamma"),
+        ],
+        ids=["mean-length", "stddev-2d", "sector-above", "sector-below", "sector-order",
+             "negative-mean", "negative-stddev", "zero-mean-volatile", "last-negative", "first-of-two"],
+    )
+    def test_construction_names_the_first_bad_sector(self, column, value, message):
+        columns = list(self.GOOD)
+        columns[column] = value
+        columns[4] = np.array(columns[4], ar.SUB_DTYPE)
+        with pytest.raises(InputError, match=message):
+            ar.SectoredPortfolio(*columns)
+
+    def test_columns_become_float64_arrays(self):
+        sectored = ar.SectoredPortfolio(*self.GOOD[:4], np.array(self.GOOD[4], ar.SUB_DTYPE))
+        assert sectored.names == ("s", "t", "u") and sectored.obligor_ids == ("A", "B")
+        for rates in (sectored.mean_rate, sectored.stddev_rate):
+            assert isinstance(rates, np.ndarray) and rates.dtype == np.float64
+        assert [s.subs["amount"].tolist() for s in sectored.sectors] == [[100.0], [50.0], [80.0]]
 
     @pytest.mark.parametrize("mode", ar.portfolio.SECTOR_MODES)
     def test_subs_are_slices_of_one_table(self, bundled_portfolio, mode):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode))
-        table = sectored.sectors[0].subs.base
+        table = sectored.subs
         assert all(s.subs.base is table for s in sectored.sectors)
         assert np.concatenate([s.subs for s in sectored.sectors]).tobytes() == table.tobytes()
         ids = [sectored.obligor_ids[i] for i in table["obligor"]]
@@ -422,3 +461,30 @@ class TestAssignSectors:
         rates = {s.name: (s.mean_rate, s.stddev_rate) for s in sectored.sectors}
         assert rates["crop"] == (0.03, 0.011)
         assert rates["livestock"] != (0.03, 0.011)
+
+
+class TestSectorViews:
+    """The Sector and BandedSector views, built on demand, against the columns they are built from."""
+
+    @pytest.mark.parametrize("mode", ar.portfolio.SECTOR_MODES)
+    @pytest.mark.parametrize("book", ["bundled", "book-200"])
+    def test_views_match_the_columns(self, bundled_portfolio, mode, book):
+        portfolio = bundled_portfolio if book == "bundled" else synthetic_book(200, 17)
+        sectored = ar.assign_sectors(portfolio, ar.SectorAssignment(mode))
+        banded = ar.band_exposures(sectored, 1.0)
+        views = sectored.sectors
+        assert [s.name for s in views] == list(sectored.names) == list(banded.names)
+        assert [s.mean_rate for s in views] == sectored.mean_rate.tolist()
+        assert [s.stddev_rate for s in views] == sectored.stddev_rate.tolist()
+        assert all(s.subs.base is sectored.subs and np.all(s.subs["sector"] == k) for k, s in enumerate(views))
+        assert b"".join(s.subs.tobytes() for s in views) == sectored.subs.tobytes()
+        banded_views = banded.sectors
+        assert [s.name for s in banded_views] == list(banded.names)
+        assert [s.params.cv for s in banded_views] == banded.cv.tolist()
+        assert [s.params.is_poisson for s in banded_views] == (banded.cv == 0.0).tolist()
+        merged: dict = {}  # (sector, level) -> epsilon, added in table order
+        for k, v, eps in zip(banded.sub_sector.tolist(), banded.sub_level.tolist(), banded.sub_epsilon.tolist()):
+            merged[k, v] = merged.get((k, v), 0.0) + eps
+        got = {(k, b.v): b.epsilon for k, s in enumerate(banded_views) for b in s.bands}
+        assert got == merged
+        assert all([b.v for b in s.bands] == sorted(b.v for b in s.bands) for s in banded_views)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import tracemalloc
@@ -94,10 +95,9 @@ class TestSimulate:
     def test_bernoulli_mode_refuses_other_obligors_or_sub_counts(self, bundled_portfolio):
         sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("single"))
         banded = ar.band_exposures(sectored, 1.0)
-        (sector,) = sectored.sectors
         cfg = ar.SimConfig(n_draws=10, seed=1, mode="bernoulli-exact")
-        renamed = ar.SectoredPortfolio(sectored.sectors, ("X",) + sectored.obligor_ids[1:])
-        fewer = ar.SectoredPortfolio((ar.Sector("portfolio", 0.02, 0.01, sector.subs[1:]),), sectored.obligor_ids)
+        renamed = dataclasses.replace(sectored, obligor_ids=("X",) + sectored.obligor_ids[1:])
+        fewer = dataclasses.replace(sectored, subs=sectored.subs[1:])
         for other in (renamed, fewer):
             with pytest.raises(InputError, match="built from"):
                 ar.simulate(banded, cfg, other)
@@ -182,7 +182,7 @@ SIDES = [
 class TestCountFirst:
     @pytest.mark.parametrize("bands, count_first", SIDES)
     def test_each_side_samples_the_banded_law(self, bands, count_first):
-        banded = make_banded([("g", ar.SectorParams(0.6), bands)])
+        banded = make_banded([("g", 0.6, bands)])
         assert _count_first(_part_mu(banded)) is count_first
         n = 200_000
         emp = ar.simulate(banded, ar.SimConfig(n_draws=n, seed=41))
@@ -194,9 +194,9 @@ class TestCountFirst:
     def test_pooled_unmixed_sectors_sample_the_banded_law(self):
         # two unmixed sectors sharing level 3, around a gamma one: part 0 pools both and is drawn first
         banded = make_banded([
-            ("a", ar.SectorParams(0.0), [(1, 0.5), (3, 0.9), (7, 0.35)]),
-            ("g", ar.SectorParams(0.8), [(1, 0.3), (4, 0.7)]),
-            ("b", ar.SectorParams(0.0), [(2, 0.6), (3, 0.4), (5, 0.8)]),
+            ("a", 0.0, [(1, 0.5), (3, 0.9), (7, 0.35)]),
+            ("g", 0.8, [(1, 0.3), (4, 0.7)]),
+            ("b", 0.0, [(2, 0.6), (3, 0.4), (5, 0.8)]),
         ])
         pooled, gamma_part = banded._cumulant.parts()
         assert (pooled[0].tolist(), pooled[2]) == ([1, 2, 3, 5, 7], None)
@@ -210,7 +210,7 @@ class TestCountFirst:
 
     def test_blocks_hold_whole_rows(self, monkeypatch):
         # sum(mu) = 5 over 40 bands with cv 1: many draws hold more than 12 defaults
-        banded = make_banded([("g", ar.SectorParams(1.0), [(v, 0.125 * v) for v in range(1, 41)])])
+        banded = make_banded([("g", 1.0, [(v, 0.125 * v) for v in range(1, 41)])])
         assert _count_first(_part_mu(banded))
         cfg = ar.SimConfig(n_draws=3000, seed=19)
         whole = ar.simulate(banded, cfg)
@@ -237,7 +237,7 @@ class TestCountFirst:
 
     def test_count_first_chunk_memory_is_bounded(self):
         # one full chunk of sum(mu) = 200 over 256 bands: 13.1M picks, and one float per pick is 105 MB
-        banded = make_banded([("g", ar.SectorParams(0.3), [(v, 200.0 / 256 * v) for v in range(1, 257)])])
+        banded = make_banded([("g", 0.3, [(v, 200.0 / 256 * v) for v in range(1, 257)])])
         assert _count_first(_part_mu(banded))
         assert CHUNK_DRAWS * 200 > 3 * BLOCK_VARIATES
         tracemalloc.start()
@@ -253,7 +253,7 @@ class TestCountFirst:
         # the sector's gamma scale cv**2 * sum(mu) just under the largest band_exposures accepts
         total = sum(eps / v for v, eps in bands)
         cv = math.sqrt(0.99 * _MAX_GAMMA_SCALE / total)
-        banded = make_banded([("g", ar.SectorParams(cv), bands)])
+        banded = make_banded([("g", cv, bands)])
         assert _count_first(_part_mu(banded)) is count_first
         emp = ar.simulate(banded, ar.SimConfig(n_draws=100_000, seed=5))
         assert np.all(np.isfinite(emp.samples)) and emp.samples[0] >= 0.0
