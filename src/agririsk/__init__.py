@@ -59,7 +59,7 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 
 def __getattr__(name: str):

@@ -319,6 +319,23 @@ class TestBuildReport:
             column_sum = sum(float(line.split(",")[3 + column]) for line in c_lines[1:-1])
             assert column_sum == pytest.approx(float(total_cells[3 + column]), abs=2e-5)
 
+    def test_row_and_quantile_views_match_the_columns(self, bundled_run):
+        run = bundled_run
+        report = ar.build_report(run.portfolio, run.banded, run.dist, run.levels, run.config, run.findings)
+        table = report.contributions
+        assert table.names == run.portfolio.names
+        assert len(table.rows) == len(table.obligor_ids) == 22
+        for i, row in enumerate(table.rows):
+            assert row == ar.ContributionRow(table.obligor_ids[i], table.names[i], float(table.expected_loss[i]),
+                                             tuple(float(c) for c in table.contributions[i]))
+        assert [(q.exceedance_prob, q.loss) for q in report.quantiles] == list(zip(table.levels, table.totals))
+
+    def test_mismatched_portfolio_refused(self, bundled_run):
+        # the names used to come from an {id: name} dict that fell back to the id
+        run = bundled_run
+        with pytest.raises(ModelError, match="obligor ids differ"):
+            ar.build_report(synthetic_book(22, seed=1), run.banded, run.dist, [0.1])
+
     def test_quantile_grid_alignment(self, bundled_dist):
         # quantiles snap to grid points: loss is an integer multiple of the unit
         q = ar.exceedance_quantile(bundled_dist, 0.05)
@@ -366,11 +383,18 @@ class TestReportFiles:
     @pytest.mark.parametrize("field, value", [("contributions", (math.nan, 1.0)), ("expected_loss", math.inf),
                                               ("contributions", (1.0, -math.inf))])
     def test_non_finite_row_value_refused(self, bundled_run, field, value):
-        # json would write NaN or Infinity; the direct writer refuses instead of writing nan or inf
+        # json would write NaN or Infinity and csv nan or inf: the table refuses them when it is built
         run = bundled_run
         report = ar.build_report(run.portfolio, run.banded, run.dist, [0.1, 0.01], run.config, run.findings)
-        rows = list(report.contributions.rows)
-        rows[5] = replace(rows[5], **{field: value})
-        broken = replace(report, contributions=replace(report.contributions, rows=tuple(rows)))
-        with pytest.raises(ModelError, match=rf"obligor {rows[5].obligor_id!r} .* not finite"):
-            broken.to_json()
+        table = report.contributions
+        columns = {"expected_loss": table.expected_loss.copy(), "contributions": table.contributions.copy()}
+        columns[field][5] = value
+        with pytest.raises(ModelError, match=rf"obligor {table.obligor_ids[5]!r} .* not finite"):
+            ar.ContributionTable(levels=table.levels, obligor_ids=table.obligor_ids, names=table.names,
+                                 total_expected_loss=table.total_expected_loss, totals=table.totals, **columns)
+
+    @pytest.mark.parametrize("field, value", [("total_expected_loss", math.inf), ("totals", (1.0, math.nan))])
+    def test_non_finite_total_refused(self, bundled_run, field, value):
+        table = ar.risk_contributions(bundled_run.banded, bundled_run.dist, [0.1, 0.01])
+        with pytest.raises(ModelError, match="totals must be finite"):
+            replace(table, **{field: value})

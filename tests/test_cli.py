@@ -160,6 +160,21 @@ def test_gamma_pole_overflow_warns_nothing(tmp_path):
     assert result.stderr.startswith("the loss tail needs a grid of")
 
 
+@pytest.mark.parametrize("unit, rows", [("1e160", None), ("1e155", "A,A,100,0.05,0.01,0.5,0.5\nB,B,100,0,0,0.5,0.5\n")],
+                         ids=["bundled", "zero-rate"])
+def test_unit_whose_square_overflows_exit_1(tmp_path, unit, rows):
+    # Python's unit**2 raised OverflowError; a zero-rate obligor's 0 * inf is NaN, refused without a warning
+    args = ["analyze", "--unit", unit]
+    if rows:
+        (tmp_path / "zero.csv").write_text(HEADER.rsplit(",", 1)[0] + "\n" + rows, encoding="utf-8")
+        args += ["--input", "zero.csv"]
+    result = run_cli(args, tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    message = f"total variance contribution overflows at unit {float(unit)!r}; use a smaller unit (--unit)\n"
+    assert result.stderr == message
+    assert not (tmp_path / "out").exists()
+
+
 # discount factors e^1000 (overflows) and e^100 (a grid beyond numpy's array limits)
 @pytest.mark.parametrize("rate", ["-1000", "-100"])
 def test_discount_rate_at_or_below_minus_one_exit_2(tmp_path, rate):
