@@ -25,7 +25,6 @@ from .engine import (
     analytic_moments,
     auto_grid_size,
     band_exposures,
-    convolve,
     loss_dist_fft,
     loss_dist_poisson,
     loss_dist_sector,
@@ -55,11 +54,10 @@ from .simulate import (
     SimConfig,
     compare,
     empirical_exceedance_quantile,
-    sample_distribution,
     simulate,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 
 def __getattr__(name: str):

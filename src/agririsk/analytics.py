@@ -217,9 +217,12 @@ def moments(dist: LossDistribution) -> Moments:
     n = np.arange(dist.pmf.size, dtype=float)
     mean_units = float(np.dot(n, dist.pmf))
     second = float(np.dot(n * n, dist.pmf))
+    variance = (second - mean_units**2) * (dist.unit * dist.unit)
+    if not variance < math.inf:  # NaN too: a zero variance in units times an infinite unit * unit
+        raise ModelError(f"pmf variance overflows at unit {dist.unit!r}; use a smaller unit (--unit)")
     return Moments(
         mean=mean_units * dist.unit,
-        variance=(second - mean_units**2) * dist.unit**2,
+        variance=variance,
         truncation_caveat=max(dist.truncation_mass, dist.tail_bound) > TRUNCATION_CAVEAT,
     )
 

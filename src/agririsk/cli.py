@@ -217,10 +217,10 @@ def cmd_analyze(args, parser) -> int:
 
 def cmd_dist(args, parser) -> int:
     dist = run_pipeline(**_pipeline_args(args, parser)).dist
+    mom = analytics.moments(dist)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "distribution.csv").write_text(dist.to_csv(), encoding="utf-8")
-    mom = analytics.moments(dist)
     print(f"mean {mom.mean!r}")
     print(f"variance {mom.variance!r}")
     print(f"truncation_mass {dist.truncation_mass!r}")

@@ -32,7 +32,7 @@ MAX_GRID = 1 << 26  # largest grid any backend allocates: 512 MiB per float64 ar
 # beta above it fails MAX_GRID anyway, since the tail bound's t stays below 1/beta
 _MAX_GAMMA_SCALE = 2.0**50
 _EXPM1_CAP = 700.0  # t * max_v bound keeping expm1(t v) finite
-_SEARCH_STEPS = 64  # bisection and golden-section steps: brackets shrink to < 1e-13
+_SEARCH_STEPS = 64  # golden-section steps: the bracket shrinks to < 1e-13 of t_max
 _LOG_G0_FLOOR = -700.0  # Panjer splits the count where log g_0 is lower: subnormal g_0 loses digits
 _BLOCK_CELLS = 1 << 16  # Panjer block rows shrink so that one gather holds at most this many floats
 
@@ -287,8 +287,12 @@ class _Cumulant:
     K(t) = d_0(t) - sum_k alpha_k log(1 - beta_k d_k(t)), where
     d_k(t) = sum_v w_kv expm1(t v) with weight mu in part 0 and severity f_kv
     in part k, so one bincount gives every d_k. Markov's inequality gives
-    P(S >= n) <= exp(K(t) - t n) for every t in (0, t_max], where t_max stays
-    below each gamma pole beta_k d_k = 1 and t max_v <= 700.
+    P(S >= n) <= exp(K(t) - t n) for every t > 0. K is finite and convex
+    below the first gamma pole beta_k d_k(t) = 1 and +inf from it on, so
+    the golden search runs on (0, t_max] with t_max = min(700 / max_v,
+    log1p(1/beta_k) / v_k over the gamma parts, v_k the part's lowest level):
+    expm1(t v) stays finite, and since part k's weights sum to 1,
+    d_k(t) >= expm1(t v_k), so each pole lies at or below its term.
     """
 
     def __init__(self, banded: BandedPortfolio):
@@ -303,7 +307,12 @@ class _Cumulant:
         self.w = np.where(self.part > 0, mu / totals[self.part], mu)
         self.alpha = cv**-2
         self.beta = cv**2 * totals[1:]
-        self.t_max = self._t_max()
+        first = np.flatnonzero(np.diff(self.part, prepend=0))
+        with np.errstate(divide="ignore"):  # a beta that underflowed to 0 has no pole
+            poles = np.log1p(1.0 / self.beta[self.part[first] - 1]) / self.v[first]
+        self.t_max = float(min(_EXPM1_CAP / self.v.max(initial=1), poles.min(initial=math.inf)))
+        if not self.t_max > 0.0:  # a gamma scale near 1e304 or above, which only a hand-built portfolio has
+            raise ModelError(f"gamma scale {float(self.beta.max())!r} leaves no t > 0 to bound the loss tail")
 
     def parts(self):
         """(levels, epsilon, gamma) of each part that carries loss, part 0 first.
@@ -320,29 +329,18 @@ class _Cumulant:
     def _d(self, t: float) -> np.ndarray:
         return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
 
-    def _below_poles(self, t: float) -> bool:
-        with np.errstate(over="ignore"):  # a product that overflows to inf is above its pole, as it should be
-            return bool(np.all(self.beta * self._d(t)[1:] < 1.0))
-
-    def _t_max(self) -> float:
-        if not self.v.size:
-            return 0.0
-        lo, hi = 0.0, _EXPM1_CAP / float(self.v.max())
-        if self._below_poles(hi):
-            return hi
-        for _ in range(_SEARCH_STEPS):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if self._below_poles(mid) else (lo, mid)
-        return lo
-
     def __call__(self, t: float) -> float:
         d = self._d(t)
-        return float(d[0] - self.alpha @ np.log1p(-self.beta * d[1:]))
+        with np.errstate(over="ignore"):  # a product that overflows to inf is past its pole, as it should be
+            x = self.beta * d[1:]
+        if not np.all(x < 1.0):
+            return math.inf
+        return float(d[0] - self.alpha @ np.log1p(-x))
 
     def grid_need(self) -> float:
         """Least n the bound certifies at TAIL_EPS: min over t of (K(t) + log(1/TAIL_EPS)) / t."""
-        if not self.t_max:  # no bands need no grid; a gamma pole below the search's resolution certifies none
-            return math.inf if self.v.size else 0.0
+        if not self.v.size:
+            return 0.0
         log_inv_eps = -math.log(TAIL_EPS)
         return _golden_min(lambda t: (self(t) + log_inv_eps) / t, self.t_max)
 
@@ -495,10 +493,3 @@ def _convolve_pmfs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a power of two >= len(a) + len(b) - 1, so the circular product does not wrap
     size = 1 << (a.size + b.size - 2).bit_length()
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-
-
-def convolve(a: LossDistribution, b: LossDistribution) -> LossDistribution:
-    """Distribution of the sum of two independent losses on the same unit grid."""
-    if a.unit != b.unit:
-        raise ModelError(f"unit mismatch: {a.unit!r} vs {b.unit!r}")
-    return _finalize_pmf(_convolve_pmfs(a.pmf, b.pmf), a.unit)

@@ -50,17 +50,18 @@ class EmpiricalDistribution:
     """Sorted sample of aggregate losses plus clamping metadata."""
 
     samples: np.ndarray
-    n_draws: int
     clamp_count: int = 0
     mode: str = "poisson-banded"
     seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.samples.size != self.n_draws:
-            raise InputError(f"sample size {self.samples.size} != n_draws {self.n_draws}")
         if self.samples.size > 1 and np.any(np.diff(self.samples) < 0):
             raise InputError("samples must be sorted nondecreasing")
+
+    @property
+    def n_draws(self) -> int:
+        return self.samples.size
 
     @property
     def mean(self) -> float:
@@ -183,32 +184,19 @@ def simulate(
             rows = max(1, BLOCK_VARIATES // per_unit.size)
             for r in range(0, m, rows):
                 rates = np.outer(scale[r : r + rows], per_unit)
+                # the hits overwrite their rates, so the product makes no float64 copy of them
                 if cfg.mode == "poisson-banded":
-                    hits = rng.poisson(rates)
+                    np.copyto(rates, rng.poisson(rates))
                 else:
                     over = rates > 1.0
                     if over.any():
                         clamped += int(over.sum())
                         np.minimum(rates, 1.0, out=rates)
-                    hits = rng.random(rates.shape) < rates
-                acc[r : r + rows] += hits @ payouts
+                    np.less(rng.random(rates.shape), rates, out=rates)
+                acc[r : r + rows] += rates @ payouts
         losses[lo : lo + m] = acc
     losses.sort()
-    return EmpiricalDistribution(
-        samples=losses, n_draws=cfg.n_draws, clamp_count=clamped, mode=cfg.mode, seed=cfg.seed
-    )
-
-
-def sample_distribution(dist: LossDistribution, n_draws: int, seed: int) -> EmpiricalDistribution:
-    """Inverse-CDF sampling of an analytic distribution (self-consistency checks)."""
-    if n_draws < 1:
-        raise InputError(f"n_draws must be >= 1, got {n_draws}")
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random(n_draws)
-    idx = np.searchsorted(dist.cdf, uniforms, side="right")
-    idx = np.minimum(idx, dist.pmf.size - 1)
-    losses = np.sort(idx.astype(float) * dist.unit)
-    return EmpiricalDistribution(samples=losses, n_draws=n_draws, mode="inverse-cdf", seed=seed)
+    return EmpiricalDistribution(samples=losses, clamp_count=clamped, mode=cfg.mode, seed=cfg.seed)
 
 
 def empirical_exceedance_quantile(emp: EmpiricalDistribution, eps: float) -> float:

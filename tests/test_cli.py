@@ -175,6 +175,16 @@ def test_unit_whose_square_overflows_exit_1(tmp_path, unit, rows):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("unit", ["1e155", "1e160"])
+def test_dist_unit_whose_square_overflows_exit_1(tmp_path, unit):
+    # moments' unit**2 raised OverflowError; unit * unit is inf, and the variance is refused before any file
+    result = run_cli(["dist", "--unit", unit], tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stderr == f"pmf variance overflows at unit {float(unit)!r}; use a smaller unit (--unit)\n"
+    assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 # discount factors e^1000 (overflows) and e^100 (a grid beyond numpy's array limits)
 @pytest.mark.parametrize("rate", ["-1000", "-100"])
 def test_discount_rate_at_or_below_minus_one_exit_2(tmp_path, rate):

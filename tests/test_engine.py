@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ class TestLossDistSector:
         combined = ar.loss_dist_sector(make_banded([("a", pa, bands_a), ("b", pb, bands_b)]), 512)
         alone_a = ar.loss_dist_sector(make_banded([("a", pa, bands_a)]), 512)
         alone_b = ar.loss_dist_sector(make_banded([("b", pb, bands_b)]), 512)
-        tv = 0.5 * np.abs(combined.pmf - ar.convolve(alone_a, alone_b).pmf).sum()
+        tv = 0.5 * np.abs(combined.pmf - np.convolve(alone_a.pmf, alone_b.pmf)[:512]).sum()
         assert tv <= 1e-12
 
     def test_sigma_zero_sector_falls_back_to_poisson(self):
@@ -496,6 +497,68 @@ class TestTailBound:
         poisson_exact = float(ar.loss_dist_poisson(banded, 8 * n).pmf[n:].sum())
         assert poisson_exact <= ar.loss_dist_poisson(banded, n).tail_bound <= 1.0
 
+    def test_cumulant_is_inf_from_the_gamma_pole_on(self):
+        # one level at 1 with weight 1: d(t) = expm1(t), and beta = 1 puts the pole at t = log 2,
+        # where beta * expm1(t) rounds to exactly 1
+        cumulant = one_sector(1.0, [(1, 1.0)])._cumulant
+        pole = math.log(2.0)
+        assert float(cumulant.beta[0]) == 1.0 and cumulant.t_max == pole
+        assert math.isfinite(cumulant(pole * (1.0 - 1e-12)))
+        for t in (pole, pole * (1.0 + 1e-12), 2.0 * pole, 700.0):
+            assert cumulant(t) == math.inf
+
+    def test_pole_far_inside_the_bracket_matches_a_dense_scan(self):
+        # weight 0.01 at level 1 and 0.99 at level 1000: the pole sits near log1p(1/beta) / 1000,
+        # about 400 times below t_max = 700 / 1000, the closed-form bracket
+        mu = np.array([0.01, 1.0])
+        cumulant = one_sector(0.5, [(1, 0.01), (1000, 1000.0)])._cumulant
+        alpha, beta = float(cumulant.alpha[0]), float(cumulant.beta[0])
+        w = mu / mu.sum()
+
+        def d(t):
+            return w[0] * np.expm1(t) + w[1] * np.expm1(1000.0 * t)
+
+        lo, hi = 0.0, cumulant.t_max
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if beta * d(mid) < 1.0 else (lo, mid)
+        assert lo < cumulant.t_max / 300.0
+
+        def scan_min(fn):
+            t = np.linspace(0.0, lo, 200_001)[1:-1]
+            i = int(np.argmin(fn(t)))
+            return float(fn(np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 200_001)).min())
+
+        def k(t):
+            return -alpha * np.log1p(-beta * d(t))
+
+        n = 20_000
+        want = math.exp(scan_min(lambda t: k(t) - t * n))
+        assert 0.0 < want < 1e-9
+        assert cumulant.tail_bound(n) == pytest.approx(want, rel=1e-10, abs=0.0)
+        log_inv_eps = -math.log(ar.engine.TAIL_EPS)
+        want = scan_min(lambda t: (k(t) + log_inv_eps) / t)
+        assert cumulant.grid_need() == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    # a zero-loss gamma sector keeps no level to bracket its pole, and beta = 1e-300 * 1e-30 rounds to 0
+    @pytest.mark.parametrize("extra", [("z", 0.5, [(2, 0.0), (6, 0.0)]), ("g", 1e-150, [(1, 1e-30)])],
+                             ids=["zero-loss", "beta-underflow"])
+    def test_gamma_sector_without_a_pole_changes_nothing(self, extra):
+        bands = self.CASES["mixed"]
+        alone = make_banded(bands)._cumulant
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beside = make_banded(bands + [extra])._cumulant
+            assert beside.t_max == alone.t_max
+            assert beside.grid_need() == alone.grid_need()
+            assert beside.tail_bound(32) == alone.tail_bound(32)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_hand_built_gamma_scale_with_no_bracket_refused(self):
+        # cv**2 overflows to inf, so log1p(1 / beta) is 0: no t > 0 to search; band_exposures caps beta at 2**50
+        with pytest.raises(ModelError, match="gamma scale inf leaves no t > 0"):
+            ar.auto_grid_size(one_sector(1e155, [(1, 1.0)]))
+
     def test_zero_risk_portfolio(self):
         banded = poisson_sector([(1, 0.0), (5, 0.0)])
         assert ar.auto_grid_size(banded) == 16
@@ -587,40 +650,37 @@ class TestProbExceeds:
 
 
 class TestConvolve:
-    def point_mass(self, n: int, size: int = 16, unit: float = 1.0) -> ar.LossDistribution:
-        pmf = np.zeros(size)
-        pmf[n] = 1.0
-        return ar.LossDistribution(unit=unit, pmf=pmf, truncation_mass=0.0)
+    # _convolve_pmfs, which Panjer's split counts and loss_dist_sector's parts go through
+    def point_mass(self, n: int, size: int = 16) -> np.ndarray:
+        return np.eye(1, size, n)[0]
 
     def test_identity_element(self):
         lam = 1.3
-        d = ar.loss_dist_poisson(poisson_sector([(1, lam)]), 32)
-        out = ar.convolve(self.point_mass(0, 32), d)
-        np.testing.assert_allclose(out.pmf, d.pmf, rtol=0, atol=1e-15)
+        d = ar.loss_dist_poisson(poisson_sector([(1, lam)]), 32).pmf
+        out = ar.engine._convolve_pmfs(self.point_mass(0, 32), d)
+        np.testing.assert_allclose(out, d, rtol=0, atol=1e-15)
 
     def test_shift(self):
-        out = ar.convolve(self.point_mass(2), self.point_mass(3))
-        assert out.pmf[5] == pytest.approx(1.0, abs=1e-12)
-        assert out.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        out = ar.engine._convolve_pmfs(self.point_mass(2), self.point_mass(3))
+        assert out[5] == pytest.approx(1.0, abs=1e-12)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_poisson_additivity(self):
-        d1 = ar.loss_dist_poisson(poisson_sector([(1, 1.0)]), 64)
-        d2 = ar.loss_dist_poisson(poisson_sector([(1, 2.0)]), 64)
-        d3 = ar.loss_dist_poisson(poisson_sector([(1, 3.0)]), 64)
-        tv = 0.5 * np.abs(ar.convolve(d1, d2).pmf - d3.pmf).sum()
+        d1, d2, d3 = (ar.loss_dist_poisson(poisson_sector([(1, lam)]), 64).pmf for lam in (1.0, 2.0, 3.0))
+        tv = 0.5 * np.abs(ar.engine._convolve_pmfs(d1, d2) - d3).sum()
         assert tv <= 1e-12
 
-    def test_unit_mismatch_rejected(self):
-        with pytest.raises(ModelError, match="unit mismatch"):
-            ar.convolve(self.point_mass(1, unit=1.0), self.point_mass(1, unit=2.0))
+    def test_matches_direct_convolution_cut_to_the_longer(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.random(40), rng.random(23)
+        np.testing.assert_allclose(ar.engine._convolve_pmfs(a, b), np.convolve(a, b)[:40], rtol=1e-12, atol=1e-13)
 
     def test_reduction_order_independent(self):
-        parts = [
-            ar.loss_dist_poisson(poisson_sector([(1, lam)]), 128) for lam in (0.5, 1.1, 2.7)
-        ]
-        left = ar.convolve(ar.convolve(parts[0], parts[1]), parts[2])
-        right = ar.convolve(parts[0], ar.convolve(parts[1], parts[2]))
-        assert 0.5 * np.abs(left.pmf - right.pmf).sum() <= 1e-12
+        parts = [ar.loss_dist_poisson(poisson_sector([(1, lam)]), 128).pmf for lam in (0.5, 1.1, 2.7)]
+        conv = ar.engine._convolve_pmfs
+        left = conv(conv(parts[0], parts[1]), parts[2])
+        right = conv(parts[0], conv(parts[1], parts[2]))
+        assert 0.5 * np.abs(left - right).sum() <= 1e-12
 
 
 class TestSectorParams:

@@ -15,6 +15,13 @@ from conftest import make_banded, single_sector
 from test_engine import poisson_sector
 
 
+def sample_distribution(dist: ar.LossDistribution, n_draws: int, seed: int) -> ar.EmpiricalDistribution:
+    """Inverse-CDF draws from an analytic distribution, to compare it with itself."""
+    rng = np.random.default_rng(seed)
+    idx = np.minimum(np.searchsorted(dist.cdf, rng.random(n_draws), side="right"), dist.pmf.size - 1)
+    return ar.EmpiricalDistribution(samples=np.sort(idx * dist.unit), mode="inverse-cdf", seed=seed)
+
+
 class TestSimulate:
     def test_fixed_seed_is_bit_identical(self, bundled_banded):
         cfg = ar.SimConfig(n_draws=5000, seed=99)
@@ -248,6 +255,20 @@ class TestCountFirst:
             tracemalloc.stop()
         assert peak < CHUNK_DRAWS * 200 * 8
 
+    def test_per_band_chunk_memory_is_bounded(self):
+        # one full chunk over 64 bands is one block of 4.2M variates: the rates and the int64 counts
+        # take 16 bytes a variate, and a float64 copy of the counts for the product would make it 24
+        banded = make_banded([("g", 0.3, [(v, 200.0 / 64 * v) for v in range(1, 65)])])
+        assert not _count_first(_part_mu(banded))
+        assert CHUNK_DRAWS * 64 == BLOCK_VARIATES
+        tracemalloc.start()
+        try:
+            ar.simulate(banded, ar.SimConfig(n_draws=CHUNK_DRAWS, seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_DRAWS * 64 * 20
+
     @pytest.mark.parametrize("bands, count_first", SIDES)
     def test_gamma_scale_at_the_limit_draws(self, bands, count_first):
         # the sector's gamma scale cv**2 * sum(mu) just under the largest band_exposures accepts
@@ -262,28 +283,28 @@ class TestCountFirst:
 class TestEmpiricalQuantile:
     def test_range_sample(self):
         emp = ar.EmpiricalDistribution(
-            samples=np.arange(100, dtype=float), n_draws=100, mode="poisson-banded"
+            samples=np.arange(100, dtype=float), mode="poisson-banded"
         )
         # exactly 5 of {0..99} exceed 94
         assert ar.empirical_exceedance_quantile(emp, 0.05) == 94.0
 
     def test_constant_sample(self):
-        emp = ar.EmpiricalDistribution(samples=np.full(64, 7.0), n_draws=64)
+        emp = ar.EmpiricalDistribution(samples=np.full(64, 7.0))
         for eps in (0.5, 0.1, 0.01):
             assert ar.empirical_exceedance_quantile(emp, eps) == 7.0
 
     def test_median_of_four(self):
-        emp = ar.EmpiricalDistribution(samples=np.array([1.0, 2.0, 3.0, 4.0]), n_draws=4)
+        emp = ar.EmpiricalDistribution(samples=np.array([1.0, 2.0, 3.0, 4.0]))
         assert ar.empirical_exceedance_quantile(emp, 0.5) == 2.0
 
     def test_unsorted_sample_rejected(self):
         with pytest.raises(InputError, match="sorted"):
-            ar.EmpiricalDistribution(samples=np.array([2.0, 1.0]), n_draws=2)
+            ar.EmpiricalDistribution(samples=np.array([2.0, 1.0]))
 
 
 class TestCompare:
     def test_self_consistency_zero_flags(self, bundled_dist):
-        emp = ar.sample_distribution(bundled_dist, n_draws=200_000, seed=8)
+        emp = sample_distribution(bundled_dist, 200_000, seed=8)
         report = ar.compare(bundled_dist, emp, [0.1, 0.05, 0.01])
         assert report.flag_count == 0
 
@@ -293,7 +314,7 @@ class TestCompare:
         assert report.flag_count == 0
 
     def test_report_serializes(self, bundled_dist):
-        emp = ar.sample_distribution(bundled_dist, n_draws=10_000, seed=12)
+        emp = sample_distribution(bundled_dist, 10_000, seed=12)
         report = ar.compare(bundled_dist, emp, [0.1], total_exposure=1e9)
         payload = report.to_json_dict()
         assert payload["flag_count"] == report.flag_count
