@@ -254,7 +254,10 @@ def analytic_moments(banded: BandedPortfolio) -> tuple[float, float]:
     c = banded._cumulant
     eps_totals = np.bincount(c.part, weights=c.eps, minlength=c.alpha.size + 1)
     var_u = float(c.eps @ c.v) + float(eps_totals[1:] ** 2 @ (1.0 / c.alpha))
-    return float(eps_totals.sum()) * banded.unit, var_u * banded.unit**2
+    mean, variance = float(eps_totals.sum()) * banded.unit, var_u * (banded.unit * banded.unit)
+    if not (mean < math.inf and variance < math.inf):  # NaN too: a zero variance times an infinite unit * unit
+        raise ModelError(f"model moments overflow at unit {banded.unit!r}; use a smaller unit (--unit)")
+    return mean, variance
 
 
 def _golden_min(fn, hi: float) -> float:

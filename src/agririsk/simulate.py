@@ -24,10 +24,12 @@ from .portfolio import MC_MODES, SectoredPortfolio
 # master seed, so results stay identical under any future worker partitioning.
 CHUNK_DRAWS = 65536
 # Within a chunk each sector's (draws x columns) rate matrix, or its picked
-# defaults, is built and drawn in row blocks of at most this many variates, which
-# bounds memory whatever the column count; row-blocked draws consume the RNG
-# stream in the same order.
-BLOCK_VARIATES = 1 << 22
+# defaults, is built and drawn in row blocks of at most this many variates:
+# 512 KiB of float64, which stays in a core's L2 cache and bounds memory whatever
+# the column count. Row-blocked draws consume the RNG stream in the same order.
+# A rate block holds a multiple of 64 rows, so that the BLAS product rounds each
+# row as one whole-chunk block does (see _aligned_blocks).
+BLOCK_VARIATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class EmpiricalDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.samples.size > 1 and np.any(np.diff(self.samples) < 0):
+        if self.samples.size > 1 and np.any(self.samples[1:] < self.samples[:-1]):
             raise InputError("samples must be sorted nondecreasing")
 
     @property
@@ -96,6 +98,15 @@ def _gamma_scalings(rng: np.random.Generator, alpha: float, size: int) -> np.nda
 def _count_first(mu: np.ndarray) -> bool:
     # a total count plus one pick per default against one Poisson per band, per draw
     return 1.0 + float(mu.sum()) < mu.size
+
+
+def _aligned_blocks(m: int, cols: int) -> list[slice]:
+    # row slices of an (m x cols) matrix, each a multiple of 64 rows (bar a chunk's last) and at
+    # most BLOCK_VARIATES variates unless 64 rows alone hold more. The product rates @ payouts is
+    # a BLAS gemv, and OpenBLAS can round the last bit of a row left over from its kernel's row
+    # groups differently; a multiple of 64 rows, split over one or two threads, leaves none over
+    rows = max(64, BLOCK_VARIATES // cols // 64 * 64)
+    return [slice(r, min(r + rows, m)) for r in range(0, m, rows)]
 
 
 def _row_blocks(counts: np.ndarray):
@@ -151,6 +162,17 @@ def simulate(
     bernoulli-exact needs the pre-banding sectored view that banded was
     built from and pays the raw sub-exposure on each Bernoulli default,
     clamping (and counting) scaled probabilities above 1.
+
+    The per-band and Bernoulli draws build each part's (draws x columns)
+    rates in row blocks of at most BLOCK_VARIATES variates, small enough
+    to stay in cache, which consume the random stream in row order
+    whatever their size. Version 0.9.0 makes each block a multiple of 64
+    rows (bar a chunk's last), so the BLAS product with the payouts rounds
+    a row as one block of the whole chunk does. Version 0.8.0 drew a part
+    of at most 64 columns in one block per chunk, so full chunks of such
+    parts keep its samples bit for bit; a rare sum in a chunk's last block,
+    or in a wider part, which 0.8.0 drew in unaligned blocks, can move in
+    its last bit.
     """
     if cfg.mode == "poisson-banded":
         plans = [(None if gamma is None else gamma[0], eps / vs, vs * banded.unit)
@@ -181,9 +203,8 @@ def simulate(
             if cfg.mode == "poisson-banded" and _count_first(per_unit):
                 _add_count_first(rng, scale, per_unit, payouts, acc)
                 continue
-            rows = max(1, BLOCK_VARIATES // per_unit.size)
-            for r in range(0, m, rows):
-                rates = np.outer(scale[r : r + rows], per_unit)
+            for rs in _aligned_blocks(m, per_unit.size):
+                rates = np.outer(scale[rs], per_unit)
                 # the hits overwrite their rates, so the product makes no float64 copy of them
                 if cfg.mode == "poisson-banded":
                     np.copyto(rates, rng.poisson(rates))
@@ -193,7 +214,7 @@ def simulate(
                         clamped += int(over.sum())
                         np.minimum(rates, 1.0, out=rates)
                     np.less(rng.random(rates.shape), rates, out=rates)
-                acc[r : r + rows] += rates @ payouts
+                acc[rs] += rates @ payouts
         losses[lo : lo + m] = acc
     losses.sort()
     return EmpiricalDistribution(samples=losses, clamp_count=clamped, mode=cfg.mode, seed=cfg.seed)

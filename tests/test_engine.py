@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -721,6 +722,13 @@ class TestMomentConservation:
         mean_money, var_money = ar.analytic_moments(banded)
         assert mom.mean == pytest.approx(mean_money, rel=1e-9)
         assert var_money == pytest.approx(expected_var, rel=1e-12)
+
+    @pytest.mark.parametrize("unit", [1e155, 1e160])
+    def test_analytic_moments_refused_where_unit_squared_overflows(self, bundled_portfolio, unit):
+        banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment()), unit)
+        message = f"model moments overflow at unit {unit!r}; use a smaller unit (--unit)"
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            ar.analytic_moments(banded)
 
 
 class TestSerialization:

@@ -159,6 +159,47 @@ class TestBlockedDraws:
             tracemalloc.stop()
         assert peak < CHUNK_DRAWS * subs * 8
 
+    def test_bundled_bernoulli_chunk_memory_is_bounded(self, bundled_run):
+        # one full chunk over two 22-sub sectors; a (draws x subs) float matrix of one sector is 11.5 MB
+        cfg = ar.SimConfig(n_draws=CHUNK_DRAWS, seed=7, mode="bernoulli-exact")
+        tracemalloc.start()
+        try:
+            ar.simulate(bundled_run.banded, cfg, bundled_run.sectored)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("mode", ["poisson-banded", "bernoulli-exact"])
+    @pytest.mark.parametrize("cols, n_draws", [(1, CHUNK_DRAWS + 4096), (22, CHUNK_DRAWS + 4096),
+                                               (64, CHUNK_DRAWS + 4096), (1100, 4096)])
+    def test_blocks_are_aligned_and_bounded(self, monkeypatch, mode, cols, n_draws):
+        # one gamma sector drawn over cols columns: bands with mu = 2 (per band) or sub-exposures;
+        # at 1100 columns 64 rows alone hold more than BLOCK_VARIATES variates
+        if mode == "poisson-banded":
+            sectored, banded = None, make_banded([("g", 0.5, [(v, 2.0 * v) for v in range(1, cols + 1)])])
+            assert not _count_first(_part_mu(banded))
+        else:
+            sectored, banded = single_sector("".join(f"O{i},O{i},{1 + i},0.02,0.01,1,0\n" for i in range(cols)))
+        module = importlib.import_module("agririsk.simulate")
+        blocks, aligned_blocks = [], module._aligned_blocks
+
+        def recorded(m, cols):
+            got = aligned_blocks(m, cols)
+            blocks.append((m, cols, got))
+            return got
+
+        monkeypatch.setattr(module, "_aligned_blocks", recorded)
+        ar.simulate(banded, ar.SimConfig(n_draws=n_draws, seed=3, mode=mode), sectored)
+        chunks = [CHUNK_DRAWS, 4096] if n_draws > CHUNK_DRAWS else [n_draws]
+        assert [(m, c) for m, c, _ in blocks] == [(m, cols) for m in chunks]
+        for m, cols, got in blocks:
+            assert [rs.start for rs in got] == [0] + [rs.stop for rs in got[:-1]] and got[-1].stop == m
+            for rs in got:
+                assert (rs.stop - rs.start) % 64 == 0
+                assert (rs.stop - rs.start) * cols <= BLOCK_VARIATES or rs.stop - rs.start == 64
+        assert len(blocks[0][2]) > 1 or cols == 1
+
     @pytest.mark.parametrize("mode", ["poisson-banded", "bernoulli-exact"])
     def test_blocked_draws_match_one_block(self, bundled_run, monkeypatch, mode):
         sectored, banded = bundled_run.sectored, bundled_run.banded
@@ -256,11 +297,11 @@ class TestCountFirst:
         assert peak < CHUNK_DRAWS * 200 * 8
 
     def test_per_band_chunk_memory_is_bounded(self):
-        # one full chunk over 64 bands is one block of 4.2M variates: the rates and the int64 counts
-        # take 16 bytes a variate, and a float64 copy of the counts for the product would make it 24
+        # one full chunk over 64 bands is 4.2M variates drawn in several blocks: the rates and the
+        # int64 counts take 16 bytes a variate, and a float64 copy of the counts would make it 24
         banded = make_banded([("g", 0.3, [(v, 200.0 / 64 * v) for v in range(1, 65)])])
         assert not _count_first(_part_mu(banded))
-        assert CHUNK_DRAWS * 64 == BLOCK_VARIATES
+        assert CHUNK_DRAWS * 64 > 3 * BLOCK_VARIATES
         tracemalloc.start()
         try:
             ar.simulate(banded, ar.SimConfig(n_draws=CHUNK_DRAWS, seed=7))
@@ -300,6 +341,15 @@ class TestEmpiricalQuantile:
     def test_unsorted_sample_rejected(self):
         with pytest.raises(InputError, match="sorted"):
             ar.EmpiricalDistribution(samples=np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("samples", [[math.inf, 1.0], [0.0, -math.inf], [1.0, math.inf, 2.0]])
+    def test_unsorted_infinite_sample_rejected(self, samples):
+        with pytest.raises(InputError, match="sorted"):
+            ar.EmpiricalDistribution(samples=np.array(samples))
+
+    def test_sorted_infinite_sample_accepted(self):
+        emp = ar.EmpiricalDistribution(samples=np.array([-math.inf, 0.0, math.inf, math.inf]))
+        assert emp.n_draws == 4
 
 
 class TestCompare:
