@@ -11,6 +11,7 @@ its losses can never exceed total exposure while the Poisson model's can.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +22,13 @@ from .errors import InputError, ModelError
 from .portfolio import MC_MODES, SectoredPortfolio
 
 # Draws are generated in fixed-size chunks with child seeds spawned from the
-# master seed, so results stay identical under any future worker partitioning.
+# master seed, so results stay identical under any partitioning of the chunks
+# among threads.
 CHUNK_DRAWS = 65536
 # Within a chunk each sector's (draws x columns) rate matrix, or its picked
 # defaults, is built and drawn in row blocks of at most this many variates:
 # 512 KiB of float64, which stays in a core's L2 cache and bounds memory whatever
 # the column count. Row-blocked draws consume the RNG stream in the same order.
-# A rate block holds a multiple of 64 rows, so that the BLAS product rounds each
-# row as one whole-chunk block does (see _aligned_blocks).
 BLOCK_VARIATES = 1 << 16
 
 
@@ -100,12 +100,17 @@ def _count_first(mu: np.ndarray) -> bool:
     return 1.0 + float(mu.sum()) < mu.size
 
 
-def _aligned_blocks(m: int, cols: int) -> list[slice]:
-    # row slices of an (m x cols) matrix, each a multiple of 64 rows (bar a chunk's last) and at
-    # most BLOCK_VARIATES variates unless 64 rows alone hold more. The product rates @ payouts is
-    # a BLAS gemv, and OpenBLAS can round the last bit of a row left over from its kernel's row
-    # groups differently; a multiple of 64 rows, split over one or two threads, leaves none over
-    rows = max(64, BLOCK_VARIATES // cols // 64 * 64)
+def _cpu_count() -> int:
+    # the CPUs this process may run on, which can be fewer than the machine has
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _rate_blocks(m: int, cols: int) -> list[slice]:
+    # row slices of an (m x cols) matrix, at most BLOCK_VARIATES variates each unless one row has more
+    rows = max(1, BLOCK_VARIATES // cols)
     return [slice(r, min(r + rows, m)) for r in range(0, m, rows)]
 
 
@@ -120,16 +125,72 @@ def _row_blocks(counts: np.ndarray):
         lo = hi
 
 
-def _add_count_first(rng: np.random.Generator, scale: np.ndarray, mu: np.ndarray, payouts: np.ndarray,
-                     acc: np.ndarray) -> None:
-    # one Poisson total per draw, then a band per default with probability mu_v / sum(mu)
-    cdf = np.cumsum(mu)
-    counts = rng.poisson(cdf[-1] * scale)
-    cdf = cdf[:-1] / cdf[-1]
+def _alias_table(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias table of the law mu / sum(mu): (keep, alias) per column.
+
+    A pick lands on a column j uniformly, keeps j with probability keep[j]
+    and takes alias[j] otherwise. Each column j then receives keep[j] plus
+    the 1 - keep[i] of every column i aliased to it, which is
+    mu_j * size / sum(mu) up to rounding.
+    """
+    size = mu.size
+    scaled = (mu * (size / mu.sum())).tolist()
+    keep, alias = np.ones(size), np.arange(size)
+    small = [j for j, x in enumerate(scaled) if x < 1.0]
+    large = [j for j, x in enumerate(scaled) if x >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        keep[s], alias[s] = scaled[s], g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0  # what g has left to fill, less rounding than g - (1 - s)
+        (small if scaled[g] < 1.0 else large).append(g)
+    return keep, alias  # a column left on either list after rounding keeps itself
+
+
+def _pick(rng: np.random.Generator, picks: int, keep: np.ndarray, alias: np.ndarray) -> np.ndarray:
+    # one uniform per pick: u * size, below size since u <= 1 - 2**-53, splits into a column and a
+    # fraction that is uniform on [0, 1) given the column
+    x = rng.random(picks)
+    x *= keep.size
+    col = x.astype(np.intp)
+    x -= col
+    return np.where(x < keep[col], col, alias[col])
+
+
+def _add_count_first(rng: np.random.Generator, scale: np.ndarray, table: tuple[float, np.ndarray, np.ndarray],
+                     payouts: np.ndarray, acc: np.ndarray) -> None:
+    # one Poisson total per draw at sum(mu) = total, then a band per default from mu's alias table
+    total, keep, alias = table
+    counts = rng.poisson(total * scale)
     for lo, hi, picks in _row_blocks(counts):
-        paid = payouts[cdf.searchsorted(rng.random(picks), side="right")]
+        paid = payouts[_pick(rng, picks, keep, alias)]
         acc[lo:hi] += np.bincount(np.repeat(np.arange(hi - lo), counts[lo:hi]), paid, hi - lo)
         del paid  # before the next block's draws, which would otherwise sit beside it
+
+
+def _draw_chunk(child: np.random.SeedSequence, acc: np.ndarray, plans: list, bernoulli: bool) -> int:
+    # adds one chunk's losses into acc, drawn from the chunk's own seed; returns its clamp count
+    rng = np.random.default_rng(child)
+    m = acc.size
+    clamped = 0
+    for alpha, per_unit, payouts, table in plans:
+        scale = _gamma_scalings(rng, alpha, m) if alpha is not None else np.ones(m)
+        if table is not None:
+            _add_count_first(rng, scale, table, payouts, acc)
+            continue
+        for rs in _rate_blocks(m, per_unit.size):
+            rates = np.outer(scale[rs], per_unit)
+            # the hits overwrite their rates, so the sum makes no float64 copy of them
+            if bernoulli:
+                over = rates > 1.0
+                if over.any():
+                    clamped += int(over.sum())
+                    np.minimum(rates, 1.0, out=rates)
+                np.less(rng.random(rates.shape), rates, out=rates)
+            else:
+                np.copyto(rates, rng.poisson(rates))
+            # numpy's own loop, not a BLAS gemv, so a row's sum depends only on its values
+            acc[rs] += np.einsum("ij,j->i", rates, payouts)
+    return clamped
 
 
 def simulate(
@@ -147,17 +208,15 @@ def simulate(
     N ~ Poisson(G*sum(mu)) with each default in band v with probability
     mu_v/sum(mu). Each part draws whichever way takes fewer expected
     variates per draw: count-first (N, then one uniform per default picked
-    by searchsorted on the cumulative mu) when 1 + sum(mu) < its band count,
-    one Poisson per band otherwise. Forcing each side on a 20,000-obligor
-    book (about 65 bands and 400 expected defaults per sector), a picked
-    default cost about 44 ns and a band Poisson about 56 ns on a 2-vCPU VM
-    (numpy 2.4, PCG64). A per-band part consumes the random stream as
-    version 0.1.0 did; a count-first part draws N for every draw of the
-    chunk, then its picks in row order. Version 0.3.0 pooled the unmixed
-    sectors and draws them first, so only a portfolio with an unmixed
-    sector that is not its first draws new samples. Version 0.4.0 draws,
-    in both modes, with the engine's gamma shapes, whose array cv**-2 can
-    differ in the last bit from the scalar one drawn with before.
+    from a Walker/Vose alias table of mu) when 1 + sum(mu) < its band
+    count, one Poisson per band otherwise. A per-band part consumes the
+    random stream as version 0.1.0 did; a count-first part draws N for
+    every draw of the chunk, then its picks in row order. Version 0.3.0
+    pooled the unmixed sectors and draws them first, so only a portfolio
+    with an unmixed sector that is not its first draws new samples.
+    Version 0.4.0 draws, in both modes, with the engine's gamma shapes,
+    whose array cv**-2 can differ in the last bit from the scalar one drawn
+    with before.
 
     bernoulli-exact needs the pre-banding sectored view that banded was
     built from and pays the raw sub-exposure on each Bernoulli default,
@@ -166,17 +225,24 @@ def simulate(
     The per-band and Bernoulli draws build each part's (draws x columns)
     rates in row blocks of at most BLOCK_VARIATES variates, small enough
     to stay in cache, which consume the random stream in row order
-    whatever their size. Version 0.9.0 makes each block a multiple of 64
-    rows (bar a chunk's last), so the BLAS product with the payouts rounds
-    a row as one block of the whole chunk does. Version 0.8.0 drew a part
-    of at most 64 columns in one block per chunk, so full chunks of such
-    parts keep its samples bit for bit; a rare sum in a chunk's last block,
-    or in a wider part, which 0.8.0 drew in unaligned blocks, can move in
-    its last bit.
+    whatever their size. The chunks are drawn on as many threads as the
+    process may run on, at most one per chunk; the calling thread draws
+    one share of them. Samples depend on neither that count nor the BLAS:
+    each chunk draws from its own child seed into its own rows, a row sums
+    in numpy's own loops, and poisson-banded sums whole units, exact below
+    2**53, and multiplies by unit once. Version 0.10.0 picks count-first
+    defaults from the alias table in place of searchsorted on the
+    cumulative mu, which gives such parts new samples. A poisson-banded
+    sample at a unit where v*unit rounds (0.1, say) and a bernoulli-exact
+    sample can also move in their last bit.
     """
-    if cfg.mode == "poisson-banded":
-        plans = [(None if gamma is None else gamma[0], eps / vs, vs * banded.unit)
-                 for vs, eps, gamma in banded._cumulant.parts()]
+    bernoulli = cfg.mode == "bernoulli-exact"
+    if not bernoulli:
+        plans = []  # payouts in whole units, so that any order of summing them is exact
+        for vs, eps, gamma in banded._cumulant.parts():
+            mu = eps / vs
+            table = (float(mu.sum()), *_alias_table(mu)) if _count_first(mu) else None
+            plans.append((None if gamma is None else gamma[0], mu, vs.astype(float), table))
     else:
         if sectored is None:
             raise InputError("bernoulli-exact mode needs the sectored (pre-banding) portfolio")
@@ -187,35 +253,29 @@ def simulate(
         alphas = np.full(len(banded.names), None)  # the engine's gamma shape of each gamma sector
         alphas[banded.cv > 0.0] = banded._cumulant.alpha.tolist()
         ends = np.cumsum(np.bincount(subs["sector"], minlength=len(banded.names)))[:-1]
-        plans = list(zip(alphas.tolist(), np.split(subs["loss_rate"], ends), np.split(subs["amount"], ends)))
+        plans = [(alpha, rates, amounts, None) for alpha, rates, amounts in
+                 zip(alphas.tolist(), np.split(subs["loss_rate"], ends), np.split(subs["amount"], ends))]
 
-    losses = np.empty(cfg.n_draws)
-    clamped = 0
+    losses = np.zeros(cfg.n_draws)
     n_chunks = math.ceil(cfg.n_draws / CHUNK_DRAWS)
     children = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    for chunk_index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        lo = chunk_index * CHUNK_DRAWS
-        m = min(CHUNK_DRAWS, cfg.n_draws - lo)
-        acc = np.zeros(m)
-        for alpha, per_unit, payouts in plans:
-            scale = _gamma_scalings(rng, alpha, m) if alpha is not None else np.ones(m)
-            if cfg.mode == "poisson-banded" and _count_first(per_unit):
-                _add_count_first(rng, scale, per_unit, payouts, acc)
-                continue
-            for rs in _aligned_blocks(m, per_unit.size):
-                rates = np.outer(scale[rs], per_unit)
-                # the hits overwrite their rates, so the product makes no float64 copy of them
-                if cfg.mode == "poisson-banded":
-                    np.copyto(rates, rng.poisson(rates))
-                else:
-                    over = rates > 1.0
-                    if over.any():
-                        clamped += int(over.sum())
-                        np.minimum(rates, 1.0, out=rates)
-                    np.less(rng.random(rates.shape), rates, out=rates)
-                acc[rs] += rates @ payouts
-        losses[lo : lo + m] = acc
+    workers = min(_cpu_count(), n_chunks)
+
+    def draw_share(share: int) -> int:
+        # chunks share, share + workers, ...; each adds into its own slice of losses
+        return sum(_draw_chunk(children[i], losses[i * CHUNK_DRAWS : (i + 1) * CHUNK_DRAWS], plans, bernoulli)
+                   for i in range(share, n_chunks, workers))
+
+    if workers == 1:
+        clamped = draw_share(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # at module level it would slow every CLI start
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = [pool.submit(draw_share, share) for share in range(1, workers)]
+            clamped = draw_share(0) + sum(f.result() for f in others)
+    if not bernoulli:
+        losses *= banded.unit
     losses.sort()
     return EmpiricalDistribution(samples=losses, clamp_count=clamped, mode=cfg.mode, seed=cfg.seed)
 

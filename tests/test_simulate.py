@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,9 @@ import pytest
 import agririsk as ar
 from agririsk.engine import _MAX_GAMMA_SCALE
 from agririsk.errors import InputError
-from agririsk.simulate import BLOCK_VARIATES, CHUNK_DRAWS, _count_first, _quantile_band
+from agririsk.simulate import BLOCK_VARIATES, CHUNK_DRAWS, _alias_table, _count_first, _pick, _quantile_band
 
-from conftest import make_banded, single_sector
+from conftest import HEADER, make_banded, single_sector
 from test_engine import poisson_sector
 
 
@@ -171,34 +173,38 @@ class TestBlockedDraws:
         assert peak < 8 << 20
 
     @pytest.mark.parametrize("mode", ["poisson-banded", "bernoulli-exact"])
-    @pytest.mark.parametrize("cols, n_draws", [(1, CHUNK_DRAWS + 4096), (22, CHUNK_DRAWS + 4096),
-                                               (64, CHUNK_DRAWS + 4096), (1100, 4096)])
-    def test_blocks_are_aligned_and_bounded(self, monkeypatch, mode, cols, n_draws):
+    @pytest.mark.parametrize("cols, n_draws, block_variates", [
+        (1, CHUNK_DRAWS + 4096, BLOCK_VARIATES), (22, CHUNK_DRAWS + 4096, BLOCK_VARIATES),
+        (64, CHUNK_DRAWS + 4096, BLOCK_VARIATES), (1100, 4096, BLOCK_VARIATES), (1100, 4096, 1000)])
+    def test_blocks_are_bounded(self, monkeypatch, mode, cols, n_draws, block_variates):
         # one gamma sector drawn over cols columns: bands with mu = 2 (per band) or sub-exposures;
-        # at 1100 columns 64 rows alone hold more than BLOCK_VARIATES variates
+        # at 1000 variates a block holds less than one row of 1100 columns
         if mode == "poisson-banded":
             sectored, banded = None, make_banded([("g", 0.5, [(v, 2.0 * v) for v in range(1, cols + 1)])])
             assert not _count_first(_part_mu(banded))
         else:
             sectored, banded = single_sector("".join(f"O{i},O{i},{1 + i},0.02,0.01,1,0\n" for i in range(cols)))
         module = importlib.import_module("agririsk.simulate")
-        blocks, aligned_blocks = [], module._aligned_blocks
+        blocks, rate_blocks = {}, module._rate_blocks
 
         def recorded(m, cols):
-            got = aligned_blocks(m, cols)
-            blocks.append((m, cols, got))
+            got = rate_blocks(m, cols)
+            blocks.setdefault(m, []).append((cols, got))  # keyed by chunk: chunks may run on several threads
             return got
 
-        monkeypatch.setattr(module, "_aligned_blocks", recorded)
+        monkeypatch.setattr(module, "BLOCK_VARIATES", block_variates)
+        monkeypatch.setattr(module, "_rate_blocks", recorded)
         ar.simulate(banded, ar.SimConfig(n_draws=n_draws, seed=3, mode=mode), sectored)
         chunks = [CHUNK_DRAWS, 4096] if n_draws > CHUNK_DRAWS else [n_draws]
-        assert [(m, c) for m, c, _ in blocks] == [(m, cols) for m in chunks]
-        for m, cols, got in blocks:
+        assert sorted(blocks) == sorted(chunks)
+        rows = max(1, block_variates // cols)
+        for m, calls in blocks.items():
+            ((got_cols, got),) = calls
+            assert got_cols == cols
             assert [rs.start for rs in got] == [0] + [rs.stop for rs in got[:-1]] and got[-1].stop == m
-            for rs in got:
-                assert (rs.stop - rs.start) % 64 == 0
-                assert (rs.stop - rs.start) * cols <= BLOCK_VARIATES or rs.stop - rs.start == 64
-        assert len(blocks[0][2]) > 1 or cols == 1
+            assert all(rs.stop - rs.start == rows for rs in got[:-1]) and got[-1].stop - got[-1].start <= rows
+            assert rows * cols <= block_variates or rows == 1
+        assert len(blocks[chunks[0]][0][1]) > 1 or cols == 1
 
     @pytest.mark.parametrize("mode", ["poisson-banded", "bernoulli-exact"])
     def test_blocked_draws_match_one_block(self, bundled_run, monkeypatch, mode):
@@ -208,7 +214,7 @@ class TestBlockedDraws:
         # the module, not the simulate function that the package exports under its name
         monkeypatch.setattr(importlib.import_module("agririsk.simulate"), "BLOCK_VARIATES", 1000)
         blocked = ar.simulate(banded, cfg, sectored)
-        np.testing.assert_allclose(blocked.samples, whole.samples, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(blocked.samples, whole.samples)
         assert blocked.clamp_count == whole.clamp_count
 
 
@@ -273,7 +279,7 @@ class TestCountFirst:
         monkeypatch.setattr(module, "BLOCK_VARIATES", 12)
         monkeypatch.setattr(module, "_row_blocks", recorded)
         blocked = ar.simulate(banded, cfg)
-        np.testing.assert_allclose(blocked.samples, whole.samples, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(blocked.samples, whole.samples)
         ((counts, got),) = blocks
         assert [lo for lo, _, _ in got] == [0] + [hi for _, hi, _ in got[:-1]]
         assert got[-1][1] == counts.size
@@ -296,19 +302,27 @@ class TestCountFirst:
             tracemalloc.stop()
         assert peak < CHUNK_DRAWS * 200 * 8
 
-    def test_per_band_chunk_memory_is_bounded(self):
+    def test_per_band_chunk_memory_is_bounded(self, monkeypatch):
         # one full chunk over 64 bands is 4.2M variates drawn in several blocks: the rates and the
-        # int64 counts take 16 bytes a variate, and a float64 copy of the counts would make it 24
+        # int64 counts take 16 bytes a variate, and a float64 copy of the counts would make it 24.
+        # Two chunks on two threads hold two blocks at once.
         banded = make_banded([("g", 0.3, [(v, 200.0 / 64 * v) for v in range(1, 65)])])
         assert not _count_first(_part_mu(banded))
         assert CHUNK_DRAWS * 64 > 3 * BLOCK_VARIATES
-        tracemalloc.start()
-        try:
-            ar.simulate(banded, ar.SimConfig(n_draws=CHUNK_DRAWS, seed=7))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < CHUNK_DRAWS * 64 * 20
+        monkeypatch.setattr(importlib.import_module("agririsk.simulate"), "_cpu_count", lambda: 2)
+        ar.simulate(banded, ar.SimConfig(n_draws=10, seed=7))  # numpy.random's lazy imports, counted once
+        for n_chunks in (1, 2):
+            tracemalloc.start()
+            try:
+                ar.simulate(banded, ar.SimConfig(n_draws=n_chunks * CHUNK_DRAWS, seed=7))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < CHUNK_DRAWS * 64 * 20
+            # per block in flight, one per thread: 20 bytes a variate and its chunk's gamma scalings;
+            # and the float64 losses
+            in_flight = min(2, n_chunks)
+            assert peak < in_flight * (BLOCK_VARIATES * 20 + CHUNK_DRAWS * 8) + n_chunks * CHUNK_DRAWS * 8
 
     @pytest.mark.parametrize("bands, count_first", SIDES)
     def test_gamma_scale_at_the_limit_draws(self, bands, count_first):
@@ -319,6 +333,108 @@ class TestCountFirst:
         assert _count_first(_part_mu(banded)) is count_first
         emp = ar.simulate(banded, ar.SimConfig(n_draws=100_000, seed=5))
         assert np.all(np.isfinite(emp.samples)) and emp.samples[0] >= 0.0
+
+
+def two_sectors(rows: str) -> tuple[ar.SectoredPortfolio, ar.BandedPortfolio]:
+    """Sectored and banded crop-livestock views of portfolio CSV rows, without expected_loss."""
+    portfolio = ar.parse_portfolio(HEADER.rsplit(",", 1)[0] + "\n" + rows)
+    sectored = ar.assign_sectors(portfolio, ar.SectorAssignment("crop-livestock"))
+    return sectored, ar.band_exposures(sectored, 1.0)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("mode", ar.portfolio.MC_MODES)
+    def test_samples_do_not_depend_on_the_worker_count(self, monkeypatch, mode):
+        # a count-first crop sector and a per-band livestock one whose 0.9 rates clamp under
+        # scalings above 1.12, over three chunks, the last of 17 draws
+        sectored, banded = two_sectors(
+            "".join(f"C{i},C{i},{10 + i},0.02,0.01,1,0\n" for i in range(8))
+            + "".join(f"L{i},L{i},{5 + 3 * i},0.9,0.9,0,1\n" for i in range(3)))
+        assert [_count_first(eps / vs) for vs, eps, _ in banded._cumulant.parts()] == [True, False]
+        module = importlib.import_module("agririsk.simulate")
+        cfg = ar.SimConfig(n_draws=2 * CHUNK_DRAWS + 17, seed=29, mode=mode)
+        threads, draw_chunk = set(), module._draw_chunk
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return draw_chunk(*args)
+
+        monkeypatch.setattr(module, "_draw_chunk", recorded)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches than the default 5 ms allows
+        try:
+            for workers in (1, 2, 3):
+                threads.clear()
+                monkeypatch.setattr(module, "_cpu_count", lambda workers=workers: workers)
+                runs.append(ar.simulate(banded, cfg, sectored))
+                assert len(threads) == workers and threading.get_ident() in threads
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run.samples, runs[0].samples)
+            assert run.clamp_count == runs[0].clamp_count
+        assert (runs[0].clamp_count > 0) is (mode == "bernoulli-exact")
+
+    def test_one_chunk_is_drawn_by_the_caller(self, bundled_banded, monkeypatch):
+        module = importlib.import_module("agririsk.simulate")
+        threads, draw_chunk = [], module._draw_chunk
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return draw_chunk(*args)
+
+        monkeypatch.setattr(module, "_draw_chunk", recorded)
+        monkeypatch.setattr(module, "_cpu_count", lambda: 4)
+        ar.simulate(bundled_banded, ar.SimConfig(n_draws=CHUNK_DRAWS, seed=1))
+        assert threads == [threading.get_ident()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_chunk_raises_from_simulate(self, bundled_banded, monkeypatch, workers):
+        module = importlib.import_module("agririsk.simulate")
+        draw = module._gamma_scalings
+
+        def failing(rng, alpha, size):
+            if size == 17:  # the second chunk, a pool thread's when there are two workers
+                raise RuntimeError("chunk failed")
+            return draw(rng, alpha, size)
+
+        monkeypatch.setattr(module, "_gamma_scalings", failing)
+        monkeypatch.setattr(module, "_cpu_count", lambda: workers)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            ar.simulate(bundled_banded, ar.SimConfig(n_draws=CHUNK_DRAWS + 17, seed=1))
+
+
+class _Uniforms:
+    """A stand-in generator whose random() returns one fixed value."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size: int) -> np.ndarray:
+        return np.full(size, self.u)
+
+
+class TestAliasTable:
+    @pytest.mark.parametrize("mu", [
+        [0.5], [1.0, 1.0, 1.0], [3.0, 1e-12, 1.0, 1e-300], [1.0] * 7 + [50.0],
+        np.random.default_rng(3).random(2000).tolist(),
+    ])
+    def test_each_column_receives_its_share(self, mu):
+        mu = np.array(mu)
+        keep, alias = _alias_table(mu)
+        assert np.all((keep >= 0.0) & (keep <= 1.0))
+        received = keep.copy()
+        np.add.at(received, alias, 1.0 - keep)
+        np.testing.assert_allclose(received, mu * (mu.size / mu.sum()), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 22, 2000])
+    def test_a_pick_stays_in_range(self, size):
+        # the largest uniform below 1 lands in the last column, 0 in the first
+        keep, alias = np.full(size, 0.5), np.arange(size)[::-1].copy()
+        assert _pick(_Uniforms(0.0), 1, keep, alias).tolist() == [0]
+        assert _pick(_Uniforms(np.nextafter(1.0, 0.0)), 1, keep, alias).tolist() == [0]
+        assert _pick(_Uniforms(np.nextafter(1.0, 0.0)), 1, np.ones(size), alias).tolist() == [size - 1]
 
 
 class TestEmpiricalQuantile:
