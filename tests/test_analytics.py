@@ -134,10 +134,13 @@ class TestExceedanceQuantile:
         with pytest.raises(ModelError):
             ar.exceedance_quantile(point_mass(1), 0.0)
 
-    def test_level_below_pmf_resolution_rejected(self, bundled_dist):
-        # no grid point has P(loss > x) <= 1e-15; the answer is not 0
+    def test_level_below_pmf_resolution_rejected(self, bundled_banded):
+        # tail bound 1.1e-16 at 100000 points, so the level passes it, yet no grid point has
+        # P(loss > x) <= 1e-15 (round-off leaves 8e-14); the answer is not 0
+        dist = ar.loss_dist_fft(bundled_banded, 100_000)
+        assert dist.tail_bound < 1e-15
         with pytest.raises(ModelError, match="smallest the pmf resolves"):
-            ar.exceedance_quantile(bundled_dist, 1e-15)
+            ar.exceedance_quantile(dist, 1e-15)
 
     def test_nonincreasing_in_eps(self, bundled_dist):
         levels = [0.2, 0.1, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001]

@@ -293,10 +293,22 @@ class TestAnalyze:
         assert "plus tail bound 2.266e-02 exceeds level 0.1" in result.stderr
         assert not (tmp_path / "out" / "quantiles.csv").exists()
 
-    def test_non_power_of_two_fft_grid_exit_1(self, tmp_path):
-        result = run_cli(["analyze", "--grid", "100000", "--backend", "fft"], tmp_path)
-        assert result.returncode == 1
-        assert "power of two" in result.stderr
+    def test_grid_of_any_length_backends_agree(self, tmp_path):
+        runs = [run_cli(["analyze", "--grid", "100000", "--backend", backend, "--out", backend], tmp_path)
+                for backend in ("fft", "panjer")]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+        assert (tmp_path / "fft" / "quantiles.csv").read_bytes() == (tmp_path / "panjer" / "quantiles.csv").read_bytes()
+        assert json.loads((tmp_path / "fft" / "report.json").read_text())["config"]["grid_size"] == 100000
+
+    def test_level_deeper_than_the_auto_grid_certifies_exit_1(self, tmp_path):
+        # the auto grid's bound is 8.9e-13 at 78125 points; the 1e-10 quantile's survival is 9.999e-11
+        result = run_cli(["analyze", "--unit", "1", "--levels", "0.1,0.01,1e-10"], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert "grid too small to certify" in result.stderr and "exceeds level 1e-10" in result.stderr
+        assert not (tmp_path / "out" / "quantiles.csv").exists()
+        # a larger explicit grid certifies it: tail bound 1.1e-16 at 100000 points
+        larger = run_cli(["analyze", "--unit", "1", "--levels", "0.1,0.01,1e-10", "--grid", "100000"], tmp_path)
+        assert larger.returncode == 0, larger.stderr
 
 
 class TestSimulate:

@@ -451,9 +451,15 @@ class TestLossDistFft:
         panjer = ar.loss_dist_sector(banded, 16384)
         assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ModelError, match="power of two"):
-            ar.loss_dist_fft(poisson_sector([(1, 1.0)]), 100)
+    # any length transforms: a 5-smooth one above the auto grid, and a prime one
+    @pytest.mark.parametrize("unit, grid", [(1.0, 100_000), (10.0, 10_007)])
+    def test_any_grid_length_matches_panjer(self, bundled_portfolio, unit, grid):
+        banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment()), unit)
+        fft = ar.loss_dist_fft(banded, grid)
+        panjer = ar.loss_dist_sector(banded, grid)
+        assert fft.pmf.size == panjer.pmf.size == grid
+        assert fft.tail_bound == panjer.tail_bound == banded._cumulant.tail_bound(grid) <= 1e-12
+        assert 0.5 * np.abs(fft.pmf - panjer.pmf).sum() <= 1e-8
 
     def test_insufficient_padding_rejected(self):
         with pytest.raises(ModelError, match="at least 22"):
@@ -579,6 +585,36 @@ class TestTailBound:
             backend(poisson_sector([(1, 1.0)]), 2048)
 
 
+def is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestSmoothLength:
+    def assert_least_smooth_at_or_above(self, need: int) -> None:
+        got = ar.engine._smooth_length(need)
+        assert got >= need and is_5_smooth(got)
+        assert not any(is_5_smooth(k) for k in range(need, got))
+
+    def test_least_5_smooth_at_or_above_every_small_need(self):
+        for need in range(1, 2000):
+            self.assert_least_smooth_at_or_above(need)
+
+    @pytest.mark.parametrize("need", [10_007, 64_991, 77_833, 133_128, 2**26 - 1, 2**26])
+    def test_least_5_smooth_at_or_above(self, need):
+        self.assert_least_smooth_at_or_above(need)
+
+    def test_convolution_length_is_5_smooth(self, monkeypatch):
+        sizes = []
+        real = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n: sizes.append(n) or real(a, n))
+        out = ar.engine._convolve_pmfs(np.ones(50), np.ones(26))
+        assert sizes == [75, 75]  # 75 points needed: 3 * 5**2, where a power of two would take 128
+        np.testing.assert_allclose(out, np.convolve(np.ones(50), np.ones(26))[:50], rtol=1e-12)
+
+
 def _old_auto_grid(banded: ar.BandedPortfolio) -> int:
     """The grid rule the Chernoff bound replaced: a power of two >= 4 (mean + 20 stddev)."""
     mean, var = ar.analytic_moments(banded)
@@ -589,22 +625,25 @@ def _old_auto_grid(banded: ar.BandedPortfolio) -> int:
 FROZEN_QUANTILES = json.loads((REPO_ROOT / "perfbench" / "eu22_quantiles.json").read_text())
 
 
-@pytest.mark.parametrize(
-    "mode, unit",
-    [
-        ("single", 1.0),
-        ("single", 10.0),
-        ("crop-livestock", 1.0),
-        ("crop-livestock", 2.0),
-        ("crop-livestock", 10.0),
-        ("per-obligor", 2.0),
-        ("per-obligor", 10.0),
-    ],
-)
+# (sector mode, unit): the auto grid, the least 5-smooth length at or above its need
+BUNDLED_AUTO_GRIDS = {
+    ("single", 1.0): 135000,
+    ("single", 10.0): 13500,
+    ("crop-livestock", 1.0): 78125,
+    ("crop-livestock", 2.0): 39366,
+    ("crop-livestock", 10.0): 8000,
+    ("per-obligor", 2.0): 57600,
+    ("per-obligor", 10.0): 11520,
+}
+
+
+@pytest.mark.parametrize("mode, unit", BUNDLED_AUTO_GRIDS)
 def test_auto_grid_on_bundled_configs(bundled_portfolio, mode, unit):
     banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), unit)
     grid = ar.auto_grid_size(banded)
-    assert grid <= _old_auto_grid(banded)
+    assert grid == BUNDLED_AUTO_GRIDS[mode, unit] and grid <= _old_auto_grid(banded)
+    need = math.ceil(max(banded._cumulant.grid_need(), 2.0 * (banded.max_v + 1), 16.0))
+    assert is_5_smooth(grid) and not any(is_5_smooth(k) for k in range(need, grid))
     fft = ar.loss_dist_fft(banded, grid)
     panjer = ar.loss_dist_sector(banded, grid)
     assert fft.tail_bound <= 1e-12 and panjer.tail_bound <= 1e-12
