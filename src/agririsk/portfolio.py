@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from importlib import resources
-from itertools import compress
+from itertools import chain, compress, permutations
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,10 @@ CSV_COLUMNS = (
     "livestock_ratio",
 )
 _OPTIONAL_COLUMNS = ("expected_loss", "rating")
+# the headers whose body numpy's C reader reads, and the columns it reads as text
+_HEADERS = {CSV_COLUMNS + extra for k in range(3) for extra in permutations(_OPTIONAL_COLUMNS, k)}
+_TEXT_COLUMNS = ("id", "name", "rating")
+_BLANK = re.compile(r"\s*")
 
 # crop/livestock ratios are renormalized when their sum misses 1 by more than this
 RATIO_RENORM_TOL = 1e-9
@@ -262,9 +267,49 @@ def parse_portfolio(csv_text: str) -> Portfolio:
     Header row is mandatory; columns are id,name,exposure,mean_loss_rate,
     loss_rate_stddev,crop_ratio,livestock_ratio[,expected_loss[,rating]].
     Rates must already be fractions; percent signs are not interpreted.
+    Fields follow RFC 4180 double-quote quoting; rows whose cells are all
+    blank are skipped, and every cell is stripped of surrounding whitespace.
     An error names the first faulty row, by its first fault in _first_fault's order.
+
+    After a valid header, numpy's C reader reads the body in one call. A
+    body it refuses, or that holds a fault, a declared NaN or a field over
+    csv's size limit, is parsed again by _parse_rows, which alone raises.
     """
-    rows = [r for r in csv.reader(io.StringIO(csv_text)) if any(map(str.strip, r))]
+    stream = io.StringIO(csv_text)
+    try:
+        header = tuple(map(str.strip, next(r for r in csv.reader(stream) if any(map(str.strip, r)))))
+    except (StopIteration, csv.Error):
+        header = ()
+    # a blank body would make loadtxt warn that it read no data
+    if header not in _HEADERS or _BLANK.fullmatch(csv_text, stream.tell()):
+        return _parse_rows(csv_text)
+    dtype = np.dtype([(c, object if c in _TEXT_COLUMNS else np.float64) for c in header])
+    try:
+        table = np.loadtxt(stream, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError:  # a row of another length, or a cell float() reads differently or not at all
+        return _parse_rows(csv_text)
+    text = [table[c].tolist() for c in header if c in _TEXT_COLUMNS]  # id and name come first
+    declared = np.ascontiguousarray(table["expected_loss"]) if "expected_loss" in header else None
+    # a declared nan must be refused by row, not read as undeclared
+    if max(map(len, chain(*text))) > csv.field_size_limit() or (declared is not None and np.isnan(declared).any()):
+        return _parse_rows(csv_text)
+    numbers = [np.ascontiguousarray(table[c]) for c in CSV_COLUMNS[2:]]
+    try:
+        return Portfolio(*(tuple(map(str.strip, column)) for column in text[:2]), *numbers,
+                         np.full(len(table), np.nan) if declared is None else declared)
+    except InputError:  # reported by row
+        return _parse_rows(csv_text)
+
+
+def _parse_rows(csv_text: str) -> Portfolio:
+    """parse_portfolio cell by cell, from csv.reader's rows: the reference and the path that names a faulty row."""
+    rows: list[list[str]] = []
+    try:
+        for row in csv.reader(io.StringIO(csv_text)):
+            if any(map(str.strip, row)):
+                rows.append(row)
+    except csv.Error as error:
+        raise InputError(f"row {len(rows) + 1}: malformed CSV: {error}") from None
     if not rows:
         raise InputError("empty portfolio: no header row")
     header = tuple(h.strip() for h in rows[0])

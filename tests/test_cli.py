@@ -55,6 +55,12 @@ class TestValidate:
         result = run_cli(["validate", "--input", "junk.csv"], tmp_path)
         assert result.returncode == 2
 
+    def test_field_over_csv_limit_exit_2(self, tmp_path):
+        (tmp_path / "long.csv").write_text(f'{HEADER}\nAAA,"{"x" * 140_000}",100,0.10,0.01,1,0,10.0\n')
+        result = run_cli(["validate", "--input", "long.csv"], tmp_path)
+        assert result.returncode == 2
+        assert "row 2: malformed CSV: field larger than field limit" in result.stderr
+
     def test_non_finite_number_exit_2(self, tmp_path):
         bad = tmp_path / "nan.csv"
         bad.write_text(f"{HEADER}\nAAA,A,100,0.10,nan,1,0,10.0\n")

@@ -1,10 +1,14 @@
 import csv
 import functools
+import importlib
 import io
+import itertools
 import math
 import operator
+import random
 import re
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from agririsk.errors import InputError
 
 from conftest import HEADER
 from test_analytics import synthetic_book
+
+portfolio_module = importlib.import_module("agririsk.portfolio")
 
 BGR_ROW = "BGR,Bulgaria,800.12,0.0312,0.0072,0.65,0.35,24.96"
 
@@ -57,8 +63,12 @@ class TestParse:
             assert np.array_equal(getattr(p, f.name), column, equal_nan=True), f.name
 
     def test_header_only_is_empty_portfolio(self):
-        with pytest.raises(InputError, match="empty portfolio"):
-            ar.parse_portfolio(HEADER + "\n")
+        # loadtxt warns when it reads no rows; a header followed by blank lines must not reach it
+        for text in (HEADER + "\n", HEADER, f"{HEADER}\n\n\n", f"{HEADER}\r\n \r\n"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InputError, match="^empty portfolio: header only$"):
+                    ar.parse_portfolio(text)
 
     def test_blank_text_is_empty_portfolio(self):
         with pytest.raises(InputError, match="empty portfolio"):
@@ -138,6 +148,119 @@ def test_parse_error_precedence(rows, message):
     with pytest.raises(InputError) as raised:
         ar.parse_portfolio("\n".join([HEADER, *rows]) + "\n")
     assert str(raised.value) == message
+
+
+def parse_outcome(parse, text):
+    """A parser's result as comparable values, the float columns as bytes so that NaN compares; or its message."""
+    try:
+        p = parse(text)
+    except InputError as error:
+        return str(error)
+    return (p.ids, p.names, *(getattr(p, f.name).tobytes() for f in fields(p)[2:]))
+
+
+def refuse_row_pass(monkeypatch):
+    """Make _parse_rows raise, so that a parse that falls back to it fails."""
+    def refuse(csv_text):
+        raise AssertionError("parse_portfolio fell back to _parse_rows")
+    monkeypatch.setattr(portfolio_module, "_parse_rows", refuse)
+
+
+# name pieces: quoting, doubled quotes, line breaks of each kind, a comment sign, whitespace that strip() removes
+NAME_PIECES = ["a", "Bé", "農", " ", ",", '"', '""', "\n", "\r\n", "\r", "#", "\t", "x y", "\x1c"]
+# cells float() reads and numpy's reader refuses, or that no reader accepts
+ODD_CELLS = ["inf", "-inf", "nan", "1_000", "١", "٣.5", "", " ", "abc", "1e400", "0x1", "+.5", "1.5."]
+
+
+def fuzz_document(rng: random.Random) -> str:
+    """One portfolio CSV text: mostly well formed, with the syntax and faults the two readers might read apart."""
+    def cell(value):
+        value = rng.choice(ODD_CELLS) if rng.random() < 0.005 else value
+        value = f'"{value}"' if rng.random() < 0.1 else value
+        return rng.choice(["", "", " ", "\t"]) + value + rng.choice(["", "", " ", "\t"])
+
+    def name():
+        text, r = "".join(rng.choice(NAME_PIECES) for _ in range(rng.randrange(6))), rng.random()
+        if r < 0.1:  # unquoted: a quote mid-cell, or text after a closing quote
+            return text + rng.choice(["", '"x"', 'y"z'])
+        quoted = '"' + text.replace('"', '""') + '"'
+        return " " + quoted if r < 0.15 else quoted  # csv reads a quote after a space as text
+
+    valid = [(), ("expected_loss",), ("rating",), ("expected_loss", "rating"), ("rating", "expected_loss")]
+    extras = rng.choice(valid * 4 + [("surprise",), ("expected_loss", "expected_loss")])
+    header = portfolio_module.CSV_COLUMNS + extras
+    lines = [",".join(rng.choice(["", " "]) + h for h in header)]
+    for i in range(rng.randrange(1, 9)):
+        if rng.random() < 0.06:
+            lines.append(rng.choice(["", "", "   ", "\t", ",,,,,,,", " , ,"]))
+        crop = rng.random()
+        cells = {
+            "id": cell(f"O{rng.randrange(40) if rng.random() < 0.05 else i}"), "name": name(),
+            "exposure": cell(repr(round(rng.lognormvariate(1, 1), rng.randrange(1, 8)))),
+            "mean_loss_rate": cell(f"{rng.random() * 0.1:.{rng.randrange(1, 12)}f}"),
+            "loss_rate_stddev": cell(repr(rng.random() * 0.05)),
+            "crop_ratio": cell(repr(crop)), "livestock_ratio": cell(repr(1 - crop)),
+            "expected_loss": rng.choice(["", "nan", " ", cell(repr(rng.random()))] + [repr(rng.random() * 10)] * 20),
+            "rating": rng.choice(["A", "BB", '"B,b"', "", " C "]), "surprise": "x",
+        }
+        row = [cells[h] for h in header]
+        lines.append(",".join(row[: -1 if rng.random() < 0.02 else None]))
+    ending = rng.choice(["\n"] * 8 + ["\r\n"])
+    return ending.join(lines) + rng.choice([ending, ""])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fast_path_matches_the_row_pass(seed, monkeypatch):
+    # both readers give the same columns, NaN included, or the same message; counts keep the fuzz from degenerating
+    rng, fast, refused = random.Random(seed), 0, 0
+    row_pass = portfolio_module._parse_rows
+    fallbacks = []
+    monkeypatch.setattr(portfolio_module, "_parse_rows", lambda text: fallbacks.append(text) or row_pass(text))
+    for _ in range(400):
+        text = fuzz_document(rng)
+        expected, fallbacks[:] = parse_outcome(row_pass, text), []
+        assert parse_outcome(ar.parse_portfolio, text) == expected, text
+        fast += not fallbacks
+        refused += isinstance(expected, str)
+    assert fast >= 40 and refused >= 40, (fast, refused)
+
+
+def test_fast_path_taken(monkeypatch):
+    # the C reader alone parses the bundled data and a 20,000-row book of awkward ids and names
+    book = synthetic_book(20_000, seed=5)
+    book = replace(book, expected_loss_declared=book.exposure * book.mean_loss_rate)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([*portfolio_module.CSV_COLUMNS, "expected_loss", "rating"])
+    columns = (getattr(book, f.name).tolist() for f in fields(book)[2:])
+    writer.writerows(map(list, zip(book.ids, book.names, *(map(repr, c) for c in columns), itertools.cycle("AB"))))
+    refuse_row_pass(monkeypatch)
+    assert parse_outcome(ar.parse_portfolio, out.getvalue()) == parse_outcome(lambda text: book, "")
+    assert len(ar.load_portfolio(ar.bundled_dataset_path())) == 22
+
+
+def test_blank_lines_read_without_a_warning(monkeypatch):
+    text = f"{HEADER}\n\n{BGR_ROW}\n\r\n\nCYP,Cyprus,328.82,0.068,0.034,0.49,0.51,22.49\n\n"
+    refuse_row_pass(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ar.parse_portfolio(text).ids == ("BGR", "CYP")
+
+
+@pytest.mark.parametrize("length", [csv.field_size_limit(), csv.field_size_limit() + 1])
+def test_field_size_limit_holds_on_both_paths(length):
+    # csv refuses a field over its limit; the C reader has none, and hands such a file to the row pass
+    text = f'{HEADER},rating\n{BGR_ROW},A\nCYP,"{"x" * length}",328.82,0.068,0.034,0.49,0.51,22.49,B\n'
+    if length > csv.field_size_limit():
+        with pytest.raises(InputError, match=rf"^row 3: malformed CSV: field larger than field limit \({length - 1}\)"):
+            ar.parse_portfolio(text)
+    else:
+        assert ar.parse_portfolio(text).names == ("Bulgaria", "x" * length)
+
+
+def test_bare_carriage_returns_name_the_row():
+    with pytest.raises(InputError, match=r"^row 2: malformed CSV: new-line character seen in unquoted field"):
+        ar.parse_portfolio(f"{HEADER}\n{BGR_ROW}\rCYP,Cyprus,328.82,0.068,0.034,0.49,0.51,22.49\r")
 
 
 class TestRecordInvariants:
