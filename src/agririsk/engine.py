@@ -405,11 +405,12 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, gamma: tuple[float, float] | None, 
 
     g_n reads only g_{n - v_j} with v_j >= v_min, so each block of v_min
     points (fewer where a block would gather over _BLOCK_CELLS entries) is
-    one gather from a zero-padded g (negative indices read 0) and one
-    product with the stacked (a f_j, b f_j v_j). Where g_0 would fall
-    below exp(-700) the count is the sum of m independent pieces, each with
-    rate (or gamma shape) divided by m: the recursion runs for one piece and
-    the piece is convolved with itself m - 1 times, which is exact.
+    one gather from a shifted view of a zero-padded g (negative indices
+    read 0), one np.dot with the stacked (a f_j, b f_j v_j), the same dgemm
+    as @ with less dispatch, and one add written in place into g. Where g_0
+    would fall below exp(-700) the count is the sum of m independent pieces,
+    each with rate (or gamma shape) divided by m: the recursion runs for one
+    piece and the piece is convolved with itself m - 1 times, which is exact.
     """
     mu = eps / vs
     if gamma is None:
@@ -433,11 +434,11 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, gamma: tuple[float, float] | None, 
     padded = np.zeros(v_max + grid_size + block)
     g = padded[v_max:]
     g[0] = math.exp(log_g0 / pieces)
-    offsets = v_max + np.arange(block)[:, None] - vs  # row i, column j reads g[n + i - v_j]
+    offsets = v_max + np.arange(block)[:, None] - vs  # row i, column j of padded[n:] is g[n + i - v_j]
     ns = np.arange(grid_size + block, dtype=float)
     for n in range(1, grid_size, block):
-        terms = padded.take(offsets + n) @ coef
-        g[n:n + block] = terms[:, 0] + terms[:, 1] / ns[n:n + block]
+        terms = np.dot(padded[n:].take(offsets), coef).T
+        np.add(terms[0], terms[1] / ns[n:n + block], out=g[n:n + block])
     g = piece = g[:grid_size]
     for _ in range(pieces - 1):
         g = _convolve_pmfs(g, piece)

@@ -302,14 +302,24 @@ def parse_portfolio(csv_text: str) -> Portfolio:
 
 
 def _parse_rows(csv_text: str) -> Portfolio:
-    """parse_portfolio cell by cell, from csv.reader's rows: the reference and the path that names a faulty row."""
+    """parse_portfolio cell by cell, from csv.reader's rows: the reference and the path that names a faulty row.
+
+    "row N" in an error is line N of the text: the first line of the faulty
+    record, or for malformed CSV the line the reader stopped on, so blank
+    lines and names that hold a line break are counted.
+    """
     rows: list[list[str]] = []
+    lines: list[int] = []  # each kept row's first line
+    reader = csv.reader(io.StringIO(csv_text))
+    start = 1
     try:
-        for row in csv.reader(io.StringIO(csv_text)):
+        for row in reader:
             if any(map(str.strip, row)):
                 rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
     except csv.Error as error:
-        raise InputError(f"row {len(rows) + 1}: malformed CSV: {error}") from None
+        raise InputError(f"row {reader.line_num}: malformed CSV: {error}") from None
     if not rows:
         raise InputError("empty portfolio: no header row")
     header = tuple(h.strip() for h in rows[0])
@@ -337,9 +347,9 @@ def _parse_rows(csv_text: str) -> Portfolio:
     numbers, malformed = zip(*(_floats(column, c) for column, c in cells))
     fault = _first_fault(columns[0], numbers, declared != "", malformed)
     if fault:
-        raise InputError(f"row {fault[0] + 2}: {fault[1]}")
+        raise InputError(f"row {lines[fault[0] + 1]}: {fault[1]}")
     if n < len(body):
-        raise InputError(f"row {n + 2}: expected {len(header)} fields, got {len(body[n])}")
+        raise InputError(f"row {lines[n + 1]}: expected {len(header)} fields, got {len(body[n])}")
     return Portfolio(columns[0], columns[1], *numbers)
 
 

@@ -321,14 +321,14 @@ class ComparisonReport:
         }
 
 
-def _quantile_band(dist: LossDistribution, eps: float, se_prob: float) -> tuple[float, float]:
+def _quantile_band(dist: LossDistribution, eps: float, se_prob: float) -> tuple[float, float | None]:
     # invert the analytic tail at eps +/- 3 standard errors; on a jagged
     # lattice pmf this is the honest fluctuation range of the MC quantile
     lo = exceedance_quantile(dist, min(eps + 3.0 * se_prob, 1.0 - 1e-12))
     try:
         hi = exceedance_quantile(dist, eps - 3.0 * se_prob)
     except ModelError:  # tail not resolvable at this n: nonpositive, truncated or below the pmf
-        hi = float((dist.pmf.size - 1) * dist.unit)
+        hi = None
     return lo, hi
 
 
@@ -343,7 +343,10 @@ def compare(
     The binomial standard error sqrt(eps*(1-eps)/n) is translated to loss
     units through the average pmf density across the tail band it spans;
     a level is flagged when the empirical quantile falls outside that
-    three-standard-error band around the analytic value.
+    three-standard-error band around the analytic value. Where the pmf
+    cannot resolve eps - 3 standard errors (few draws at a deep level) the
+    band is one-sided: stderr_loss is (analytic quantile - lower edge) / 3,
+    and the level is flagged only below the lower edge.
     """
     rows = []
     for eps in levels:
@@ -352,13 +355,17 @@ def compare(
         q_empirical = empirical_exceedance_quantile(empirical, eps)
         se_prob = math.sqrt(eps * (1.0 - eps) / empirical.n_draws)
         band_lo, band_hi = _quantile_band(analytic, eps, se_prob)
+        if band_hi is None:
+            stderr_loss, flagged = (q_analytic - band_lo) / 3.0, q_empirical < band_lo
+        else:
+            stderr_loss, flagged = (band_hi - band_lo) / 6.0, not band_lo <= q_empirical <= band_hi
         rows.append(
             CompareRow(
                 level=eps,
                 analytic_quantile=q_analytic,
                 empirical_quantile=q_empirical,
-                stderr_loss=(band_hi - band_lo) / 6.0,
-                flagged=not band_lo <= q_empirical <= band_hi,
+                stderr_loss=stderr_loss,
+                flagged=flagged,
             )
         )
     if total_exposure is None:

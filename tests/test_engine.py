@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -413,6 +414,39 @@ class TestBlockedPanjer:
         dist = backend(banded, grid)
         fft = ar.loss_dist_fft(banded, grid)
         assert 0.5 * float(np.abs(dist.pmf - fft.pmf).sum()) <= 1e-8
+
+    def test_bundled_parts_match_scalar_recursion(self, bundled_portfolio):
+        # crop-livestock at unit 10: both sectors gamma-mixed, lowest band level 2
+        banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment()), 10.0)
+        grid = ar.auto_grid_size(banded)
+        parts = list(banded._cumulant.parts())
+        assert grid == 8000 and min(int(vs[0]) for vs, _, _ in parts) == 2
+        assert [gamma is None for _, _, gamma in parts] == [False] * banded.cv.size
+        for (vs, eps, gamma), cv in zip(parts, banded.cv.tolist()):
+            expected = scalar_panjer(vs, eps, cv, grid)
+            got = ar.engine._panjer(vs, eps, gamma, grid)
+            live = expected >= 1e-300
+            assert np.all(np.abs(got[live] - expected[live]) <= 1e-13 * expected[live])
+            assert np.all(np.abs(got[~live]) <= 1e-300)
+
+    @pytest.mark.parametrize("cv", [0.0, 0.01])
+    def test_split_count_is_one_piece_convolved_with_itself(self, cv):
+        # 1100 expected defaults: g_0 = exp(-1100) (cv 0.01: exp(-1044)), so the count splits in two
+        bands = [(1, 400.0), (2, 800.0), (3, 900.0)]
+        vs = np.array([v for v, _ in bands], dtype=np.int64)
+        eps = np.array([e for _, e in bands])
+        mu = float((eps / vs).sum())
+        gamma = (cv**-2, cv**2 * mu) if cv else None
+        log_g0 = -gamma[0] * math.log1p(gamma[1]) if cv else -mu
+        m = math.ceil(log_g0 / ar.engine._LOG_G0_FLOOR)
+        assert m == 2
+        # a piece has the rate, or the gamma shape cv**-2, divided by m, and the same gamma scale
+        piece = scalar_panjer(vs, eps / m, cv * math.sqrt(m), 2700)
+        expected = reduce(ar.engine._convolve_pmfs, [piece] * m)
+        got = ar.engine._panjer(vs, eps, gamma, 2700)
+        # the convolution's FFT round-off is absolute, about 1e-16 of the peak, so the
+        # comparison is relative to the peak, not to each entry of the far tail
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected.max())
 
 
 class TestLossDistFft:

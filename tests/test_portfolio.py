@@ -84,6 +84,19 @@ class TestParse:
         with pytest.raises(InputError, match="row 3.*exposure"):
             ar.parse_portfolio(text)
 
+    @pytest.mark.parametrize(
+        "before", ["\nA,N,1,0.1,0,1,0,0.1", 'A,"two\nlines",1,0.1,0,1,0,0.1'], ids=["blank line", "two-line name"]
+    )
+    def test_row_number_is_the_line_of_the_file(self, before):
+        # B is on line 4, after a blank line or after a name that holds a line break
+        text = f"{HEADER}\n{before}\nB,N,-1,0.1,0,1,0,0.1\n"
+        with pytest.raises(InputError, match=r"^row 4: obligor B: exposure must be > 0, got -1.0$"):
+            ar.parse_portfolio(text)
+
+    def test_malformed_csv_names_the_line_of_the_file(self):
+        with pytest.raises(InputError, match=r"^row 3: malformed CSV: new-line character seen in unquoted field"):
+            ar.parse_portfolio(f"{HEADER}\n\n{BGR_ROW}\rCYP,Cyprus,328.82,0.068,0.034,0.49,0.51,22.49\r")
+
     def test_malformed_cell_names_its_row_once(self):
         text = f"{HEADER}\nAAA,A,oops,0.1,0.0,1.0,0.0,\n"
         with pytest.raises(InputError, match=r"^row 2: malformed exposure: 'oops'$"):

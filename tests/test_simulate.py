@@ -495,7 +495,21 @@ class TestCompare:
         assert summary["clamp_count"] == 0
         assert "0.1" in summary["quantiles"]
 
-    def test_unresolvable_band_edge_is_the_top_grid_point(self, bundled_dist):
-        # eps - 3 se = 1e-15 lies below every tail probability the pmf resolves
-        _, hi = _quantile_band(bundled_dist, 0.01, (0.01 - 1e-15) / 3.0)
-        assert hi == (bundled_dist.pmf.size - 1) * bundled_dist.unit
+    def test_unresolvable_band_edge_does_not_depend_on_the_grid(self, bundled_run):
+        # at 2000 draws the pmf cannot resolve eps - 3 se at the 0.0025 level, so its band is
+        # one-sided, and the same samples must give the same rows on a larger grid
+        emp = ar.simulate(bundled_run.banded, ar.SimConfig(n_draws=2000, seed=1))
+        se = math.sqrt(0.0025 * 0.9975 / 2000)
+        lo, hi = _quantile_band(bundled_run.dist, 0.0025, se)
+        assert hi is None and bundled_run.dist.pmf.size == 78_125
+        rows = ar.compare(bundled_run.dist, emp, bundled_run.levels).rows
+        assert rows == ar.compare(ar.run_pipeline(grid=100_000).dist, emp, bundled_run.levels).rows
+        deep = rows[bundled_run.levels.index(0.0025)]
+        assert deep.stderr_loss == (deep.analytic_quantile - lo) / 3.0
+
+    @pytest.mark.parametrize("loss, flagged", [(0.0, True), (1e9, False)])
+    def test_one_sided_band_flags_only_below_its_lower_edge(self, bundled_dist, loss, flagged):
+        # at 2000 draws eps - 3 se is below 0 at the 0.0025 level
+        emp = ar.EmpiricalDistribution(samples=np.full(2000, loss))
+        (row,) = ar.compare(bundled_dist, emp, [0.0025]).rows
+        assert row.flagged is flagged
