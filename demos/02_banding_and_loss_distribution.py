@@ -19,14 +19,15 @@ sectored = ar.assign_sectors(portfolio, ar.SectorAssignment("crop-livestock"))
 banded = ar.band_exposures(sectored, unit=1.0)
 
 print("banded portfolio (unit = 1.0 million):")
+# one row per sector from the sub-exposure columns; a band is a sector's distinct level
+k, level = banded.sub_sector, banded.sub_level
+defaults = np.bincount(k, weights=banded.sub_epsilon / level, minlength=len(banded.names))
 alphas = iter(banded._cumulant.alpha.tolist())  # the engine's gamma shapes cv**-2, one per mixed sector
-for sector in banded.sectors:
-    p = sector.params
-    alpha = math.inf if p.is_poisson else next(alphas)
+for i, (name, cv) in enumerate(zip(banded.names, banded.cv.tolist())):
+    alpha = next(alphas) if cv > 0.0 else math.inf
     print(
-        f"  {sector.name:<10} bands {len(sector.bands):3d}  "
-        f"expected defaults {sum(b.mu for b in sector.bands):.4f}  "
-        f"cv {p.cv:.3f}  alpha {alpha:.3f}"
+        f"  {name:<10} bands {np.unique(level[k == i]).size:3d}  "
+        f"expected defaults {defaults[i]:.4f}  cv {cv:.3f}  alpha {alpha:.3f}"
     )
 print(f"total expected defaults: {ar.poisson_rate(banded):.4f}")
 print(f"banding preserves expected loss: {banded.expected_loss:.4f}")

@@ -229,14 +229,14 @@ def moments(dist: LossDistribution) -> Moments:
 
 def _variance_contributions(banded: BandedPortfolio) -> np.ndarray:
     # per obligor, in sub order: eps*v*unit^2 then cv_k^2 * (eps*unit) * (sector k's eps*unit), per sub;
-    # sector k's eps sums its bands' eps, each summed over its subs: a plain per-sub sum rounds differently
+    # a gamma sector is its own part, so its eps is the model's part total, summed over its levels' sums
+    # (a plain per-sub sum rounds differently); an unmixed sub's cv_k^2 = 0 cancels part 0's pooled total
     unit, k, eps = banded.unit, banded.sub_sector, banded.sub_epsilon
-    cv2 = banded.cv**2
-    (band_sector, _), band_eps = banded._bands
-    sector_eps = np.bincount(band_sector, weights=band_eps, minlength=len(banded.names))
+    cv2, c = banded.cv**2, banded._cumulant
+    part_eps = c.eps_total[c.sector_part[k]]
     # where unit * unit overflows, a zero eps gives 0 * inf = NaN; risk_contributions refuses that total
     with np.errstate(invalid="ignore"):
-        terms = np.stack((eps * banded.sub_level * (unit * unit), cv2[k] * (eps * unit) * (sector_eps[k] * unit)))
+        terms = np.stack((eps * banded.sub_level * (unit * unit), cv2[k] * (eps * unit) * (part_eps * unit)))
     n = len(banded.obligor_ids)
     return np.bincount(np.repeat(banded.sub_obligor, 2), weights=terms.T.ravel(), minlength=n)
 

@@ -107,14 +107,9 @@ class BandedPortfolio:
             raise ModelError(f"band level must be a positive integer, got {int(self.sub_level.min())}")
 
     @cached_property
-    def _bands(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """((sector, level), epsilon) of each band: the subs merged per (sector, level), summed in table order."""
-        return _merge((self.sub_sector, self.sub_level), self.sub_epsilon)
-
-    @cached_property
     def sectors(self) -> tuple[BandedSector, ...]:
         """Each sector's name, cv and bands in level order, as objects built on demand from the columns."""
-        (sector, level), eps = self._bands
+        (sector, level), eps = _merge((self.sub_sector, self.sub_level), self.sub_epsilon)
         bands = list(map(Band, level.tolist(), eps.tolist()))
         ends = np.cumsum(np.bincount(sector, minlength=len(self.names))).tolist()
         return tuple(BandedSector(name, SectorParams(cv), tuple(bands[lo:hi]))
@@ -252,9 +247,8 @@ def analytic_moments(banded: BandedPortfolio) -> tuple[float, float]:
     term only for a gamma part; the gamma mixing leaves the mean at sum(eps).
     """
     c = banded._cumulant
-    eps_totals = np.bincount(c.part, weights=c.eps, minlength=c.alpha.size + 1)
-    var_u = float(c.eps @ c.v) + float(eps_totals[1:] ** 2 @ (1.0 / c.alpha))
-    mean, variance = float(eps_totals.sum()) * banded.unit, var_u * (banded.unit * banded.unit)
+    var_u = float(c.eps @ c.v) + float(c.eps_total[1:] ** 2 @ (1.0 / c.alpha))
+    mean, variance = float(c.eps_total.sum()) * banded.unit, var_u * (banded.unit * banded.unit)
     if not (mean < math.inf and variance < math.inf):  # NaN too: a zero variance times an infinite unit * unit
         raise ModelError(f"model moments overflow at unit {banded.unit!r}; use a smaller unit (--unit)")
     return mean, variance
@@ -286,7 +280,9 @@ class _Cumulant:
     alpha_k = cv_k**-2 and scale beta_k = cv_k**2 mu_k, mu_k its expected
     count. The sub table merges once per (part, level) into flat arrays,
     zero-loss levels dropped, and every backend, the tail bound, the
-    sampler and the moments read these parts and these alpha_k and beta_k.
+    sampler, the moments and the variance contributions read these parts,
+    these alpha_k and beta_k, sector_part (each sector's part) and
+    eps_total (each part's epsilon, summed in level order).
     K(t) = d_0(t) - sum_k alpha_k log(1 - beta_k d_k(t)), where
     d_k(t) = sum_v w_kv expm1(t v) with weight mu in part 0 and severity f_kv
     in part k, so one bincount gives every d_k. Markov's inequality gives
@@ -300,12 +296,13 @@ class _Cumulant:
 
     def __init__(self, banded: BandedPortfolio):
         gamma = banded.cv > 0.0
-        sector_part = np.where(gamma, np.cumsum(gamma), 0)
-        (part, v), eps = _merge((sector_part[banded.sub_sector], banded.sub_level), banded.sub_epsilon)
+        self.sector_part = np.where(gamma, np.cumsum(gamma), 0)
+        (part, v), eps = _merge((self.sector_part[banded.sub_sector], banded.sub_level), banded.sub_epsilon)
         keep = eps > 0.0  # zero-loss levels would only lower t_max
         self.part, self.v, self.eps = part[keep], v[keep], eps[keep]
         self.mu = mu = self.eps / self.v
         cv = banded.cv[gamma]
+        self.eps_total = np.bincount(self.part, weights=self.eps, minlength=cv.size + 1)
         totals = np.bincount(self.part, weights=mu, minlength=cv.size + 1)
         self.w = np.where(self.part > 0, mu / totals[self.part], mu)
         self.alpha = cv**-2

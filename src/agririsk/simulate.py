@@ -250,11 +250,10 @@ def simulate(
         if (sectored.names != banded.names or sectored.obligor_ids != banded.obligor_ids
                 or not np.array_equal(subs["sector"], banded.sub_sector)):
             raise InputError("bernoulli-exact mode needs the sectored portfolio the banded one was built from")
-        alphas = np.full(len(banded.names), None)  # the engine's gamma shape of each gamma sector
-        alphas[banded.cv > 0.0] = banded._cumulant.alpha.tolist()
+        shapes = [None, *banded._cumulant.alpha.tolist()]  # the engine's gamma shape of each part
         ends = np.cumsum(np.bincount(subs["sector"], minlength=len(banded.names)))[:-1]
-        plans = [(alpha, rates, amounts, None) for alpha, rates, amounts in
-                 zip(alphas.tolist(), np.split(subs["loss_rate"], ends), np.split(subs["amount"], ends))]
+        plans = [(shapes[part], rates, amounts, None) for part, rates, amounts in zip(
+            banded._cumulant.sector_part.tolist(), np.split(subs["loss_rate"], ends), np.split(subs["amount"], ends))]
 
     losses = np.zeros(cfg.n_draws)
     n_chunks = math.ceil(cfg.n_draws / CHUNK_DRAWS)

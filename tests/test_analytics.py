@@ -270,6 +270,49 @@ class TestRiskContributions:
         assert [r.contributions for r in table.rows] == list(map(tuple, contributions.tolist()))
 
 
+# two unmixed sectors around a gamma sector whose every level carries no loss, then a gamma sector
+# with a zero-loss level and a repeated one: part 0 pools "u1" and "u2", and "g" is part 2
+PARTED_BOOK = [("u1", 0.0, [(1, 0.3), (4, 0.5), (4, 0.2)]), ("zero", 0.9, [(2, 0.0), (6, 0.0)]),
+               ("u2", 0.0, [(2, 0.7), (9, 0.1)]), ("g", 0.8, [(3, 0.0), (5, 0.25), (5, 0.4), (7, 0.15)])]
+
+
+def per_band_variance_contributions(banded: ar.BandedPortfolio) -> np.ndarray:
+    """Reference variance contributions: each sector's eps is its bands' eps from the sectors view, summed left to right."""
+    unit, k, eps = banded.unit, banded.sub_sector, banded.sub_epsilon
+    sector_eps = np.array([sum(b.epsilon for b in s.bands) for s in banded.sectors], float)
+    terms = np.stack((eps * banded.sub_level * (unit * unit), banded.cv[k] ** 2 * (eps * unit) * (sector_eps[k] * unit)))
+    n = len(banded.obligor_ids)
+    return np.bincount(np.repeat(banded.sub_obligor, 2), weights=terms.T.ravel(), minlength=n)
+
+
+class TestVarianceContributions:
+    @pytest.mark.parametrize("unit", [1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("mode", ar.portfolio.SECTOR_MODES)
+    def test_bundled_match_the_per_band_formula(self, bundled_portfolio, mode, unit):
+        banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), unit)
+        assert ar.analytics._variance_contributions(banded).tobytes() == per_band_variance_contributions(banded).tobytes()
+
+    @pytest.mark.parametrize("mode", ["crop-livestock", "single"])
+    def test_book_matches_the_per_band_formula(self, mode):
+        banded = ar.band_exposures(ar.assign_sectors(synthetic_book(2000, 7), ar.SectorAssignment(mode)), 1.0)
+        assert ar.analytics._variance_contributions(banded).tobytes() == per_band_variance_contributions(banded).tobytes()
+
+    def test_hand_built_book_matches_the_per_band_formula(self):
+        banded = make_banded(PARTED_BOOK, unit=0.5)
+        assert banded._cumulant.sector_part.tolist() == [0, 1, 0, 2]
+        vc = ar.analytics._variance_contributions(banded)
+        assert vc.tobytes() == per_band_variance_contributions(banded).tobytes()
+
+    @pytest.mark.parametrize("mode", [*ar.portfolio.SECTOR_MODES, "hand-built"])
+    def test_sum_to_the_analytic_variance(self, bundled_portfolio, mode):
+        if mode == "hand-built":
+            banded = make_banded(PARTED_BOOK, unit=0.5)
+        else:
+            banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), 1.0)
+        _, variance = ar.analytic_moments(banded)
+        assert math.fsum(ar.analytics._variance_contributions(banded)) == pytest.approx(variance, rel=1e-12, abs=0.0)
+
+
 class TestBuildReport:
     def build(self, bundled_portfolio, bundled_banded, bundled_dist, levels):
         findings = ar.validate_portfolio(bundled_portfolio)

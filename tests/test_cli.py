@@ -114,6 +114,11 @@ def test_run_pipeline_checks_levels(levels, message):
         ar.run_pipeline(unit=10, levels=levels)
 
 
+def test_run_pipeline_checks_backend():
+    with pytest.raises(InputError, match=r"^backend must be one of panjer, fft, got 'x'$"):
+        ar.run_pipeline(backend="x")
+
+
 # stddev 1e-160 (1e-170) against mean 0.03: the gamma shape (mean/stddev)**2 overflows a float
 @pytest.mark.parametrize(
     "args, message",

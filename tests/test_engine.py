@@ -160,6 +160,12 @@ class TestBanding:
         with pytest.raises(InputError, match="unit"):
             ar.band_exposures(sectored, 0.0)
 
+    def test_nonpositive_sub_amount_refused(self):
+        subs = np.array([(0, 0, 100.0, 0.03), (1, 0, 0.0, 0.03)], ar.SUB_DTYPE)
+        sectored = ar.SectoredPortfolio(("s",), [0.03], [0.02], ("B", "A"), subs)
+        with pytest.raises(ModelError, match=r"^sub-exposure of A in 's' is not positive$"):
+            ar.band_exposures(sectored, 1.0)
+
 
 class TestPoissonRate:
     def test_single_band(self):
@@ -510,6 +516,10 @@ class TestLossDistFft:
         raw = np.array([0.5, -1e-10, 0.5])
         with pytest.raises(ModelError, match="clamp"):
             ar.engine._finalize_pmf(raw, 1.0)
+
+    def test_mass_above_one_is_an_error(self):
+        with pytest.raises(ModelError, match=f"^{re.escape('pmf sums to 1.2 > 1 + 1e-9')}$"):
+            ar.engine._finalize_pmf(np.array([0.6, 0.6]), 1.0)
 
     @pytest.mark.parametrize("raw", [[0.5, math.nan, 0.5], [math.nan] * 3])
     def test_nan_pmf_is_an_error(self, raw):

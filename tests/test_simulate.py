@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -453,6 +454,13 @@ class TestEmpiricalQuantile:
     def test_median_of_four(self):
         emp = ar.EmpiricalDistribution(samples=np.array([1.0, 2.0, 3.0, 4.0]))
         assert ar.empirical_exceedance_quantile(emp, 0.5) == 2.0
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_level_outside_open_interval_rejected(self, eps):
+        emp = ar.EmpiricalDistribution(samples=np.arange(4, dtype=float))
+        message = f"exceedance probability must be in (0, 1), got {eps}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ar.empirical_exceedance_quantile(emp, eps)
 
     def test_unsorted_sample_rejected(self):
         with pytest.raises(InputError, match="sorted"):
