@@ -57,7 +57,7 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 
 def __getattr__(name: str):

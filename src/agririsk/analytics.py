@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections.abc import Iterable
@@ -155,22 +154,13 @@ class RiskReport:
         return "".join((to_rows, rows, to_findings, findings, rest, "\n"))
 
     def quantiles_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["exceedance_prob", "loss"])
-        for q in self.quantiles:
-            writer.writerow([repr(q.exceedance_prob), f"{q.loss:.6f}"])
-        return out.getvalue()
+        """quantiles.csv, which analyze also prints: a level's repr and a %.6f loss never need csv's quoting."""
+        return "".join(["exceedance_prob,loss\n", *(f"{q.exceedance_prob!r},{q.loss:.6f}\n" for q in self.quantiles)])
 
     def contributions_csv(self) -> str:
         table = self.contributions
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["id", "name", "expected_loss"] + [repr(lvl) for lvl in table.levels]
-        )
-        # csv quotes each row's id and name cells; its numbers need no quoting, so one format string writes
-        # every row: its cells without their line ending, then its numbers
+        # csv quotes each row's id and name cells; the numbers, the header and the TOTAL row need no quoting,
+        # so one format string writes every row: its cells without their line ending, then its numbers
         cells: list[str] = []
         csv.writer(SimpleNamespace(write=cells.append), lineterminator="\n").writerows(
             zip(table.obligor_ids, table.names)
@@ -179,12 +169,9 @@ class RiskReport:
         values = zip(
             map(str.removesuffix, cells, repeat("\n")), table.expected_loss.tolist(), *table.contributions.T.tolist()
         )
-        out.write(row * len(cells) % tuple(chain.from_iterable(values)))
-        writer.writerow(
-            ["TOTAL", "", f"{table.total_expected_loss:.6f}"]
-            + [f"{t:.6f}" for t in table.totals]
-        )
-        return out.getvalue()
+        header = ",".join(["id", "name", "expected_loss", *map(repr, table.levels)])
+        return "".join((header, "\n", row * len(cells) % tuple(chain.from_iterable(values)),
+                        row % ("TOTAL,", table.total_expected_loss, *table.totals)))
 
 
 def exceedance_quantile(dist: LossDistribution, eps: float) -> float:

@@ -204,13 +204,12 @@ def cmd_analyze(args, parser) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "quantiles.csv").write_text(report.quantiles_csv(), encoding="utf-8")
+    quantiles = report.quantiles_csv()
+    (out / "quantiles.csv").write_text(quantiles, encoding="utf-8")
     (out / "contributions.csv").write_text(report.contributions_csv(), encoding="utf-8")
     print(f"portfolio expected loss {report.contributions.total_expected_loss:.6f}")
     print(f"distribution mean {report.moments.mean:.6f} variance {report.moments.variance:.6f}")
-    print("exceedance_prob,loss")
-    for q in report.quantiles:
-        print(f"{q.exceedance_prob!r},{q.loss:.6f}")
+    print(quantiles, end="")
     print(f"wrote report.json, quantiles.csv, contributions.csv to {out}")
     return 0
 

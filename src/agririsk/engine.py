@@ -11,7 +11,7 @@ via FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -131,18 +131,30 @@ class BandedPortfolio:
 
 @dataclass(frozen=True, eq=False)
 class LossDistribution:
-    """Aggregate loss pmf on the grid {0, L, 2L, ...}.
+    """Aggregate loss pmf on the grid {0, L, 2L, ...}, checked when built: round-off in [-1e-14, 0) reads as 0.
 
-    Mass beyond the grid is tracked as truncation_mass, never renormalized
-    away: renormalizing would silently distort quantiles. tail_bound is a
-    Chernoff bound on P(loss >= grid size), which also bounds the FFT's
-    aliasing error; 0.0 marks a distribution built without one.
+    A lower or NaN entry, or a sum above 1 + 1e-9, raises ModelError. The mass past the grid, 1 - sum(pmf), is
+    truncation_mass, never renormalized away: that would silently distort quantiles. tail_bound (keyword-only)
+    is a Chernoff bound on P(loss >= grid size), which also bounds the FFT's aliasing; 0.0 marks none.
     """
 
     unit: float
     pmf: np.ndarray
-    truncation_mass: float
-    tail_bound: float = 0.0
+    truncation_mass: float = field(init=False)
+    tail_bound: float = field(default=0.0, kw_only=True)
+
+    def __post_init__(self):
+        pmf = np.asarray(self.pmf, dtype=float)
+        worst = float(pmf.min())  # NaN where any entry is NaN, which fails both checks
+        if not worst >= -NEGATIVE_PMF_CLAMP:
+            raise ModelError(f"pmf entry {worst:.3e} below the -1e-14 round-off clamp")
+        if worst < 0.0:
+            pmf = np.where(pmf < 0.0, 0.0, pmf)
+        total = float(pmf.sum())
+        if not total <= 1.0 + 1e-9:
+            raise ModelError(f"pmf sums to {total!r} > 1 + 1e-9")
+        object.__setattr__(self, "pmf", pmf)
+        object.__setattr__(self, "truncation_mass", 1.0 - total)
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -167,19 +179,6 @@ class LossDistribution:
             rows = range(start, min(start + _CSV_CHUNK_ROWS, pmf.size))
             chunks.append("".join(f"{n},{n * unit!r},{float(pmf[n])!r},{float(cdf[n])!r}\n" for n in rows))
         return "".join(chunks)
-
-
-def _finalize_pmf(raw: np.ndarray, unit: float, tail_bound: float = 0.0) -> LossDistribution:
-    pmf = np.asarray(raw, dtype=float)
-    worst = float(pmf.min())  # NaN where any entry is NaN, which fails both checks
-    if not worst >= -NEGATIVE_PMF_CLAMP:
-        raise ModelError(f"pmf entry {worst:.3e} below the -1e-14 round-off clamp")
-    if worst < 0.0:
-        pmf = np.where(pmf < 0.0, 0.0, pmf)
-    total = float(pmf.sum())
-    if not total <= 1.0 + 1e-9:
-        raise ModelError(f"pmf sums to {total!r} > 1 + 1e-9")
-    return LossDistribution(unit=unit, pmf=pmf, truncation_mass=1.0 - total, tail_bound=tail_bound)
 
 
 def units_ceiling(amount, unit: float):
@@ -463,7 +462,7 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
     cumulant = banded._cumulant
     pmfs = [_panjer(vs, eps, gamma, grid_size) for vs, eps, gamma in cumulant.parts()]
     raw = reduce(_convolve_pmfs, pmfs) if pmfs else np.eye(1, grid_size)[0]
-    return _finalize_pmf(raw, banded.unit, cumulant.tail_bound(grid_size))
+    return LossDistribution(banded.unit, raw, tail_bound=cumulant.tail_bound(grid_size))
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:
@@ -482,8 +481,8 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     grid_size may be any length at least twice (1 + max band level), which
     pads against aliasing; 5-smooth lengths (2^a 3^b 5^c) transform fastest.
     Working on log G and exponentiating per frequency avoids overflow from
-    large gamma shape parameters; tiny negative round-off coefficients are
-    clamped to zero afterwards.
+    large gamma shape parameters; LossDistribution clamps tiny negative
+    round-off coefficients to zero.
     """
     _check_grid(grid_size, 2 * (banded.max_v + 1), "alias-safe FFT inversion")
     # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
@@ -500,7 +499,7 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
             alpha, beta = gamma
             log_g -= alpha * _log1p(beta * (1.0 - q))
     pmf = np.fft.irfft(np.exp(log_g), grid_size)
-    return _finalize_pmf(pmf, banded.unit, banded._cumulant.tail_bound(grid_size))
+    return LossDistribution(banded.unit, pmf, tail_bound=banded._cumulant.tail_bound(grid_size))
 
 
 def _convolve_pmfs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ from .errors import InputError
 SECTOR_MODES = ("single", "crop-livestock", "per-obligor")
 MC_MODES = ("poisson-banded", "bernoulli-exact")
 
-# required CSV columns, in order; expected_loss and a trailing rating
-# column (accepted and ignored) may follow
+# required CSV columns, in order; expected_loss and a rating column
+# (accepted and ignored) may follow, each at most once and in either order
 CSV_COLUMNS = (
     "id",
     "name",
@@ -115,6 +115,9 @@ class Portfolio:
             first: dict[str, int] = {}  # each id's first index
             repeat = next(i for k, i in enumerate(self.ids) if first.setdefault(i, k) != k)
             raise InputError(f"duplicate obligor id {repeat!r}")
+        with np.errstate(over="ignore"):  # a sum past the largest float is refused here, not warned about
+            if not self.total_exposure < math.inf:
+                raise InputError(f"total exposure overflows: the exposures sum past {sys.float_info.max!r}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -265,7 +268,8 @@ def parse_portfolio(csv_text: str) -> Portfolio:
     """Parse portfolio CSV text into a Portfolio.
 
     Header row is mandatory; columns are id,name,exposure,mean_loss_rate,
-    loss_rate_stddev,crop_ratio,livestock_ratio[,expected_loss[,rating]].
+    loss_rate_stddev,crop_ratio,livestock_ratio, then optionally
+    expected_loss and rating, each at most once and in either order.
     Rates must already be fractions; percent signs are not interpreted.
     Fields follow RFC 4180 double-quote quoting; rows whose cells are all
     blank are skipped, and every cell is stripped of surrounding whitespace.
@@ -325,8 +329,8 @@ def _parse_rows(csv_text: str) -> Portfolio:
     header = tuple(h.strip() for h in rows[0])
     if header[: len(CSV_COLUMNS)] != CSV_COLUMNS:
         raise InputError(
-            "bad header: expected columns "
-            f"{','.join(CSV_COLUMNS)}[,expected_loss] but got {','.join(header)}"
+            f"bad header: expected columns {','.join(CSV_COLUMNS)}, then optionally expected_loss and rating, "
+            f"each at most once and in either order, but got {','.join(header)}"
         )
     extras = header[len(CSV_COLUMNS) :]
     for i, col in enumerate(extras):

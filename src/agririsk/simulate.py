@@ -211,12 +211,7 @@ def simulate(
     from a Walker/Vose alias table of mu) when 1 + sum(mu) < its band
     count, one Poisson per band otherwise. A per-band part consumes the
     random stream as version 0.1.0 did; a count-first part draws N for
-    every draw of the chunk, then its picks in row order. Version 0.3.0
-    pooled the unmixed sectors and draws them first, so only a portfolio
-    with an unmixed sector that is not its first draws new samples.
-    Version 0.4.0 draws, in both modes, with the engine's gamma shapes,
-    whose array cv**-2 can differ in the last bit from the scalar one drawn
-    with before.
+    every draw of the chunk, then its picks in row order.
 
     bernoulli-exact needs the pre-banding sectored view that banded was
     built from and pays the raw sub-exposure on each Bernoulli default,
@@ -230,11 +225,7 @@ def simulate(
     one share of them. Samples depend on neither that count nor the BLAS:
     each chunk draws from its own child seed into its own rows, a row sums
     in numpy's own loops, and poisson-banded sums whole units, exact below
-    2**53, and multiplies by unit once. Version 0.10.0 picks count-first
-    defaults from the alias table in place of searchsorted on the
-    cumulative mu, which gives such parts new samples. A poisson-banded
-    sample at a unit where v*unit rounds (0.1, say) and a bernoulli-exact
-    sample can also move in their last bit.
+    2**53, and multiplies by unit once.
     """
     bernoulli = cfg.mode == "bernoulli-exact"
     if not bernoulli:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import operator
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,15 @@ def oracle_contributions_csv(report: ar.RiskReport) -> str:
     return out.getvalue()
 
 
+def oracle_quantiles_csv(report: ar.RiskReport) -> str:
+    """quantiles.csv as csv wrote it cell by cell before the lines were joined."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["exceedance_prob", "loss"])
+    writer.writerows([repr(q.exceedance_prob), f"{q.loss:.6f}"] for q in report.quantiles)
+    return out.getvalue()
+
+
 AWKWARD_TEXT = ["Ålborg Agrár", 'say "hi"', "back\\slash", "two\nlines", "ctl\x01", "a,b", "農協", "%s", '"%s"']
 
 
@@ -83,7 +93,7 @@ def book_report(portfolio: ar.Portfolio, levels, config=None) -> ar.RiskReport:
 def point_mass(n: int, size: int = 16, unit: float = 1.0) -> ar.LossDistribution:
     pmf = np.zeros(size)
     pmf[n] = 1.0
-    return ar.LossDistribution(unit=unit, pmf=pmf, truncation_mass=0.0)
+    return ar.LossDistribution(unit=unit, pmf=pmf)
 
 
 def poisson_tail(lam: float, n: int) -> float:
@@ -102,13 +112,13 @@ class TestExceedanceQuantile:
 
     def test_truncation_blocks_deep_tails(self):
         pmf = np.array([0.5, 0.4])  # 0.1 of mass beyond the grid
-        dist = ar.LossDistribution(unit=1.0, pmf=pmf, truncation_mass=0.1)
+        dist = ar.LossDistribution(unit=1.0, pmf=pmf)
         with pytest.raises(ModelError, match="grid too small"):
             ar.exceedance_quantile(dist, 0.05)
 
     def test_tail_bound_blocks_levels_at_or_below_it(self):
         pmf = np.array([0.5, 0.5])
-        dist = ar.LossDistribution(unit=1.0, pmf=pmf, truncation_mass=0.0, tail_bound=0.05)
+        dist = ar.LossDistribution(unit=1.0, pmf=pmf, tail_bound=0.05)
         assert ar.exceedance_quantile(dist, 0.1) == 1.0
         with pytest.raises(ModelError, match="tail bound 5.000e-02, level 0.05"):
             ar.exceedance_quantile(dist, 0.05)
@@ -116,7 +126,7 @@ class TestExceedanceQuantile:
     def test_survival_plus_tail_bound_must_reach_the_level(self):
         # survival 0.125 at x = 1: certified at 0.25 (0.125 + 0.0625 <= 0.25), refused at 0.15
         pmf = np.array([0.5, 0.375, 0.125])
-        dist = ar.LossDistribution(unit=2.0, pmf=pmf, truncation_mass=0.0, tail_bound=0.0625)
+        dist = ar.LossDistribution(unit=2.0, pmf=pmf, tail_bound=0.0625)
         assert ar.exceedance_quantile(dist, 0.25) == 2.0
         with pytest.raises(ModelError, match="plus tail bound 6.250e-02 exceeds level 0.15"):
             ar.exceedance_quantile(dist, 0.15)
@@ -163,7 +173,7 @@ class TestMoments:
 
     def test_truncation_caveat_flag(self):
         pmf = np.array([0.5, 0.4])
-        dist = ar.LossDistribution(unit=1.0, pmf=pmf, truncation_mass=0.1)
+        dist = ar.LossDistribution(unit=1.0, pmf=pmf)
         assert ar.moments(dist).truncation_caveat
 
     def test_truncation_caveat_counts_the_tail_bound(self, bundled_banded, bundled_dist):
@@ -389,11 +399,12 @@ class TestBuildReport:
 
 
 class TestReportFiles:
-    """report.json and contributions.csv byte for byte against the encoders they were written with before."""
+    """report.json and the two csv files byte for byte against the encoders they were written with before."""
 
     def assert_matches_oracles(self, report):
         assert report.to_json() == oracle_json(report)
         assert report.contributions_csv() == oracle_contributions_csv(report)
+        assert report.quantiles_csv() == oracle_quantiles_csv(report)
 
     def test_bundled_report_at_seven_levels(self, bundled_run):
         run = bundled_run
@@ -438,6 +449,17 @@ class TestReportFiles:
         with pytest.raises(ModelError, match=rf"obligor {table.obligor_ids[5]!r} .* not finite"):
             ar.ContributionTable(levels=table.levels, obligor_ids=table.obligor_ids, names=table.names,
                                  total_expected_loss=table.total_expected_loss, totals=table.totals, **columns)
+
+    @pytest.mark.parametrize("field, value", [("names", ("A",)), ("expected_loss", [1.0, 2.0, 3.0]),
+                                              ("contributions", [[1.0], [2.0]]), ("totals", (1.0,))])
+    def test_columns_of_another_length_refused(self, field, value):
+        columns = dict(levels=(0.1, 0.01), obligor_ids=("a", "b"), names=("A", "B"), expected_loss=[1.0, 2.0],
+                       contributions=[[1.0, 2.0], [3.0, 4.0]], total_expected_loss=3.0, totals=(4.0, 6.0))
+        message = ("contribution table: ids, names, expected_loss and contributions need one entry per obligor, "
+                   "contributions and totals one per level")
+        ar.ContributionTable(**columns)
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            ar.ContributionTable(**columns | {field: value})
 
     @pytest.mark.parametrize("field, value", [("total_expected_loss", math.inf), ("totals", (1.0, math.nan))])
     def test_non_finite_total_refused(self, bundled_run, field, value):

@@ -212,6 +212,16 @@ def test_discounted_exposure_overflow_names_the_first_obligor(tmp_path):
     assert result.stderr == "obligor BGR: exposure must be finite, got inf\n"
 
 
+def test_exposures_summing_past_the_largest_float_exit_2(tmp_path):
+    # simulate took P(loss > inf) and exited 1 with an OverflowError traceback
+    header = HEADER.rsplit(",", 1)[0]
+    (tmp_path / "over.csv").write_text(f"{header}\nA,a,1e308,0.1,0.05,0.5,0.5\nB,b,1e308,0.1,0.05,0.5,0.5\n")
+    result = run_cli(["simulate", "--input", "over.csv", "--unit", "1e306", "--n-draws", "1000"], tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "total exposure overflows: the exposures sum past 1.7976931348623157e+308\n"
+
+
 def test_discount_factor_underflow_names_rate_and_horizon(tmp_path):
     # e^-800 is 0.0 in doubles: every exposure became 0 and the first obligor took the blame
     result = run_cli(["analyze", "--rate", "800", "--horizon", "1"], tmp_path)
@@ -229,6 +239,12 @@ class TestAnalyze:
         assert len(lines) == 8  # header + 7 default levels
         contributions = (tmp_path / "out" / "contributions.csv").read_text().strip().splitlines()
         assert len(contributions) == 1 + 22 + 1
+
+    def test_printed_quantiles_are_the_file(self, tmp_path):
+        result = run_cli(["analyze", "--unit", "10"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        printed = result.stdout[result.stdout.index("exceedance_prob,loss\n"):result.stdout.index("wrote ")]
+        assert printed.encode() == (tmp_path / "out" / "quantiles.csv").read_bytes()
 
     def test_backends_agree(self, tmp_path):
         fft = run_cli(["analyze", "--unit", "10", "--backend", "fft", "--out", "f"], tmp_path)

@@ -505,26 +505,45 @@ class TestLossDistFft:
         with pytest.raises(ModelError, match="at least 22"):
             ar.loss_dist_fft(poisson_sector([(10, 1.0)]), 16)
 
+
+class TestLossDistribution:
     def test_negatives_clamped_and_bounded(self, bundled_banded, bundled_dist):
         assert float(bundled_dist.pmf.min()) >= 0.0
         raw = np.fft.ifft(np.exp(np.zeros(8, dtype=complex))).real  # exact point mass
-        assert ar.engine._finalize_pmf(raw, 1.0).pmf[0] == 1.0
+        assert ar.LossDistribution(1.0, raw).pmf[0] == 1.0
         assert bundled_dist.pmf.sum() <= 1.0 + 1e-9
         assert bundled_dist.truncation_mass >= -1e-9
+
+    def test_round_off_negative_reads_as_zero(self):
+        dist = ar.LossDistribution(1.0, np.array([0.5, -1e-15, 0.25]))
+        assert dist.pmf.tolist() == [0.5, 0.0, 0.25]
+        assert dist.truncation_mass == 0.25
 
     def test_large_negative_entry_is_an_error(self):
         raw = np.array([0.5, -1e-10, 0.5])
         with pytest.raises(ModelError, match="clamp"):
-            ar.engine._finalize_pmf(raw, 1.0)
+            ar.LossDistribution(1.0, raw)
 
     def test_mass_above_one_is_an_error(self):
         with pytest.raises(ModelError, match=f"^{re.escape('pmf sums to 1.2 > 1 + 1e-9')}$"):
-            ar.engine._finalize_pmf(np.array([0.6, 0.6]), 1.0)
+            ar.LossDistribution(1.0, np.array([0.6, 0.6]))
 
     @pytest.mark.parametrize("raw", [[0.5, math.nan, 0.5], [math.nan] * 3])
     def test_nan_pmf_is_an_error(self, raw):
         with pytest.raises(ModelError):
-            ar.engine._finalize_pmf(np.array(raw), 1.0)
+            ar.LossDistribution(1.0, np.array(raw))
+
+    def test_truncation_mass_is_read_from_the_pmf(self):
+        with pytest.raises(TypeError):
+            ar.LossDistribution(1.0, np.array([0.5, 0.4]), 0.1)  # a tail bound is keyword-only
+        with pytest.raises(TypeError):
+            ar.LossDistribution(1.0, np.array([0.5, 0.4]), truncation_mass=0.1)
+
+    @pytest.mark.parametrize("backend", [ar.loss_dist_fft, ar.loss_dist_sector])
+    def test_truncation_mass_bits_on_both_backends(self, bundled_banded, backend):
+        dist = backend(bundled_banded, 100_000)
+        assert dist.truncation_mass == 1.0 - float(dist.pmf.sum())
+        assert dist.tail_bound == bundled_banded._cumulant.tail_bound(100_000)
 
 
 class TestTailBound:
@@ -828,7 +847,7 @@ class TestSerialization:
         # 2**16 rows span several write chunks; the whole grid's row strings
         # must never be held at once next to the joined text
         pmf = np.random.default_rng(7).random(1 << 16)
-        d = ar.LossDistribution(unit=0.1, pmf=pmf / pmf.sum(), truncation_mass=0.0)
+        d = ar.LossDistribution(unit=0.1, pmf=pmf / pmf.sum())
         cdf = d.cdf
         tracemalloc.start()
         try:

@@ -122,6 +122,22 @@ class TestParse:
         with pytest.raises(InputError, match=r"^bad header: repeated column 'expected_loss'$"):
             ar.parse_portfolio(text)
 
+    def test_bad_header_names_the_optional_columns(self):
+        message = ("bad header: expected columns id,name,exposure,mean_loss_rate,loss_rate_stddev,crop_ratio,"
+                   "livestock_ratio, then optionally expected_loss and rating, each at most once and in either "
+                   "order, but got id,name,exposure")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ar.parse_portfolio("id,name,exposure\nAAA,A,100\n")
+
+    def test_exposures_summing_past_the_largest_float_refused(self):
+        # the sum was inf: validate passed, the sectors read a rate of 0 and simulate crashed on int(inf)
+        text = HEADER.rsplit(",", 1)[0] + "\nA,a,1e308,0.1,0.05,0.5,0.5\nB,b,1e308,0.1,0.05,0.5,0.5\n"
+        message = "total exposure overflows: the exposures sum past 1.7976931348623157e+308"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                ar.parse_portfolio(text)
+
     def test_rates_are_fractions_not_percent(self):
         with pytest.raises(InputError, match="mean_loss_rate"):
             ar.parse_portfolio(f"{HEADER}\nAAA,A,100,3.12,0.0,1.0,0.0,\n")
@@ -422,6 +438,11 @@ class TestDiscount:
         # the factor e^709.5 is finite; the discounted portfolio is checked as it is built
         with pytest.raises(InputError, match=r"^obligor BGR: exposure must be finite, got inf$"):
             ar.discount_exposures(bundled_portfolio, ar.DiscountSpec(-0.5, 1419.0))
+
+    def test_discount_summing_past_the_largest_float_refused(self):
+        p = ar.Portfolio(**TWO | {"exposure": [8e307, 8e307]})  # a sum of 1.6e308, and 1.95e308 discounted
+        with pytest.raises(InputError, match="^total exposure overflows"):
+            ar.discount_exposures(p, ar.DiscountSpec(-0.2, 1.0))
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(InputError):
