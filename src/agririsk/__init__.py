@@ -21,6 +21,7 @@ from .engine import (
     BandedPortfolio,
     BandedSector,
     LossDistribution,
+    Run,
     SectorParams,
     analytic_moments,
     auto_grid_size,
@@ -29,6 +30,7 @@ from .engine import (
     loss_dist_poisson,
     loss_dist_sector,
     poisson_rate,
+    run_pipeline,
     units_ceiling,
 )
 from .errors import InputError, ModelError
@@ -57,20 +59,10 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
-
-def __getattr__(name: str):
-    # loaded on first use, so that `python -m agririsk.cli` does not find cli already imported
-    if name in ("Run", "run_pipeline"):
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# every class and function imported above, so each public name is written once, and the lazy names and dtype
+# every class and function imported above, so each public name is written once, and the dtype
 __all__ = sorted(
     [name for name, value in globals().items() if getattr(value, "__module__", "").startswith("agririsk.")]
-    + ["Run", "run_pipeline", "SUB_DTYPE"]
+    + ["SUB_DTYPE"]
 )

@@ -221,8 +221,9 @@ def _variance_contributions(banded: BandedPortfolio) -> np.ndarray:
     unit, k, eps = banded.unit, banded.sub_sector, banded.sub_epsilon
     cv2, c = banded.cv**2, banded._cumulant
     part_eps = c.eps_total[c.sector_part[k]]
-    # where unit * unit overflows, a zero eps gives 0 * inf = NaN; risk_contributions refuses that total
-    with np.errstate(invalid="ignore"):
+    # a product past the largest float is inf, and where unit * unit overflows a zero eps gives 0 * inf = NaN;
+    # risk_contributions refuses either total
+    with np.errstate(over="ignore", invalid="ignore"):
         terms = np.stack((eps * banded.sub_level * (unit * unit), cv2[k] * (eps * unit) * (part_eps * unit)))
     n = len(banded.obligor_ids)
     return np.bincount(np.repeat(banded.sub_obligor, 2), weights=terms.T.ravel(), minlength=n)

@@ -7,84 +7,16 @@ All commands are deterministic for a fixed flag set (including --seed).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import analytics, engine, portfolio as pf
+from . import analytics, portfolio as pf
+from .engine import _BACKENDS, run_pipeline
 from .errors import InputError, ModelError
 from .simulate import SimConfig, compare as mc_compare, simulate as mc_simulate
 
-_BACKENDS = {"panjer": engine.loss_dist_sector, "fft": engine.loss_dist_fft}
-
-
-@dataclass(frozen=True)
-class Run:
-    """Every stage of one pipeline run, and the config its report files record."""
-
-    portfolio: pf.Portfolio  # after discounting
-    findings: list[pf.ValidationFinding]
-    sectored: pf.SectoredPortfolio
-    banded: engine.BandedPortfolio
-    dist: engine.LossDistribution
-    levels: tuple[float, ...]
-    config: dict
-
-
-def run_pipeline(
-    *,
-    input: str | Path | None = None,
-    unit: float = 1.0,
-    sector_mode: str = "crop-livestock",
-    sector_rates: dict[str, tuple[float, float]] | None = None,
-    rate: float = 0.0,
-    horizon: float = 0.0,
-    backend: str = "fft",
-    grid: int | None = None,
-    levels: tuple[float, ...] = (0.1, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001),
-    tolerance: float = 0.02,
-) -> Run:
-    """Portfolio CSV -> validation -> discounting -> sectors -> bands -> loss pmf.
-
-    The keywords are the pipeline flags of ``analyze``, ``dist`` and
-    ``simulate``, with the same defaults. ``input=None`` reads the bundled
-    dataset and ``grid=None`` sizes the grid from the tail bound.
-    """
-    if backend not in _BACKENDS:
-        raise InputError(f"backend must be one of {', '.join(_BACKENDS)}, got {backend!r}")
-    levels = tuple(float(lvl) for lvl in levels)
-    if not levels:
-        raise InputError("levels must name at least one level")
-    if not all(0.0 < lvl < 1.0 for lvl in levels):
-        raise InputError(f"levels must lie in (0, 1), got {list(levels)}")
-    if len(set(levels)) < len(levels):
-        raise InputError(f"levels must not repeat a level, got {list(levels)}")
-    source = Path(input) if input else pf.bundled_dataset_path()
-    port = pf.load_portfolio(source)
-    findings = pf.validate_portfolio(port, tolerance)
-    discounted = pf.discount_exposures(port, pf.DiscountSpec(rate, horizon))
-    sectored = pf.assign_sectors(discounted, pf.SectorAssignment(sector_mode, sector_rates))
-    banded = engine.band_exposures(sectored, unit)
-    grid_size = engine.auto_grid_size(banded) if grid is None else grid
-    dist = _BACKENDS[backend](banded, grid_size)
-    config = {
-        "input": str(source),
-        "unit": unit,
-        "sector_mode": sector_mode,
-        "sector_rates": None if sector_rates is None else {k: list(v) for k, v in sector_rates.items()},
-        "rate": rate,
-        "horizon": horizon,
-        "backend": backend,
-        "grid_size": grid_size,
-        "levels": list(levels),
-        "tolerance": tolerance,
-    }
-    return Run(discounted, findings, sectored, banded, dist, levels, config)
-
-
-_DEFAULTS = {name: p.default for name, p in inspect.signature(run_pipeline).parameters.items()}
+_DEFAULTS = run_pipeline.__kwdefaults__  # every pipeline keyword is keyword-only and has a flag
 
 
 def _parse_levels(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:

@@ -5,7 +5,9 @@ aggregate indemnity distribution is then computed two independent ways:
 the (a, b, 0) Panjer recursion over the banded severities (Poisson counts,
 or gamma-mixed negative binomial counts per sector) and inversion of the
 closed-form probability generating function at the complex roots of unity
-via FFT.
+via FFT. run_pipeline is the whole run: portfolio CSV -> validation ->
+discounting -> sectors -> bands -> loss pmf on one of those backends, each
+stage kept in a Run.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from pathlib import Path
 
 import numpy as np
 
+from . import portfolio as pf
 from .errors import InputError, ModelError
-from .portfolio import SUB_DTYPE, SectoredPortfolio
 
 # tolerances shared with the test-suite contracts
 NEGATIVE_PMF_CLAMP = 1e-14  # FFT round-off below -1e-14 is treated as failure
@@ -133,9 +136,10 @@ class BandedPortfolio:
 class LossDistribution:
     """Aggregate loss pmf on the grid {0, L, 2L, ...}, checked when built: round-off in [-1e-14, 0) reads as 0.
 
-    A lower or NaN entry, or a sum above 1 + 1e-9, raises ModelError. The mass past the grid, 1 - sum(pmf), is
-    truncation_mass, never renormalized away: that would silently distort quantiles. tail_bound (keyword-only)
-    is a Chernoff bound on P(loss >= grid size), which also bounds the FFT's aliasing; 0.0 marks none.
+    A lower or NaN entry, a sum above 1 + 1e-9, or a last grid point (size - 1) * unit past the largest float
+    raises ModelError. The mass past the grid, 1 - sum(pmf), is truncation_mass, never renormalized away: that
+    would silently distort quantiles. tail_bound (keyword-only) is a Chernoff bound on P(loss >= grid size),
+    which also bounds the FFT's aliasing; 0.0 marks none.
     """
 
     unit: float
@@ -145,6 +149,10 @@ class LossDistribution:
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
+        if not (pmf.size - 1) * float(self.unit) < math.inf:  # in Python floats, which overflow without a warning
+            raise ModelError(
+                f"a {pmf.size}-point loss grid overflows at unit {self.unit!r}; use a smaller unit (--unit)"
+            )
         worst = float(pmf.min())  # NaN where any entry is NaN, which fails both checks
         if not worst >= -NEGATIVE_PMF_CLAMP:
             raise ModelError(f"pmf entry {worst:.3e} below the -1e-14 round-off clamp")
@@ -193,7 +201,7 @@ def units_ceiling(amount, unit: float):
     return int(v) if v.ndim == 0 else v
 
 
-def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
+def band_exposures(sectored: pf.SectoredPortfolio, unit: float) -> BandedPortfolio:
     """Discretize the sectored portfolio's sub-exposures into integer bands of size unit.
 
     Each sub-exposure x with loss rate p maps to level v = ceiling(x/unit)
@@ -206,7 +214,7 @@ def band_exposures(sectored: SectoredPortfolio, unit: float) -> BandedPortfolio:
     if not (math.isfinite(unit) and unit > 0.0):
         raise InputError(f"unit must be finite and > 0, got {unit}")
     names, mean, stddev = sectored.names, sectored.mean_rate, sectored.stddev_rate
-    obligor, sector, amount, rate = (sectored.subs[f] for f in SUB_DTYPE.names)
+    obligor, sector, amount, rate = (sectored.subs[f] for f in pf.SUB_DTYPE.names)
     if not np.all(amount > 0.0):
         i = int(np.argmin(amount > 0.0))
         raise ModelError(f"sub-exposure of {sectored.obligor_ids[obligor[i]]} in {names[sector[i]]!r} is not positive")
@@ -508,3 +516,70 @@ def _convolve_pmfs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # at least len(a) + len(b) - 1, so the circular product does not wrap
     size = _smooth_length(a.size + b.size - 1)
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
+_BACKENDS = {"panjer": loss_dist_sector, "fft": loss_dist_fft}
+
+
+@dataclass(frozen=True)
+class Run:
+    """Every stage of one pipeline run, and the config its report files record."""
+
+    portfolio: pf.Portfolio  # after discounting
+    findings: list[pf.ValidationFinding]
+    sectored: pf.SectoredPortfolio
+    banded: BandedPortfolio
+    dist: LossDistribution
+    levels: tuple[float, ...]
+    config: dict
+
+
+def run_pipeline(
+    *,
+    input: str | Path | None = None,
+    unit: float = 1.0,
+    sector_mode: str = "crop-livestock",
+    sector_rates: dict[str, tuple[float, float]] | None = None,
+    rate: float = 0.0,
+    horizon: float = 0.0,
+    backend: str = "fft",
+    grid: int | None = None,
+    levels: tuple[float, ...] = (0.1, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001),
+    tolerance: float = 0.02,
+) -> Run:
+    """Portfolio CSV -> validation -> discounting -> sectors -> bands -> loss pmf.
+
+    The keywords are the pipeline flags of ``analyze``, ``dist`` and
+    ``simulate``, with the same defaults. ``input=None`` reads the bundled
+    dataset and ``grid=None`` sizes the grid from the tail bound.
+    """
+    if backend not in _BACKENDS:
+        raise InputError(f"backend must be one of {', '.join(_BACKENDS)}, got {backend!r}")
+    levels = tuple(float(lvl) for lvl in levels)
+    if not levels:
+        raise InputError("levels must name at least one level")
+    if not all(0.0 < lvl < 1.0 for lvl in levels):
+        raise InputError(f"levels must lie in (0, 1), got {list(levels)}")
+    if len(set(levels)) < len(levels):
+        raise InputError(f"levels must not repeat a level, got {list(levels)}")
+    source = Path(input) if input else pf.bundled_dataset_path()
+    port = pf.load_portfolio(source)
+    findings = pf.validate_portfolio(port, tolerance)
+    discounted = pf.discount_exposures(port, pf.DiscountSpec(rate, horizon))
+    sectored = pf.assign_sectors(discounted, pf.SectorAssignment(sector_mode, sector_rates))
+    banded = band_exposures(sectored, unit)
+    grid_size = auto_grid_size(banded) if grid is None else grid
+    dist = _BACKENDS[backend](banded, grid_size)
+    config = {
+        "input": str(source),
+        "unit": unit,
+        "sector_mode": sector_mode,
+        "sector_rates": None if sector_rates is None else {k: list(v) for k, v in sector_rates.items()},
+        "rate": rate,
+        "horizon": horizon,
+        "backend": backend,
+        "grid_size": grid_size,
+        "levels": list(levels),
+        "tolerance": tolerance,
+    }
+    return Run(discounted, findings, sectored, banded, dist, levels, config)

@@ -264,9 +264,14 @@ def simulate(
         with ThreadPoolExecutor(workers - 1) as pool:
             others = [pool.submit(draw_share, share) for share in range(1, workers)]
             clamped = draw_share(0) + sum(f.result() for f in others)
-    if not bernoulli:
-        losses *= banded.unit
     losses.sort()
+    if not bernoulli:
+        top = float(losses[-1])
+        if not top * float(banded.unit) < math.inf:  # in Python floats, which overflow without a warning
+            raise ModelError(
+                f"a sampled loss of {top:.0f} units overflows at unit {banded.unit!r}; use a smaller unit (--unit)"
+            )
+        losses *= banded.unit
     return EmpiricalDistribution(samples=losses, clamp_count=clamped, mode=cfg.mode, seed=cfg.seed)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import agririsk as ar
+from agririsk.cli import _pipeline_args, build_parser
 from agririsk.errors import InputError
 
 from conftest import HEADER, REPO_ROOT, SRC, run_cli, run_python
@@ -13,6 +14,21 @@ def test_subprocess_imports_this_checkout(tmp_path):
     result = run_python(["-c", "import agririsk; print(agririsk.__file__)"], tmp_path)
     assert result.returncode == 0, result.stderr
     assert Path(result.stdout.strip()).resolve().is_relative_to(SRC.resolve())
+
+
+def test_package_import_leaves_the_cli_unloaded(tmp_path):
+    # the pipeline is engine code, so agririsk exports it without importing the command line
+    names = "'Run' in vars(agririsk), 'run_pipeline' in vars(agririsk), 'agririsk.cli' in sys.modules"
+    code = f"import sys, agririsk; print({names})"
+    result = run_python(["-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True True False\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "dist", "simulate"])
+def test_every_pipeline_keyword_is_a_flag_with_its_default(command):
+    parser = build_parser()
+    assert _pipeline_args(parser.parse_args([command]), parser) == ar.run_pipeline.__kwdefaults__
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -220,6 +236,30 @@ def test_exposures_summing_past_the_largest_float_exit_2(tmp_path):
     assert result.returncode == 2, result.stdout + result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr == "total exposure overflows: the exposures sum past 1.7976931348623157e+308\n"
+
+
+# one obligor of 1.5e308: at unit 1e306 each of its two sectors sits at level 75, and the auto grid is 1215 points
+ONE_CSV = HEADER.rsplit(",", 1)[0] + "\nA,a,1.5e308,0.5,0.1,0.5,0.5\n"
+
+
+@pytest.mark.parametrize("mode", ["poisson-banded", "bernoulli-exact"])
+def test_grid_past_the_largest_float_exit_1(tmp_path, mode):
+    # 1214 units of 1e306 is inf: the analytic column read inf from 0.05 down and the run exited 0
+    (tmp_path / "one.csv").write_text(ONE_CSV)
+    args = ["-W", "error", "-m", "agririsk.cli", "simulate", "--input", "one.csv", "--unit", "1e306"]
+    result = run_python([*args, "--n-draws", "1000", "--mc-mode", mode], tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stderr == "a 1215-point loss grid overflows at unit 1e+306; use a smaller unit (--unit)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_variance_contribution_overflow_warns_nothing(tmp_path):
+    # 151 units of 1e306 is finite, so the grid stands; the contributions' products overflowed with a RuntimeWarning
+    (tmp_path / "one.csv").write_text(ONE_CSV)
+    args = ["-W", "error", "-m", "agririsk.cli", "analyze", "--input", "one.csv", "--unit", "1e306", "--grid", "152"]
+    result = run_python(args, tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stderr == "total variance contribution overflows at unit 1e+306; use a smaller unit (--unit)\n"
 
 
 def test_discount_factor_underflow_names_rate_and_horizon(tmp_path):

@@ -539,6 +539,15 @@ class TestLossDistribution:
         with pytest.raises(TypeError):
             ar.LossDistribution(1.0, np.array([0.5, 0.4]), truncation_mass=0.1)
 
+    def test_last_grid_point_past_the_largest_float_refused(self):
+        # 17 units of 1e307 is 1.7e308, below the largest float; 18 units are inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert "inf" not in ar.LossDistribution(1e307, np.eye(1, 18)[0]).to_csv()
+            message = "a 19-point loss grid overflows at unit 1e+307; use a smaller unit (--unit)"
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                ar.LossDistribution(1e307, np.eye(1, 19)[0])
+
     @pytest.mark.parametrize("backend", [ar.loss_dist_fft, ar.loss_dist_sector])
     def test_truncation_mass_bits_on_both_backends(self, bundled_banded, backend):
         dist = backend(bundled_banded, 100_000)

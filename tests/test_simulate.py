@@ -5,13 +5,14 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import agririsk as ar
 from agririsk.engine import _MAX_GAMMA_SCALE
-from agririsk.errors import InputError
+from agririsk.errors import InputError, ModelError
 from agririsk.simulate import BLOCK_VARIATES, CHUNK_DRAWS, _alias_table, _count_first, _pick, _quantile_band
 
 from conftest import HEADER, make_banded, single_sector
@@ -53,6 +54,21 @@ class TestSimulate:
             banded, ar.SimConfig(n_draws=400, seed=5, mode="bernoulli-exact"), sectored
         )
         assert np.all(emp.samples == 123.25)
+
+    def test_banded_loss_past_the_largest_float_refused(self):
+        # one obligor of 1.5e308 at unit 1e306: two sectors at level 75, so three defaults are 225 units, past
+        # 1.79e308 in money; the multiply by the unit made them inf with a RuntimeWarning
+        portfolio = ar.parse_portfolio(HEADER.rsplit(",", 1)[0] + "\nA,a,1.5e308,0.5,0.1,0.5,0.5\n")
+        sectored = ar.assign_sectors(portfolio, ar.SectorAssignment("crop-livestock", None))
+        banded = ar.band_exposures(sectored, 1e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "a sampled loss of 225 units overflows at unit 1e+306; use a smaller unit (--unit)"
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                ar.simulate(banded, ar.SimConfig(n_draws=20, seed=0))
+            # each bernoulli-exact sample is at most the total exposure, which the portfolio keeps finite
+            exact = ar.simulate(banded, ar.SimConfig(n_draws=20, seed=0, mode="bernoulli-exact"), sectored)
+            assert exact.samples[-1] == 1.5e308
 
     def test_poisson_band_sample_mean(self):
         banded = poisson_sector([(1, 2.0)])
