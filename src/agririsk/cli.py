@@ -165,16 +165,19 @@ def cmd_simulate(args, parser) -> int:
     run = run_pipeline(**_pipeline_args(args, parser))
     empirical = mc_simulate(run.banded, cfg, run.sectored)
     comparison = mc_compare(run.dist, empirical, run.levels, total_exposure=run.portfolio.total_exposure)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "config": run.config | {"seed": args.seed, "n_draws": args.n_draws, "mc_mode": args.mc_mode},
         "sample": empirical.summary(run.levels),
         "comparison": comparison.to_json_dict(),
     }
-    (out / "mc_summary.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    try:
+        summary = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # JSON has no inf or NaN
+        raise ModelError("mc_summary.json would hold a number that is not finite, "
+                         "such as a sample mean or stddev past the largest float") from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "mc_summary.json").write_text(summary + "\n", encoding="utf-8")
     if args.dump_samples:
         lines = ["loss"] + [repr(x) for x in empirical.samples.tolist()]
         Path(args.dump_samples).write_text("\n".join(lines) + "\n", encoding="utf-8")

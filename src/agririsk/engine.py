@@ -322,7 +322,7 @@ class _Cumulant:
             raise ModelError(f"gamma scale {float(self.beta.max())!r} leaves no t > 0 to bound the loss tail")
 
     def parts(self):
-        """(levels, epsilon, gamma) of each part that carries loss, part 0 first.
+        """(levels, epsilon, expected counts mu, gamma) of each part that carries loss, part 0 first.
 
         gamma is the part's (alpha, beta), or None for the compound Poisson part 0;
         part k >= 1 is the k-th sector with cv > 0.
@@ -331,7 +331,7 @@ class _Cumulant:
         bounds = np.searchsorted(self.part, np.arange(len(gammas) + 1)).tolist()
         for gamma, lo, hi in zip(gammas, bounds, bounds[1:]):
             if hi > lo:
-                yield self.v[lo:hi], self.eps[lo:hi], gamma
+                yield self.v[lo:hi], self.eps[lo:hi], self.mu[lo:hi], gamma
 
     def _d(self, t: float) -> np.ndarray:
         return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
@@ -397,8 +397,9 @@ def _check_grid(grid_size: int, minimum: int, what: str) -> None:
         )
 
 
-def _panjer(vs: np.ndarray, eps: np.ndarray, gamma: tuple[float, float] | None, grid_size: int) -> np.ndarray:
-    """Compound pmf of bands at levels vs by the (a, b, 0) Panjer recursion.
+def _panjer(vs: np.ndarray, eps: np.ndarray, mu: np.ndarray, gamma: tuple[float, float] | None,
+            grid_size: int) -> np.ndarray:
+    """Compound pmf of bands at levels vs, losses eps and expected counts mu by the (a, b, 0) Panjer recursion.
 
     g_n = sum_j (a + b v_j / n) f_j g_{n - v_j} over the levels v_j <= n, with
     severity f_j = mu_j / sum(mu), which has no mass at 0. Gamma-mixed counts,
@@ -416,7 +417,6 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, gamma: tuple[float, float] | None, 
     each with rate (or gamma shape) divided by m: the recursion runs for one
     piece and the piece is convolved with itself m - 1 times, which is exact.
     """
-    mu = eps / vs
     if gamma is None:
         log_g0 = -float(mu.sum())
     else:
@@ -468,7 +468,7 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
     """
     _check_grid(grid_size, banded.max_v + 1, "the largest band")
     cumulant = banded._cumulant
-    pmfs = [_panjer(vs, eps, gamma, grid_size) for vs, eps, gamma in cumulant.parts()]
+    pmfs = [_panjer(*part, grid_size) for part in cumulant.parts()]
     raw = reduce(_convolve_pmfs, pmfs) if pmfs else np.eye(1, grid_size)[0]
     return LossDistribution(banded.unit, raw, tail_bound=cumulant.tail_bound(grid_size))
 
@@ -495,8 +495,7 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     _check_grid(grid_size, 2 * (banded.max_v + 1), "alias-safe FFT inversion")
     # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
     log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
-    for vs, eps, gamma in banded._cumulant.parts():
-        mu = eps / vs
+    for vs, _, mu, gamma in banded._cumulant.parts():
         count = mu.sum()
         q = np.fft.rfft(np.bincount(vs, weights=mu / count), grid_size)
         if gamma is None:

@@ -249,11 +249,8 @@ class ValidationFinding:
 
 def _floats(column: str, cells) -> tuple[np.ndarray, tuple]:
     """float() of each cell, NaN where it refuses one, and the _first_fault rule that none is malformed."""
-    try:
-        values, bad = np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), bool)
-    except ValueError:  # only a file with a malformed cell pays for a pass cell by cell
-        parsed = list(map(_float_or_none, cells))
-        values, bad = np.array(parsed, np.float64), np.array([v is None for v in parsed], bool)
+    parsed = list(map(_float_or_none, cells))
+    values, bad = np.array(parsed, np.float64), np.array([v is None for v in parsed], bool)
     return values, (bad, f"malformed {column}: {{1!r}}", cells)
 
 

@@ -65,18 +65,21 @@ class EmpiricalDistribution:
     def n_draws(self) -> int:
         return self.samples.size
 
+    # inf, without a warning, where a sum passes the largest float; the mc_summary.json writer refuses it
     @property
     def mean(self) -> float:
-        return float(self.samples.mean())
+        with np.errstate(over="ignore"):
+            return float(self.samples.mean())
 
     @property
     def stddev(self) -> float:
-        return float(self.samples.std(ddof=1)) if self.n_draws > 1 else 0.0
+        with np.errstate(over="ignore"):
+            return float(self.samples.std(ddof=1)) if self.n_draws > 1 else 0.0
 
     def prob_exceeds(self, amount: float) -> float:
         return float(np.mean(self.samples > amount))
 
-    def summary(self, levels: tuple[float, ...] = (0.1, 0.05, 0.01)) -> dict:
+    def summary(self, levels: tuple[float, ...]) -> dict:
         return {
             "n_draws": self.n_draws,
             "seed": self.seed,
@@ -230,8 +233,7 @@ def simulate(
     bernoulli = cfg.mode == "bernoulli-exact"
     if not bernoulli:
         plans = []  # payouts in whole units, so that any order of summing them is exact
-        for vs, eps, gamma in banded._cumulant.parts():
-            mu = eps / vs
+        for vs, _, mu, gamma in banded._cumulant.parts():
             table = (float(mu.sum()), *_alias_table(mu)) if _count_first(mu) else None
             plans.append((None if gamma is None else gamma[0], mu, vs.astype(float), table))
     else:

@@ -1,10 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 import agririsk as ar
-from agririsk.cli import _pipeline_args, build_parser
+from agririsk.cli import _pipeline_args, build_parser, main
 from agririsk.errors import InputError
 
 from conftest import HEADER, REPO_ROOT, SRC, run_cli, run_python
@@ -260,6 +261,30 @@ def test_variance_contribution_overflow_warns_nothing(tmp_path):
     result = run_python(args, tmp_path)
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stderr == "total variance contribution overflows at unit 1e+306; use a smaller unit (--unit)\n"
+
+
+# ten obligors of 1.5e307: every sample is finite, but a thousand of them sum past the largest float
+TEN_CSV = HEADER.rsplit(",", 1)[0] + "\n" + "".join(f"R{i},r{i},1.5e307,0.01,0.005,0.5,0.5\n" for i in range(10))
+
+
+@pytest.mark.parametrize("mode", ["poisson-banded", "bernoulli-exact"])
+def test_sample_mean_past_the_largest_float_exit_1(tmp_path, capsys, mode):
+    # the sample mean and stddev overflowed with a RuntimeWarning, and mc_summary.json held "mean": Infinity
+    (tmp_path / "ten.csv").write_text(TEN_CSV)
+    out = tmp_path / "out"
+    args = ["simulate", "--input", str(tmp_path / "ten.csv"), "--unit", "1e306", "--grid", "175",
+            "--levels", "0.1,0.05", "--n-draws", "1000", "--mc-mode", mode, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(args)
+    captured = capsys.readouterr()
+    assert status == 1, captured.out + captured.err
+    assert captured.err == (
+        "mc_summary.json would hold a number that is not finite, "
+        "such as a sample mean or stddev past the largest float\n"
+    )
+    assert captured.out == ""
+    assert not (out / "mc_summary.json").exists()
 
 
 def test_discount_factor_underflow_names_rate_and_horizon(tmp_path):

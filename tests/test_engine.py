@@ -216,7 +216,7 @@ class TestLossDistSector:
     def test_hand_built_rho_rounding_to_one_refused(self):
         # cv 1e9 on a count of 1: beta = 1e18; band_exposures refuses such a sector, a hand-built one stops here
         with pytest.raises(ModelError, match=r"rho must lie in \(0, 1\), got 1.0"):
-            ar.engine._panjer(np.array([1]), np.array([1.0]), (1e-18, 1e18), 64)
+            ar.engine._panjer(np.array([1]), np.array([1.0]), np.array([1.0]), (1e-18, 1e18), 64)
 
     def test_poisson_limit(self):
         bands = [(1, 0.5), (3, 0.9), (7, 0.35)]
@@ -357,6 +357,15 @@ class TestParts:
         assert 0.5 * float(np.abs(panjer.pmf - fft.pmf).sum()) <= 1e-12
         assert panjer.tail_bound == fft.tail_bound <= ar.engine.TAIL_EPS
 
+    @pytest.mark.parametrize("mode", ar.portfolio.SECTOR_MODES)
+    def test_parts_carry_each_level_expected_count(self, bundled_portfolio, mode):
+        # both backends and the sampler read mu from the parts, so it must be the quotient they divided
+        banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), 1.0)
+        parts = list(banded._cumulant.parts())
+        assert parts
+        for vs, eps, mu, _ in parts:
+            assert np.array_equal(mu, eps / vs)
+
 
 def scalar_panjer(vs, eps, cv, grid_size):
     """Reference (a, b, 0) recursion: one Python step per grid point, summing the levels v_j <= n."""
@@ -397,7 +406,7 @@ class TestBlockedPanjer:
         eps = np.array([e for v, e in bands if e > 0.0])
         gamma = (cv**-2, cv**2 * float((eps / vs).sum())) if cv else None
         expected = scalar_panjer(vs, eps, cv, grid)
-        got = ar.engine._panjer(vs, eps, gamma, grid)
+        got = ar.engine._panjer(vs, eps, eps / vs, gamma, grid)
         assert got.shape == expected.shape
         live = expected >= 1e-300
         assert np.all(np.abs(got[live] - expected[live]) <= 1e-13 * expected[live])
@@ -426,11 +435,11 @@ class TestBlockedPanjer:
         banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment()), 10.0)
         grid = ar.auto_grid_size(banded)
         parts = list(banded._cumulant.parts())
-        assert grid == 8000 and min(int(vs[0]) for vs, _, _ in parts) == 2
-        assert [gamma is None for _, _, gamma in parts] == [False] * banded.cv.size
-        for (vs, eps, gamma), cv in zip(parts, banded.cv.tolist()):
+        assert grid == 8000 and min(int(vs[0]) for vs, _, _, _ in parts) == 2
+        assert [gamma is None for _, _, _, gamma in parts] == [False] * banded.cv.size
+        for (vs, eps, mu, gamma), cv in zip(parts, banded.cv.tolist()):
             expected = scalar_panjer(vs, eps, cv, grid)
-            got = ar.engine._panjer(vs, eps, gamma, grid)
+            got = ar.engine._panjer(vs, eps, mu, gamma, grid)
             live = expected >= 1e-300
             assert np.all(np.abs(got[live] - expected[live]) <= 1e-13 * expected[live])
             assert np.all(np.abs(got[~live]) <= 1e-300)
@@ -449,7 +458,7 @@ class TestBlockedPanjer:
         # a piece has the rate, or the gamma shape cv**-2, divided by m, and the same gamma scale
         piece = scalar_panjer(vs, eps / m, cv * math.sqrt(m), 2700)
         expected = reduce(ar.engine._convolve_pmfs, [piece] * m)
-        got = ar.engine._panjer(vs, eps, gamma, 2700)
+        got = ar.engine._panjer(vs, eps, eps / vs, gamma, 2700)
         # the convolution's FFT round-off is absolute, about 1e-16 of the peak, so the
         # comparison is relative to the peak, not to each entry of the far tail
         assert np.all(np.abs(got - expected) <= 1e-12 * expected.max())

@@ -270,8 +270,8 @@ class TestCountFirst:
             ("b", 0.0, [(2, 0.6), (3, 0.4), (5, 0.8)]),
         ])
         pooled, gamma_part = banded._cumulant.parts()
-        assert (pooled[0].tolist(), pooled[2]) == ([1, 2, 3, 5, 7], None)
-        assert (gamma_part[0].tolist(), gamma_part[2][0]) == ([1, 4], banded._cumulant.alpha[0])
+        assert (pooled[0].tolist(), pooled[3]) == ([1, 2, 3, 5, 7], None)
+        assert (gamma_part[0].tolist(), gamma_part[3][0]) == ([1, 4], banded._cumulant.alpha[0])
         n = 200_000
         emp = ar.simulate(banded, ar.SimConfig(n_draws=n, seed=43))
         mean, variance = ar.analytic_moments(banded)
@@ -367,7 +367,7 @@ class TestThreads:
         sectored, banded = two_sectors(
             "".join(f"C{i},C{i},{10 + i},0.02,0.01,1,0\n" for i in range(8))
             + "".join(f"L{i},L{i},{5 + 3 * i},0.9,0.9,0,1\n" for i in range(3)))
-        assert [_count_first(eps / vs) for vs, eps, _ in banded._cumulant.parts()] == [True, False]
+        assert [_count_first(mu) for _, _, mu, _ in banded._cumulant.parts()] == [True, False]
         module = importlib.import_module("agririsk.simulate")
         cfg = ar.SimConfig(n_draws=2 * CHUNK_DRAWS + 17, seed=29, mode=mode)
         threads, draw_chunk = set(), module._draw_chunk
@@ -518,6 +518,11 @@ class TestCompare:
         assert summary["seed"] == 21
         assert summary["clamp_count"] == 0
         assert "0.1" in summary["quantiles"]
+
+    def test_summary_needs_its_levels(self):
+        # a default of three levels disagreed with the pipeline's seven
+        with pytest.raises(TypeError):
+            ar.EmpiricalDistribution(np.arange(4.0)).summary()
 
     def test_unresolvable_band_edge_does_not_depend_on_the_grid(self, bundled_run):
         # at 2000 draws the pmf cannot resolve eps - 3 se at the 0.0025 level, so its band is
