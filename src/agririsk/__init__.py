@@ -12,7 +12,6 @@ from .analytics import (
     QuantileRow,
     RiskReport,
     build_report,
-    exceedance_quantile,
     moments,
     risk_contributions,
 )
@@ -26,6 +25,7 @@ from .engine import (
     analytic_moments,
     auto_grid_size,
     band_exposures,
+    exceedance_quantile,
     loss_dist_fft,
     loss_dist_poisson,
     loss_dist_sector,
@@ -59,7 +59,7 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 # every class and function imported above, so each public name is written once, and the dtype
 __all__ = sorted(

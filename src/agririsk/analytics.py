@@ -1,4 +1,7 @@
-"""Tail quantiles, moments, and additive risk contributions from a loss distribution."""
+"""Moments, additive risk contributions and the report files from a loss distribution.
+
+Each level's VaR is engine.exceedance_quantile, certified against the distribution's tail bound.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .engine import BandedPortfolio, LossDistribution
+from .engine import BandedPortfolio, LossDistribution, exceedance_quantile
 from .errors import ModelError
 from .portfolio import Portfolio, ValidationFinding
 
@@ -119,7 +122,8 @@ class RiskReport:
         json's indent encoder runs in pure Python, so the two per-obligor
         lists, contributions.rows and findings, are written from templates
         instead and put in at their slots in the dumped head. The table holds
-        only finite numbers, which "%s" writes as float.__repr__, as json does.
+        only finite numbers, which "%s" writes as float.__repr__, as json does;
+        a head number that is not finite raises ModelError, since JSON has none.
         """
         table = self.contributions
         # slot values in sorted key order: each level's contribution, expected loss, id, name
@@ -149,8 +153,12 @@ class RiskReport:
                 "rows": _SLOT,
             },
         }
+        try:
+            head = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:  # JSON has no inf or NaN
+            raise ModelError("report.json would hold a number that is not finite, such as a config value") from None
         # config, the one part of the head that holds outside text, sorts before both slots
-        to_rows, to_findings, rest = json.dumps(payload, sort_keys=True, indent=2).rsplit(json.dumps(_SLOT), 2)
+        to_rows, to_findings, rest = head.rsplit(json.dumps(_SLOT), 2)
         return "".join((to_rows, rows, to_findings, findings, rest, "\n"))
 
     def quantiles_csv(self) -> str:
@@ -172,31 +180,6 @@ class RiskReport:
         header = ",".join(["id", "name", "expected_loss", *map(repr, table.levels)])
         return "".join((header, "\n", row * len(cells) % tuple(chain.from_iterable(values)),
                         row % ("TOTAL,", table.total_expected_loss, *table.totals)))
-
-
-def exceedance_quantile(dist: LossDistribution, eps: float) -> float:
-    """Smallest grid point x with P(loss > x) <= eps, certified against the tail bound.
-
-    The pmf's survival can fall short of the true one by tail_bound (the
-    FFT's aliased mass), so x is returned only when both still fit in eps.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ModelError(f"exceedance probability must be in (0, 1), got {eps}")
-    if dist.truncation_mass >= eps or dist.tail_bound >= eps:
-        raise ModelError(
-            f"grid too small for requested tail: truncation mass {dist.truncation_mass:.3e}, "
-            f"tail bound {dist.tail_bound:.3e}, level {eps}"
-        )
-    tail = 1.0 - dist.cdf
-    if tail[-1] > eps:  # tail is nonincreasing, so no grid point qualifies
-        raise ModelError(
-            f"exceedance probability {eps} is below the smallest the pmf resolves, {tail[-1]:.3e}"
-        )
-    x = int(np.argmax(tail <= eps))
-    if tail[x] + dist.tail_bound > eps:
-        raise ModelError(f"grid too small to certify: survival {tail[x]:.3e} at {x * dist.unit!r} "
-                         f"plus tail bound {dist.tail_bound:.3e} exceeds level {eps}")
-    return x * dist.unit
 
 
 def moments(dist: LossDistribution) -> Moments:

@@ -133,9 +133,10 @@ def cmd_validate(args, parser) -> int:
 def cmd_analyze(args, parser) -> int:
     run = run_pipeline(**_pipeline_args(args, parser))
     report = analytics.build_report(run.portfolio, run.banded, run.dist, run.levels, run.config, run.findings)
+    report_json = report.to_json()  # before --out is made: a refused report writes nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    (out / "report.json").write_text(report_json, encoding="utf-8")
     quantiles = report.quantiles_csv()
     (out / "quantiles.csv").write_text(quantiles, encoding="utf-8")
     (out / "contributions.csv").write_text(report.contributions_csv(), encoding="utf-8")
@@ -179,8 +180,7 @@ def cmd_simulate(args, parser) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "mc_summary.json").write_text(summary + "\n", encoding="utf-8")
     if args.dump_samples:
-        lines = ["loss"] + [repr(x) for x in empirical.samples.tolist()]
-        Path(args.dump_samples).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.dump_samples).write_text(empirical.to_csv(), encoding="utf-8")
     print("level,analytic,empirical,stderr_loss,flagged")
     for row in comparison.rows:
         print(

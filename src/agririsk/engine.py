@@ -27,7 +27,7 @@ NEGATIVE_PMF_CLAMP = 1e-14  # FFT round-off below -1e-14 is treated as failure
 _GRID_SNAP = 1e-9  # relative slack when amount/unit lands on an integer
 _MAX_LEVEL = 2.0**62  # band levels are int64
 
-_CSV_CHUNK_ROWS = 1 << 14  # grid rows formatted per join in LossDistribution.to_csv
+_CSV_CHUNK_ROWS = 1 << 14  # rows formatted per join in LossDistribution.to_csv and EmpiricalDistribution.to_csv
 
 TAIL_EPS = 1e-12  # auto grid: Chernoff bound on P(loss >= grid) at most this
 MAX_GRID = 1 << 26  # largest grid any backend allocates: 512 MiB per float64 array
@@ -168,6 +168,11 @@ class LossDistribution:
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.pmf)
 
+    @cached_property
+    def sf(self) -> np.ndarray:
+        """P(loss > n units) at each grid point n, 1 - cdf: what exceedance_quantile and prob_exceeds read."""
+        return 1.0 - self.cdf
+
     def prob_exceeds(self, amount: float) -> float:
         """P(loss > amount) on the grid, nonnegative and nonincreasing in amount.
 
@@ -177,7 +182,7 @@ class LossDistribution:
         idx = int(math.floor(amount / self.unit))
         if idx < 0:
             return 1.0
-        return max(0.0, float(1.0 - self.cdf[min(idx, self.pmf.size - 1)]))
+        return max(0.0, float(self.sf[min(idx, self.pmf.size - 1)]))
 
     def to_csv(self) -> str:
         # joined a chunk of rows at a time, so the whole grid's row strings never coexist
@@ -187,6 +192,31 @@ class LossDistribution:
             rows = range(start, min(start + _CSV_CHUNK_ROWS, pmf.size))
             chunks.append("".join(f"{n},{n * unit!r},{float(pmf[n])!r},{float(cdf[n])!r}\n" for n in rows))
         return "".join(chunks)
+
+
+def exceedance_quantile(dist: LossDistribution, eps: float) -> float:
+    """Smallest grid point x with P(loss > x) <= eps, certified against the tail bound.
+
+    The pmf's survival can fall short of the true one by tail_bound (the
+    FFT's aliased mass), so x is returned only when both still fit in eps.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ModelError(f"exceedance probability must be in (0, 1), got {eps}")
+    if dist.truncation_mass >= eps or dist.tail_bound >= eps:
+        raise ModelError(
+            f"grid too small for requested tail: truncation mass {dist.truncation_mass:.3e}, "
+            f"tail bound {dist.tail_bound:.3e}, level {eps}"
+        )
+    tail = dist.sf
+    if tail[-1] > eps:  # tail is nonincreasing, so no grid point qualifies
+        raise ModelError(
+            f"exceedance probability {eps} is below the smallest the pmf resolves, {tail[-1]:.3e}"
+        )
+    x = int(np.argmax(tail <= eps))
+    if tail[x] + dist.tail_bound > eps:
+        raise ModelError(f"grid too small to certify: survival {tail[x]:.3e} at {x * dist.unit!r} "
+                         f"plus tail bound {dist.tail_bound:.3e} exceeds level {eps}")
+    return x * dist.unit
 
 
 def units_ceiling(amount, unit: float):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import exceedance_quantile
-from .engine import BandedPortfolio, LossDistribution
+from .engine import _CSV_CHUNK_ROWS, BandedPortfolio, LossDistribution, exceedance_quantile
 from .errors import InputError, ModelError
 from .portfolio import MC_MODES, SectoredPortfolio
 
@@ -78,6 +77,14 @@ class EmpiricalDistribution:
 
     def prob_exceeds(self, amount: float) -> float:
         return float(np.mean(self.samples > amount))
+
+    def to_csv(self) -> str:
+        """The --dump-samples file: a loss header, then each sample's repr on a line of its own."""
+        # joined a chunk of samples at a time, as LossDistribution.to_csv joins its rows
+        chunks = ["loss\n"]
+        for start in range(0, self.n_draws, _CSV_CHUNK_ROWS):
+            chunks.append("".join([f"{x!r}\n" for x in self.samples[start : start + _CSV_CHUNK_ROWS].tolist()]))
+        return "".join(chunks)
 
     def summary(self, levels: tuple[float, ...]) -> dict:
         return {

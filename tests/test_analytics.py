@@ -437,6 +437,15 @@ class TestReportFiles:
         assert len(report.findings) > 100
         self.assert_matches_oracles(report)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_config_value_refused(self, bundled_run, value):
+        # json wrote "rate": Infinity (or NaN), which is not JSON
+        run = bundled_run
+        report = ar.build_report(run.portfolio, run.banded, run.dist, [0.1], dict(run.config, rate=value))
+        message = "report.json would hold a number that is not finite, such as a config value"
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            report.to_json()
+
     @pytest.mark.parametrize("field, value", [("contributions", (math.nan, 1.0)), ("expected_loss", math.inf),
                                               ("contributions", (1.0, -math.inf))])
     def test_non_finite_row_value_refused(self, bundled_run, field, value):

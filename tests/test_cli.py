@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import math
 import warnings
 from pathlib import Path
 
 import pytest
 
 import agririsk as ar
+from agririsk import cli
 from agririsk.cli import _pipeline_args, build_parser, main
 from agririsk.errors import InputError
 
@@ -285,6 +288,22 @@ def test_sample_mean_past_the_largest_float_exit_1(tmp_path, capsys, mode):
     )
     assert captured.out == ""
     assert not (out / "mc_summary.json").exists()
+
+
+def test_report_with_a_non_finite_number_exit_1(tmp_path, capsys, monkeypatch):
+    # no flag reaches it (run_pipeline refuses a non-finite rate), so the run's config is given one here
+    def pipeline(**kwargs):
+        run = ar.run_pipeline(**kwargs)
+        return dataclasses.replace(run, config=dict(run.config, rate=math.inf))
+
+    monkeypatch.setattr(cli, "run_pipeline", pipeline)
+    out = tmp_path / "out"
+    status = main(["analyze", "--unit", "10", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert status == 1, captured.out + captured.err
+    assert captured.err == "report.json would hold a number that is not finite, such as a config value\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_discount_factor_underflow_names_rate_and_horizon(tmp_path):

@@ -761,6 +761,103 @@ class TestLog1p:
         assert np.max(np.abs(ar.engine._log1p(z) - ref) / np.abs(ref)) <= 1e-14
 
 
+def inline_quantile(dist: ar.LossDistribution, eps: float) -> float:
+    """exceedance_quantile as it read before the survival was cached: its own 1 - cdf on every call."""
+    if not 0.0 < eps < 1.0:
+        raise ModelError(f"exceedance probability must be in (0, 1), got {eps}")
+    if dist.truncation_mass >= eps or dist.tail_bound >= eps:
+        raise ModelError(
+            f"grid too small for requested tail: truncation mass {dist.truncation_mass:.3e}, "
+            f"tail bound {dist.tail_bound:.3e}, level {eps}"
+        )
+    tail = 1.0 - dist.cdf
+    if tail[-1] > eps:
+        raise ModelError(
+            f"exceedance probability {eps} is below the smallest the pmf resolves, {tail[-1]:.3e}"
+        )
+    x = int(np.argmax(tail <= eps))
+    if tail[x] + dist.tail_bound > eps:
+        raise ModelError(f"grid too small to certify: survival {tail[x]:.3e} at {x * dist.unit!r} "
+                         f"plus tail bound {dist.tail_bound:.3e} exceeds level {eps}")
+    return x * dist.unit
+
+
+def inline_prob_exceeds(dist: ar.LossDistribution, amount: float) -> float:
+    """prob_exceeds as it read before the survival was cached."""
+    idx = int(math.floor(amount / dist.unit))
+    if idx < 0:
+        return 1.0
+    return max(0.0, float(1.0 - dist.cdf[min(idx, dist.pmf.size - 1)]))
+
+
+def random_dists(seed: int, count: int):
+    """Seeded pmfs with round-off negatives the constructor clamps, runs of zeros, truncated mass
+    (or a sum up to 1e-9 past 1, so the survival ends below 0) and, for half of them, a tail bound."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(rng.integers(1, 300))
+        pmf = rng.random(size) ** 4
+        for _ in range(int(rng.integers(0, 4))):  # runs of zeros
+            start = int(rng.integers(0, size))
+            pmf[start : start + int(rng.integers(1, 40))] = 0.0
+        if not pmf.sum() > 0.0:
+            pmf[0] = 1.0
+        mass = rng.choice([1.0, 1.0 + 1e-9 * rng.random(), 1.0 - 1e-12 * rng.random(), 1.0 - 0.2 * rng.random()])
+        pmf *= mass / pmf.sum()
+        negative = rng.random(size) < 0.1
+        pmf[negative] = -1e-14 * rng.random(int(negative.sum()))
+        tail_bound = float(rng.choice([0.0, 10.0 ** rng.uniform(-16, -2)]))
+        unit = float(rng.choice([1.0, 0.1, 250.0]))
+        try:
+            yield ar.LossDistribution(unit, pmf, tail_bound=tail_bound)
+        except ModelError:  # the negatives pushed the sum past 1 + 1e-9
+            continue
+
+
+class TestSurvival:
+    @pytest.mark.parametrize("backend", [ar.loss_dist_fft, ar.loss_dist_sector])
+    def test_sf_is_one_cached_array_of_one_minus_cdf(self, bundled_banded, backend):
+        dist = backend(bundled_banded, ar.auto_grid_size(bundled_banded))
+        sf = dist.sf
+        assert dist.sf is sf and vars(dist)["sf"] is sf
+        assert sf.dtype == np.float64 and sf.shape == dist.pmf.shape
+        assert sf.tobytes() == (1.0 - dist.cdf).tobytes()
+
+    def test_defined_in_engine_and_exported_as_before(self):
+        assert ar.exceedance_quantile is ar.analytics.exceedance_quantile is ar.engine.exceedance_quantile
+        assert ar.exceedance_quantile.__module__ == "agririsk.engine"
+
+    def test_quantile_matches_the_inline_formula_on_random_pmfs(self):
+        cases = outcomes = 0
+        for dist in random_dists(seed=32, count=400):
+            # levels at each survival value and either side of it, and at the truncated mass and tail bound
+            tail = 1.0 - dist.cdf
+            picks = np.random.default_rng(cases).choice(tail, size=min(tail.size, 6))
+            levels = {0.0, 1.0, 1e-15, 0.5, dist.truncation_mass, dist.tail_bound, dist.tail_bound + 1e-3}
+            levels.update(float(x) for p in picks.tolist() for x in (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)))
+            for eps in sorted(levels):
+                try:
+                    want = inline_quantile(dist, eps)
+                except ModelError as exc:
+                    with pytest.raises(ModelError, match=f"^{re.escape(str(exc))}$"):
+                        ar.engine.exceedance_quantile(dist, eps)
+                else:
+                    assert ar.engine.exceedance_quantile(dist, eps) == want
+                    outcomes += 1
+                cases += 1
+        assert cases > 4000 and 1000 < outcomes < cases  # both returns and refusals are compared
+
+    def test_prob_exceeds_reads_sf_below_on_and_past_the_grid(self):
+        for dist in random_dists(seed=33, count=100):
+            size, unit = dist.pmf.size, dist.unit
+            grid = np.arange(size) * unit
+            amounts = [-1e300, -unit, -1e-300, *grid, *(grid + 0.5 * unit), size * unit, 1e6 * unit, 1e300]
+            for amount in amounts:
+                idx = math.floor(amount / unit)
+                from_sf = 1.0 if idx < 0 else max(0.0, float(dist.sf[min(idx, size - 1)]))
+                assert dist.prob_exceeds(amount) == from_sf == inline_prob_exceeds(dist, amount)
+
+
 class TestProbExceeds:
     def test_nonnegative_and_nonincreasing_past_the_grid(self, bundled_dist):
         top = bundled_dist.pmf.size * bundled_dist.unit

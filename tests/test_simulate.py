@@ -454,6 +454,32 @@ class TestAliasTable:
         assert _pick(_Uniforms(np.nextafter(1.0, 0.0)), 1, np.ones(size), alias).tolist() == [size - 1]
 
 
+def joined_samples_csv(samples: np.ndarray) -> str:
+    """The --dump-samples text as simulate wrote it before: one repr string per sample, joined at once."""
+    return "\n".join(["loss"] + [repr(x) for x in samples.tolist()]) + "\n"
+
+
+class TestDumpSamples:
+    def test_csv_peak_memory_and_bytes(self):
+        # 2**18 whole-unit samples span 16 write chunks; one repr string per sample, all held at once
+        # before the join, peaked near 13x the text
+        samples = np.sort(np.random.default_rng(5).integers(0, 20_000, 1 << 18).astype(float))
+        emp = ar.EmpiricalDistribution(samples)
+        tracemalloc.start()
+        try:
+            text = emp.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
+        assert text == joined_samples_csv(samples)
+
+    @pytest.mark.parametrize("n", [0, 1, 1 << 14, (1 << 14) + 1])
+    def test_bytes_at_chunk_edges(self, n):
+        samples = np.sort(np.random.default_rng(n).random(n) * 1e4)
+        assert ar.EmpiricalDistribution(samples).to_csv() == joined_samples_csv(samples)
+
+
 class TestEmpiricalQuantile:
     def test_range_sample(self):
         emp = ar.EmpiricalDistribution(
