@@ -23,6 +23,9 @@ from .portfolio import Portfolio, ValidationFinding
 
 TRUNCATION_CAVEAT = 1e-9
 _SLOT = "%s"  # a value json.dumps writes as '"%s"', which _json_list turns into a %-format slot
+# a contribution table with fewer numbers than this is written by one %-template, a larger one a chunk
+# at a time by _numtext's array kernels: at about 1000 numbers the two take the same time
+_TEMPLATE_NUMBERS = 1000
 
 
 def _json_list(item: dict, n: int, depth: int, values: Iterable) -> str:
@@ -36,6 +39,75 @@ def _json_list(item: dict, n: int, depth: int, values: Iterable) -> str:
     pad = "\n" + "  " * (depth + 1)
     one = json.dumps(item, sort_keys=True, indent=2).replace("\n", pad).replace(json.dumps(_SLOT), "%s")
     return ("[" + pad + ("," + pad).join([one] * n) + pad[:-2] + "]") % tuple(values)
+
+
+def _json_rows(table: ContributionTable, depth: int) -> str:
+    """table's rows, as json.dumps(sort_keys=True, indent=2) lays out their list depth levels deep.
+
+    A small table by _json_list's template; a larger one a chunk of rows at a
+    time, their numbers' text from _numtext, then each row's id and name.
+    """
+    n, k = table.contributions.shape
+    row = {"contributions": [_SLOT] * k, "expected_loss": _SLOT, "id": _SLOT, "name": _SLOT}
+    ids = map(encode_basestring_ascii, table.obligor_ids)
+    names = map(encode_basestring_ascii, table.names)
+    if n * (k + 1) < _TEMPLATE_NUMBERS:
+        # slot values in sorted key order: each level's contribution, expected loss, id, name
+        values = chain.from_iterable(zip(*table.contributions.T.tolist(), table.expected_loss.tolist(), ids, names))
+        return _json_list(row, n, depth, values)
+    from . import _numtext  # here, not at the top: a run that writes no large table never loads it
+
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad
+    # the text around the slots, in sorted key order: each level's contribution, expected loss, id, name
+    pieces = json.dumps(row, sort_keys=True, indent=2).replace("\n", pad).split(json.dumps(_SLOT))
+    out = ["[", pad]
+    step = max(1, _numtext.CHUNK_VALUES // (k + 1))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        words = _numtext.repr_fields(np.vstack((table.contributions[block].T, table.expected_loss[block])))
+        numbers = [pieces[0]]
+        for j, piece in enumerate(pieces[1 : k + 2]):
+            numbers += [words[:, j], piece]
+        rows = _numtext.rows(numbers, words.shape[2])
+        out.append("".join(chain.from_iterable(zip(rows, ids, repeat(pieces[-2]), names, repeat(pieces[-1] + sep)))))
+    out[-1] = out[-1].removesuffix(sep)
+    out.append(pad[:-2] + "]")
+    return "".join(out)
+
+
+def _csv_rows(table: ContributionTable) -> str:
+    """contributions.csv's row for each obligor: its id and name cells as csv writes them, then its numbers.
+
+    A small table by one %-template, a larger one a chunk of rows at a time,
+    their numbers' text from _numtext.
+    """
+    n, k = table.contributions.shape
+    # csv quotes each row's id and name cells; the numbers need no quoting
+    cells: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=cells.append), lineterminator="\n")
+    if n * (k + 1) < _TEMPLATE_NUMBERS:
+        # one format string writes every row: its cells without their line ending, then its numbers
+        writer.writerows(zip(table.obligor_ids, table.names))
+        values = zip(map(str.removesuffix, cells, repeat("\n")), table.expected_loss.tolist(),
+                     *table.contributions.T.tolist())
+        return ("%s" + ",%.6f" * (1 + k) + "\n") * n % tuple(chain.from_iterable(values))
+    from . import _numtext  # here, not at the top: a run that writes no large table never loads it
+
+    out = []
+    step = max(1, _numtext.CHUNK_VALUES // (k + 1))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        cells.clear()
+        writer.writerows(zip(table.obligor_ids[block], table.names[block]))
+        words = _numtext.fixed6_fields(np.vstack((table.expected_loss[block], table.contributions[block].T)))
+        numbers = []
+        for j in range(words.shape[1]):
+            numbers += [",", words[:, j]]
+        rows = _numtext.rows(numbers + ["\n"], words.shape[2])
+        # each row: its cells without their line ending, then its numbers and the line ending
+        out.append("".join(chain.from_iterable(zip(map(str.removesuffix, cells, repeat("\n")), rows))))
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -120,18 +192,14 @@ class RiskReport:
         """The report as json.dumps(payload, sort_keys=True, indent=2) writes it, plus a newline.
 
         json's indent encoder runs in pure Python, so the two per-obligor
-        lists, contributions.rows and findings, are written from templates
-        instead and put in at their slots in the dumped head. The table holds
-        only finite numbers, which "%s" writes as float.__repr__, as json does;
-        a head number that is not finite raises ModelError, since JSON has none.
+        lists are written directly and put in at their slots in the dumped
+        head: findings from a template, and contributions.rows by _json_rows,
+        each number as float.__repr__ writes it, as json does. The table holds
+        only finite numbers; a head number that is not finite raises
+        ModelError, since JSON has none.
         """
         table = self.contributions
-        # slot values in sorted key order: each level's contribution, expected loss, id, name
-        row_values = chain.from_iterable(zip(
-            *table.contributions.T.tolist(), table.expected_loss.tolist(),
-            map(encode_basestring_ascii, table.obligor_ids), map(encode_basestring_ascii, table.names)))
-        row = {"contributions": [_SLOT] * len(table.levels), "expected_loss": _SLOT, "id": _SLOT, "name": _SLOT}
-        rows = _json_list(row, len(table.obligor_ids), 2, row_values)
+        rows = _json_rows(table, 2)
         keys = sorted(f.name for f in fields(ValidationFinding))
         finding_values = [encode_basestring_ascii(getattr(f, key)) for f in self.findings for key in keys]
         findings = _json_list(dict.fromkeys(keys, _SLOT), len(self.findings), 1, finding_values)
@@ -167,19 +235,10 @@ class RiskReport:
 
     def contributions_csv(self) -> str:
         table = self.contributions
-        # csv quotes each row's id and name cells; the numbers, the header and the TOTAL row need no quoting,
-        # so one format string writes every row: its cells without their line ending, then its numbers
-        cells: list[str] = []
-        csv.writer(SimpleNamespace(write=cells.append), lineterminator="\n").writerows(
-            zip(table.obligor_ids, table.names)
-        )
-        row = "%s" + ",%.6f" * (1 + len(table.levels)) + "\n"
-        values = zip(
-            map(str.removesuffix, cells, repeat("\n")), table.expected_loss.tolist(), *table.contributions.T.tolist()
-        )
+        # the header and the TOTAL row need no csv quoting
         header = ",".join(["id", "name", "expected_loss", *map(repr, table.levels)])
-        return "".join((header, "\n", row * len(cells) % tuple(chain.from_iterable(values)),
-                        row % ("TOTAL,", table.total_expected_loss, *table.totals)))
+        total = ("TOTAL," + ",%.6f" * (1 + len(table.levels))) % (table.total_expected_loss, *table.totals)
+        return "".join((header, "\n", _csv_rows(table), total, "\n"))
 
 
 def moments(dist: LossDistribution) -> Moments:

@@ -27,8 +27,6 @@ NEGATIVE_PMF_CLAMP = 1e-14  # FFT round-off below -1e-14 is treated as failure
 _GRID_SNAP = 1e-9  # relative slack when amount/unit lands on an integer
 _MAX_LEVEL = 2.0**62  # band levels are int64
 
-_CSV_CHUNK_ROWS = 1 << 14  # rows formatted per join in LossDistribution.to_csv and EmpiricalDistribution.to_csv
-
 TAIL_EPS = 1e-12  # auto grid: Chernoff bound on P(loss >= grid) at most this
 MAX_GRID = 1 << 26  # largest grid any backend allocates: 512 MiB per float64 array
 # largest gamma scale beta of a sector's count: rho = beta/(1+beta) stays below 1 in doubles, and
@@ -185,12 +183,21 @@ class LossDistribution:
         return max(0.0, float(self.sf[min(idx, self.pmf.size - 1)]))
 
     def to_csv(self) -> str:
-        # joined a chunk of rows at a time, so the whole grid's row strings never coexist
-        unit, pmf, cdf = self.unit, self.pmf, self.cdf
+        """Each grid point n's row: n, n * unit, pmf and cdf, each as repr writes it."""
+        from . import _numtext  # here, not at the top: only a run that writes this file loads it
+
+        # an int unit's money is exact, as Python's n * unit is: in int64 while it fits, else in Python ints
+        exact = not isinstance(self.unit, int) or max(self.unit, (self.pmf.size - 1) * self.unit) < 2**63
+        # a chunk of rows at a time, which bounds the scratch arrays
         chunks = ["loss_units,loss_money,pmf,cdf\n"]
-        for start in range(0, pmf.size, _CSV_CHUNK_ROWS):
-            rows = range(start, min(start + _CSV_CHUNK_ROWS, pmf.size))
-            chunks.append("".join(f"{n},{n * unit!r},{float(pmf[n])!r},{float(cdf[n])!r}\n" for n in rows))
+        step = _numtext.CHUNK_VALUES // 2
+        for start in range(0, self.pmf.size, step):
+            n = np.arange(start, min(start + step, self.pmf.size))
+            money = n * self.unit if exact else np.array([i * self.unit for i in n.tolist()], object)
+            probs = _numtext.repr_fields(np.vstack((self.pmf[start : start + step], self.cdf[start : start + step])))
+            parts = [_numtext.repr_fields(n), ",", _numtext.repr_fields(money), ",", probs[:, 0], ",",
+                     probs[:, 1], "\n"]
+            chunks.append(_numtext.text(parts, n.size))
         return "".join(chunks)
 
 

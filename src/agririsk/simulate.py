@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _CSV_CHUNK_ROWS, BandedPortfolio, LossDistribution, exceedance_quantile
+from .engine import BandedPortfolio, LossDistribution, exceedance_quantile
 from .errors import InputError, ModelError
 from .portfolio import MC_MODES, SectoredPortfolio
 
@@ -80,10 +80,13 @@ class EmpiricalDistribution:
 
     def to_csv(self) -> str:
         """The --dump-samples file: a loss header, then each sample's repr on a line of its own."""
-        # joined a chunk of samples at a time, as LossDistribution.to_csv joins its rows
+        from . import _numtext  # here, not at the top: only a run that writes this file loads it
+
+        # written a chunk of samples at a time, as LossDistribution.to_csv writes its rows
         chunks = ["loss\n"]
-        for start in range(0, self.n_draws, _CSV_CHUNK_ROWS):
-            chunks.append("".join([f"{x!r}\n" for x in self.samples[start : start + _CSV_CHUNK_ROWS].tolist()]))
+        for start in range(0, self.n_draws, _numtext.CHUNK_VALUES):
+            samples = self.samples[start : start + _numtext.CHUNK_VALUES]
+            chunks.append(_numtext.text([_numtext.repr_fields(samples), "\n"], samples.size))
         return "".join(chunks)
 
     def summary(self, levels: tuple[float, ...]) -> dict:

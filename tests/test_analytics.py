@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import operator
 import re
+import types
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ import pytest
 import agririsk as ar
 from agririsk.errors import ModelError
 
-from conftest import make_banded, single_sector
+from conftest import make_banded, run_python, single_sector
 from test_engine import poisson_sector
 
 
@@ -65,6 +69,56 @@ def oracle_quantiles_csv(report: ar.RiskReport) -> str:
     writer.writerow(["exceedance_prob", "loss"])
     writer.writerows([repr(q.exceedance_prob), f"{q.loss:.6f}"] for q in report.quantiles)
     return out.getvalue()
+
+
+_SLOT = "%s"
+
+
+def _template_list(item: dict, n: int, depth: int, values) -> str:
+    pad = "\n" + "  " * (depth + 1)
+    if not n:
+        return "[]"
+    one = json.dumps(item, sort_keys=True, indent=2).replace("\n", pad).replace(json.dumps(_SLOT), "%s")
+    return ("[" + pad + ("," + pad).join([one] * n) + pad[:-2] + "]") % tuple(values)
+
+
+def template_json(report: ar.RiskReport) -> str:
+    """report.json as one %-template per list wrote it, before the numbers were written a chunk at a time."""
+    table = report.contributions
+    row_values = itertools.chain.from_iterable(zip(
+        *table.contributions.T.tolist(), table.expected_loss.tolist(),
+        map(encode_basestring_ascii, table.obligor_ids), map(encode_basestring_ascii, table.names)))
+    row = {"contributions": [_SLOT] * len(table.levels), "expected_loss": _SLOT, "id": _SLOT, "name": _SLOT}
+    rows = _template_list(row, len(table.obligor_ids), 2, row_values)
+    keys = sorted(f.name for f in dataclasses.fields(ar.ValidationFinding))
+    finding_values = [encode_basestring_ascii(getattr(f, key)) for f in report.findings for key in keys]
+    findings = _template_list(dict.fromkeys(keys, _SLOT), len(report.findings), 1, finding_values)
+    payload = {
+        "config": report.config,
+        "findings": _SLOT,
+        "moments": {"mean": report.moments.mean, "variance": report.moments.variance,
+                    "truncation_caveat": report.moments.truncation_caveat},
+        "quantiles": [{"exceedance_prob": q.exceedance_prob, "loss": q.loss} for q in report.quantiles],
+        "contributions": {"levels": list(table.levels), "total_expected_loss": table.total_expected_loss,
+                          "totals": list(table.totals), "rows": _SLOT},
+    }
+    head = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    to_rows, to_findings, rest = head.rsplit(json.dumps(_SLOT), 2)
+    return "".join((to_rows, rows, to_findings, findings, rest, "\n"))
+
+
+def template_contributions_csv(report: ar.RiskReport) -> str:
+    """contributions.csv as one %-template wrote every row, before the numbers were written a chunk at a time."""
+    table = report.contributions
+    cells: list[str] = []
+    csv.writer(types.SimpleNamespace(write=cells.append), lineterminator="\n").writerows(
+        zip(table.obligor_ids, table.names))
+    row = "%s" + ",%.6f" * (1 + len(table.levels)) + "\n"
+    values = zip(map(str.removesuffix, cells, itertools.repeat("\n")), table.expected_loss.tolist(),
+                 *table.contributions.T.tolist())
+    header = ",".join(["id", "name", "expected_loss", *map(repr, table.levels)])
+    return "".join((header, "\n", row * len(cells) % tuple(itertools.chain.from_iterable(values)),
+                    row % ("TOTAL,", table.total_expected_loss, *table.totals)))
 
 
 AWKWARD_TEXT = ["Ålborg Agrár", 'say "hi"', "back\\slash", "two\nlines", "ctl\x01", "a,b", "農協", "%s", '"%s"']
@@ -436,6 +490,41 @@ class TestReportFiles:
         report = book_report(synthetic_book(2000, seed=11), [0.1, 0.05, 0.01, 0.001])
         assert len(report.findings) > 100
         self.assert_matches_oracles(report)
+
+    @pytest.mark.parametrize("n", [9, 249, 250, 4097, 8193])
+    def test_hostile_names_match_the_template_writer(self, n):
+        # a NUL, a comma, a doubled quote, line breaks and non-ASCII text in ids and names; numbers of every
+        # sign and size, past 2**33 too; up to 249 rows of 4 numbers are written by the writers' own
+        # template, from 250 by the array kernels, over several chunk edges
+        hostile = ["a\x00b", "c,d", 'say ""hi""', "two\nlines", "cr\rlf", "Ålborg 農協", "", "\x00", "%s"]
+        rng = np.random.default_rng(n)
+        values = rng.choice([-1.0, 1.0], (n, 4)) * np.exp(rng.uniform(-30.0, 30.0, (n, 4)))
+        values[rng.random((n, 4)) < 0.05] = -0.0
+        table = ar.ContributionTable(
+            levels=(0.1, 0.05, 0.001), obligor_ids=tuple(f"{hostile[i % 9]}{i}" for i in range(n)),
+            names=tuple(hostile[(i * 4) % 9] for i in range(n)), expected_loss=values[:, 0],
+            contributions=values[:, 1:], total_expected_loss=float(values[:, 0].sum()),
+            totals=tuple(values[:, 1:].sum(axis=0).tolist()))
+        report = ar.RiskReport(config={"input": "a\x00b.csv", "unit": 1.0}, findings=(),
+                               moments=ar.Moments(1.5, 2.25, False), contributions=table)
+        assert report.to_json() == template_json(report)
+        assert report.contributions_csv() == template_contributions_csv(report)
+        assert '"id": "a\\u0000b0",' in report.to_json() and "\na\x00b0,a\x00b," in report.contributions_csv()
+
+    def test_reports_match_the_template_writer(self, bundled_run):
+        run = bundled_run
+        for report in (ar.build_report(run.portfolio, run.banded, run.dist, run.levels, run.config, run.findings),
+                       book_report(synthetic_book(2000, seed=11), [0.1, 0.05, 0.01, 0.001])):
+            assert report.to_json() == template_json(report)
+            assert report.contributions_csv() == template_contributions_csv(report)
+
+    def test_small_tables_leave_the_array_kernels_unloaded(self, tmp_path):
+        # the bundled data's 22-row tables are written by template, so analyze never imports _numtext
+        code = ("import sys; from agririsk.cli import main; "
+                "assert main(['analyze', '--out', 'out']) == 0; print('agririsk._numtext' in sys.modules)")
+        result = run_python(["-c", code], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_config_value_refused(self, bundled_run, value):

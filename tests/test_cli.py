@@ -306,6 +306,19 @@ def test_report_with_a_non_finite_number_exit_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_nul_in_a_name_reaches_both_report_files(tmp_path, capsys):
+    # the csv reader keeps the NUL; contributions.csv writes it raw and report.json as \u0000, so the
+    # writers' NUL padding of the numbers must never touch an id or a name
+    book = tmp_path / "nul.csv"
+    book.write_text(f"{HEADER}\nA,a\x00b,100,0.03,0.01,0.6,0.4,3.0\nB,\x00,50,0.02,0.01,1,0,1.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(book), "--unit", "1", "--out", str(out)]) == 0, capsys.readouterr().err
+    csv_rows = (out / "contributions.csv").read_bytes().split(b"\n")
+    assert csv_rows[1].startswith(b"A,a\x00b,") and csv_rows[2].startswith(b"B,\x00,")
+    rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["contributions"]["rows"]
+    assert [row["name"] for row in rows] == ["a\x00b", "\x00"]
+
+
 def test_discount_factor_underflow_names_rate_and_horizon(tmp_path):
     # e^-800 is 0.0 in doubles: every exposure became 0 and the first obligor took the blame
     result = run_cli(["analyze", "--rate", "800", "--horizon", "1"], tmp_path)

@@ -958,6 +958,14 @@ class TestSerialization:
         assert first[0] == "0"
         assert float(first[2]) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("unit", [3, 10**16, 2**70, 0.1, 1e300])
+    def test_csv_rows_match_the_f_string_writer(self, unit):
+        # an int unit keeps exact int money, as n * unit did, past int64 too; the pmf's tail spans e-notation
+        pmf = np.random.default_rng(11).random(5000) ** 40
+        d = ar.LossDistribution(unit=unit, pmf=pmf / pmf.sum())
+        rows = (f"{n},{n * d.unit!r},{float(d.pmf[n])!r},{float(d.cdf[n])!r}\n" for n in range(d.pmf.size))
+        assert d.to_csv() == "loss_units,loss_money,pmf,cdf\n" + "".join(rows)
+
     def test_csv_peak_memory_and_rows(self):
         # 2**16 rows span several write chunks; the whole grid's row strings
         # must never be held at once next to the joined text

@@ -479,6 +479,20 @@ class TestDumpSamples:
         samples = np.sort(np.random.default_rng(n).random(n) * 1e4)
         assert ar.EmpiricalDistribution(samples).to_csv() == joined_samples_csv(samples)
 
+    def test_samples_of_every_size_and_sign(self):
+        # the array formatter's layouts: 0.000ddd, e-notation both ways, -0.0, subnormals, 17 digits
+        rng = np.random.default_rng(9)
+        samples = np.sort(np.concatenate((rng.choice([-1.0, 1.0], 9000) * np.exp(rng.uniform(-700, 700, 9000)),
+                                          [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4])))
+        assert ar.EmpiricalDistribution(samples).to_csv() == joined_samples_csv(samples)
+
+    @pytest.mark.parametrize("samples, shown", [([0.0, 1.0, math.inf], "inf"), ([-math.inf, 0.0], "-inf")])
+    def test_sample_that_is_not_finite_refused(self, samples, shown):
+        # the dump wrote inf; no simulate run reaches it, since a sample past the largest float is refused
+        message = f"cannot write a number that is not finite: {shown}"
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            ar.EmpiricalDistribution(np.array(samples)).to_csv()
+
 
 class TestEmpiricalQuantile:
     def test_range_sample(self):
