@@ -12,20 +12,22 @@ for the rare larger value. A non-finite value raises ModelError.
 
 Each kernel returns a value's text as w uint64 words of ASCII, little
 endian, in a (w, size) array, with NUL bytes wherever the text has no
-character; text and rows lay such words out beside literal text and drop
-the NULs, so no Python object is made per number.
+character. table, the one writer of the report files' rows, lays such
+words out beside literal text and drops the NULs, so no Python object is
+made per number; it alone knows the chunk size and the words' layout.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelError
 
-CHUNK_VALUES = 1 << 12  # numbers a file writer formats per call: it bounds their scratch memory
+CHUNK_VALUES = 1 << 12  # numbers of one dtype table formats per call: it bounds their scratch memory
 
 _U = np.uint64
 _LE = np.dtype("<u8")  # how a word's bytes lie in text: byte i is bits 8i..8i+7, whatever the machine's order
@@ -89,8 +91,8 @@ def _tables() -> _Tables:
     layout = _words(layout, 11)
     exponent = _words([b"e%+03d" % e for e in _EXPONENTS], 1)[0]
     unpad = _words([b"\xff" + b"\0" * z + b"\xff" * (23 - z) for z in range(16)], 3)
-    for table in (g, four, layout, exponent, unpad):
-        table.setflags(write=False)
+    for lookup in (g, four, layout, exponent, unpad):
+        lookup.setflags(write=False)
     return _Tables(g, four, layout, exponent, unpad)
 
 
@@ -287,11 +289,8 @@ def _digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     point += length  # f 10**k = 0.f1f2... 10**(k + length)
     f = f * _P10.take(17 - length)
     top = f // _U(10**16)
-    up, down = _ascii16(f - top * _U(10**16))
-    w = np.empty((3, f.size), _U)
-    w[0] = (top + _U(48) - zero) | (up[0] << _U(8)) | (down[0] << _U(40))
-    w[1] = (down[0] >> _U(24)) | (up[1] << _U(8)) | (down[1] << _U(40))
-    w[2] = down[1] >> _U(24)
+    w = _signed16(f - top * _U(10**16), False)
+    w[0] |= top + _U(48) - zero
     # the significant digits: one past the last nonzero digit, whose byte the top bit of w - '0's sits in
     z = (w - np.array([[_ZEROS], [_ZEROS], [48]], _U)).astype(np.float64).view(np.int64)
     last = ((z >> 52) - 1023) >> 3  # -128 where no digit is nonzero
@@ -337,29 +336,59 @@ def _fixed6_words(x: np.ndarray) -> np.ndarray:
     return _fallback(w, big, ["%.6f" % v for v in x[big].tolist()]) if big.any() else w
 
 
-def _joined(parts: list, n: int, end: str) -> bytes:
+def _joined(parts: list, n: int, end: bytes) -> bytes:
     """The bytes of n rows, each its parts and then end, side by side, with every NUL byte dropped."""
+    parts = [p if isinstance(p, np.ndarray) else p.encode("ascii") for p in parts] + [end]
     widths = [len(p) * 8 if isinstance(p, np.ndarray) else len(p) for p in parts]
-    m = np.empty((n, sum(widths) + len(end)), np.uint8)
+    m = np.empty((n, sum(widths)), np.uint8)
     at = 0
-    for part, width in zip(parts + [end], widths + [len(end)]):
+    for part, width in zip(parts, widths):
         if isinstance(part, np.ndarray):
             m[:, at : at + width].view(_LE)[:] = part.T
         else:
-            m[:, at : at + width] = np.frombuffer(part.encode("ascii"), np.uint8)
+            m[:, at : at + width] = np.frombuffer(part, np.uint8)
         at += width
     return m[m != 0].tobytes()
 
 
-def text(parts: list, n: int) -> str:
-    """n rows, one after another, each its parts side by side with their NUL bytes dropped.
+def table(parts: list, n: int, kernel=repr_fields) -> list[str]:
+    """The text of n rows, each its parts side by side, as the texts of its chunks of rows, to be joined.
 
-    A part is an ASCII str, the same on every row, or (w, n) words from
-    repr_fields or fixed6_fields.
+    A part is an ASCII str, the same on every row; an iterable of n strs,
+    one per row, of any characters; or an array of n numbers, written by
+    kernel with one call per dtype per chunk. Each chunk holds at most
+    CHUNK_VALUES numbers of one dtype, and takes that many rows of each
+    iterable.
     """
-    return _joined(parts, n, "").decode("ascii")
-
-
-def rows(parts: list, n: int) -> list[str]:
-    """Each of text(parts, n)'s n rows as a str of its own."""
-    return _joined(parts, n, "\x01").decode("ascii").split("\x01")[:-1]
+    parts = [p if isinstance(p, (str, np.ndarray)) else iter(p) for p in parts]
+    columns: dict[np.dtype, list[int]] = {}
+    for i, part in enumerate(parts):
+        if isinstance(part, np.ndarray):
+            columns.setdefault(part.dtype, []).append(i)
+    step = CHUNK_VALUES // max([1, *map(len, columns.values())])
+    # the per-row strs, kept out of the byte layout, cut the row into runs of literals and numbers
+    cuts = [i for i, part in enumerate(parts) if not isinstance(part, (str, np.ndarray))]
+    # a run's rows are laid out each ending in a control character that no literal holds, then split apart
+    end = min(set(map(chr, range(1, 32))).difference(*(part for part in parts if isinstance(part, str))))
+    chunks = []
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        laid = list(parts)
+        for same in columns.values():
+            words = kernel(np.vstack([parts[i][start : start + m] for i in same]))
+            for j, i in enumerate(same):
+                laid[i] = words[:, j]
+        if not cuts:
+            chunks.append(_joined(laid, m, b"").decode("ascii"))
+            continue
+        pieces = []
+        for before, cut in zip([-1] + cuts, cuts + [len(parts)]):
+            run = laid[before + 1 : cut]
+            if any(isinstance(part, np.ndarray) for part in run):
+                pieces.append(_joined(run, m, end.encode()).decode("ascii").split(end)[:-1])
+            elif run:
+                pieces.append(repeat("".join(run), m))
+            if cut < len(parts):
+                pieces.append(islice(parts[cut], m))
+        chunks.append("".join(chain.from_iterable(zip(*pieces))))
+    return chunks

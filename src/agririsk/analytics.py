@@ -8,11 +8,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,92 +21,30 @@ from .errors import ModelError
 from .portfolio import Portfolio, ValidationFinding
 
 TRUNCATION_CAVEAT = 1e-9
-_SLOT = "%s"  # a value json.dumps writes as '"%s"', which _json_list turns into a %-format slot
-# a contribution table with fewer numbers than this is written by one %-template, a larger one a chunk
-# at a time by _numtext's array kernels: at about 1000 numbers the two take the same time
-_TEMPLATE_NUMBERS = 1000
+_SLOT = "%s"  # a value json.dumps writes as '"%s"', where _json_list puts in a column's text
 
 
-def _json_list(item: dict, n: int, depth: int, values: Iterable) -> str:
+def _json_list(item: dict, n: int, depth: int, columns: list) -> str:
     """A list of n items, as json.dumps(sort_keys=True, indent=2) lays it out depth levels deep.
 
-    json.dumps lays out the item, with each _SLOT value in it filled, in
-    sorted key order, by the next of values: JSON text, or a number.
+    json.dumps lays out the item; its _SLOT values, in sorted key order,
+    are filled by columns: each an iterable of n JSON texts, or an array
+    of n numbers, written as float.__repr__ writes them, as json does.
     """
+    from . import _numtext  # here, not at the top: only a run that writes a report loads it
+
     if not n:
         return "[]"
     pad = "\n" + "  " * (depth + 1)
-    one = json.dumps(item, sort_keys=True, indent=2).replace("\n", pad).replace(json.dumps(_SLOT), "%s")
-    return ("[" + pad + ("," + pad).join([one] * n) + pad[:-2] + "]") % tuple(values)
-
-
-def _json_rows(table: ContributionTable, depth: int) -> str:
-    """table's rows, as json.dumps(sort_keys=True, indent=2) lays out their list depth levels deep.
-
-    A small table by _json_list's template; a larger one a chunk of rows at a
-    time, their numbers' text from _numtext, then each row's id and name.
-    """
-    n, k = table.contributions.shape
-    row = {"contributions": [_SLOT] * k, "expected_loss": _SLOT, "id": _SLOT, "name": _SLOT}
-    ids = map(encode_basestring_ascii, table.obligor_ids)
-    names = map(encode_basestring_ascii, table.names)
-    if n * (k + 1) < _TEMPLATE_NUMBERS:
-        # slot values in sorted key order: each level's contribution, expected loss, id, name
-        values = chain.from_iterable(zip(*table.contributions.T.tolist(), table.expected_loss.tolist(), ids, names))
-        return _json_list(row, n, depth, values)
-    from . import _numtext  # here, not at the top: a run that writes no large table never loads it
-
-    pad = "\n" + "  " * (depth + 1)
     sep = "," + pad
-    # the text around the slots, in sorted key order: each level's contribution, expected loss, id, name
-    pieces = json.dumps(row, sort_keys=True, indent=2).replace("\n", pad).split(json.dumps(_SLOT))
-    out = ["[", pad]
-    step = max(1, _numtext.CHUNK_VALUES // (k + 1))
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        words = _numtext.repr_fields(np.vstack((table.contributions[block].T, table.expected_loss[block])))
-        numbers = [pieces[0]]
-        for j, piece in enumerate(pieces[1 : k + 2]):
-            numbers += [words[:, j], piece]
-        rows = _numtext.rows(numbers, words.shape[2])
-        out.append("".join(chain.from_iterable(zip(rows, ids, repeat(pieces[-2]), names, repeat(pieces[-1] + sep)))))
-    out[-1] = out[-1].removesuffix(sep)
-    out.append(pad[:-2] + "]")
-    return "".join(out)
-
-
-def _csv_rows(table: ContributionTable) -> str:
-    """contributions.csv's row for each obligor: its id and name cells as csv writes them, then its numbers.
-
-    A small table by one %-template, a larger one a chunk of rows at a time,
-    their numbers' text from _numtext.
-    """
-    n, k = table.contributions.shape
-    # csv quotes each row's id and name cells; the numbers need no quoting
-    cells: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=cells.append), lineterminator="\n")
-    if n * (k + 1) < _TEMPLATE_NUMBERS:
-        # one format string writes every row: its cells without their line ending, then its numbers
-        writer.writerows(zip(table.obligor_ids, table.names))
-        values = zip(map(str.removesuffix, cells, repeat("\n")), table.expected_loss.tolist(),
-                     *table.contributions.T.tolist())
-        return ("%s" + ",%.6f" * (1 + k) + "\n") * n % tuple(chain.from_iterable(values))
-    from . import _numtext  # here, not at the top: a run that writes no large table never loads it
-
-    out = []
-    step = max(1, _numtext.CHUNK_VALUES // (k + 1))
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        cells.clear()
-        writer.writerows(zip(table.obligor_ids[block], table.names[block]))
-        words = _numtext.fixed6_fields(np.vstack((table.expected_loss[block], table.contributions[block].T)))
-        numbers = []
-        for j in range(words.shape[1]):
-            numbers += [",", words[:, j]]
-        rows = _numtext.rows(numbers + ["\n"], words.shape[2])
-        # each row: its cells without their line ending, then its numbers and the line ending
-        out.append("".join(chain.from_iterable(zip(map(str.removesuffix, cells, repeat("\n")), rows))))
-    return "".join(out)
+    pieces = json.dumps(item, sort_keys=True, indent=2).replace("\n", pad).split(json.dumps(_SLOT))
+    parts = [pieces[0]]
+    for column, piece in zip(columns, pieces[1:]):
+        parts += [column, piece]
+    parts[-1] += sep
+    rows = _numtext.table(parts, n)
+    rows[-1] = rows[-1].removesuffix(sep)
+    return "".join(["[", pad, *rows, pad[:-2], "]"])
 
 
 @dataclass(frozen=True)
@@ -191,18 +128,21 @@ class RiskReport:
     def to_json(self) -> str:
         """The report as json.dumps(payload, sort_keys=True, indent=2) writes it, plus a newline.
 
-        json's indent encoder runs in pure Python, so the two per-obligor
-        lists are written directly and put in at their slots in the dumped
-        head: findings from a template, and contributions.rows by _json_rows,
-        each number as float.__repr__ writes it, as json does. The table holds
-        only finite numbers; a head number that is not finite raises
-        ModelError, since JSON has none.
+        json's indent encoder runs in pure Python, so the findings and
+        contributions.rows lists are written by _json_list, their text and
+        numbers a chunk of rows at a time, and put in at their slots in the
+        dumped head. The table holds only finite numbers;
+        a head number that is not finite raises ModelError, since JSON has none.
         """
         table = self.contributions
-        rows = _json_rows(table, 2)
+        row = {"contributions": [_SLOT] * len(table.levels), "expected_loss": _SLOT, "id": _SLOT, "name": _SLOT}
+        # columns in sorted key order: each level's contribution, expected loss, id, name
+        rows = _json_list(row, len(table.obligor_ids), 2, [*table.contributions.T, table.expected_loss,
+                                                           map(encode_basestring_ascii, table.obligor_ids),
+                                                           map(encode_basestring_ascii, table.names)])
         keys = sorted(f.name for f in fields(ValidationFinding))
-        finding_values = [encode_basestring_ascii(getattr(f, key)) for f in self.findings for key in keys]
-        findings = _json_list(dict.fromkeys(keys, _SLOT), len(self.findings), 1, finding_values)
+        findings = _json_list(dict.fromkeys(keys, _SLOT), len(self.findings), 1,
+                              [map(encode_basestring_ascii, map(attrgetter(key), self.findings)) for key in keys])
         payload = {
             "config": self.config,
             "findings": _SLOT,
@@ -234,11 +174,20 @@ class RiskReport:
         return "".join(["exceedance_prob,loss\n", *(f"{q.exceedance_prob!r},{q.loss:.6f}\n" for q in self.quantiles)])
 
     def contributions_csv(self) -> str:
+        from . import _numtext  # here, not at the top: only a run that writes a report loads it
+
         table = self.contributions
         # the header and the TOTAL row need no csv quoting
         header = ",".join(["id", "name", "expected_loss", *map(repr, table.levels)])
         total = ("TOTAL," + ",%.6f" * (1 + len(table.levels))) % (table.total_expected_loss, *table.totals)
-        return "".join((header, "\n", _csv_rows(table), total, "\n"))
+        # csv quotes each row's id and name cells, a row at a time: writerow returns what write does, here
+        # the line without its ending (a C slice, not a Python call per row). The numbers need no quoting.
+        cells = csv.writer(SimpleNamespace(write=itemgetter(slice(None, -1))), lineterminator="\n")
+        parts = [map(cells.writerow, zip(table.obligor_ids, table.names))]
+        for column in (table.expected_loss, *table.contributions.T):
+            parts += [",", column]
+        rows = _numtext.table(parts + ["\n"], len(table.obligor_ids), _numtext.fixed6_fields)
+        return "".join([header, "\n", *rows, total, "\n"])
 
 
 def moments(dist: LossDistribution) -> Moments:

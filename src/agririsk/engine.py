@@ -186,19 +186,14 @@ class LossDistribution:
         """Each grid point n's row: n, n * unit, pmf and cdf, each as repr writes it."""
         from . import _numtext  # here, not at the top: only a run that writes this file loads it
 
+        n = np.arange(self.pmf.size)
         # an int unit's money is exact, as Python's n * unit is: in int64 while it fits, else in Python ints
-        exact = not isinstance(self.unit, int) or max(self.unit, (self.pmf.size - 1) * self.unit) < 2**63
-        # a chunk of rows at a time, which bounds the scratch arrays
-        chunks = ["loss_units,loss_money,pmf,cdf\n"]
-        step = _numtext.CHUNK_VALUES // 2
-        for start in range(0, self.pmf.size, step):
-            n = np.arange(start, min(start + step, self.pmf.size))
-            money = n * self.unit if exact else np.array([i * self.unit for i in n.tolist()], object)
-            probs = _numtext.repr_fields(np.vstack((self.pmf[start : start + step], self.cdf[start : start + step])))
-            parts = [_numtext.repr_fields(n), ",", _numtext.repr_fields(money), ",", probs[:, 0], ",",
-                     probs[:, 1], "\n"]
-            chunks.append(_numtext.text(parts, n.size))
-        return "".join(chunks)
+        if not isinstance(self.unit, int) or max(self.unit, (self.pmf.size - 1) * self.unit) < 2**63:
+            money = n * self.unit
+        else:
+            money = np.array([i * self.unit for i in range(self.pmf.size)], object)
+        rows = _numtext.table([n, ",", money, ",", self.pmf, ",", self.cdf, "\n"], n.size)
+        return "".join(["loss_units,loss_money,pmf,cdf\n", *rows])
 
 
 def exceedance_quantile(dist: LossDistribution, eps: float) -> float:

@@ -82,12 +82,7 @@ class EmpiricalDistribution:
         """The --dump-samples file: a loss header, then each sample's repr on a line of its own."""
         from . import _numtext  # here, not at the top: only a run that writes this file loads it
 
-        # written a chunk of samples at a time, as LossDistribution.to_csv writes its rows
-        chunks = ["loss\n"]
-        for start in range(0, self.n_draws, _numtext.CHUNK_VALUES):
-            samples = self.samples[start : start + _numtext.CHUNK_VALUES]
-            chunks.append(_numtext.text([_numtext.repr_fields(samples), "\n"], samples.size))
-        return "".join(chunks)
+        return "".join(["loss\n", *_numtext.table([self.samples, "\n"], self.n_draws)])
 
     def summary(self, levels: tuple[float, ...]) -> dict:
         return {

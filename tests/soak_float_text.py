@@ -5,8 +5,10 @@
 Prints the seed, then checks COUNT random doubles (default 2,000,000) per
 kernel: random 64-bit patterns for repr, and for '%.6f' random patterns
 below 2**34, where the kernel's own rounding writes the digits, with one in
-ten drawn from the whole range. Exits 1 at the first batch that differs,
-naming the first value that does.
+ten drawn from the whole range. Each batch is a table of one number a row,
+written by _numtext.table, of a random row count, so the seed moves the
+writer's chunk edges too. Exits 1 at the first batch that differs, naming
+the first value that does.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def doubles(rng: np.random.Generator, n: int, top_exponent: int) -> np.ndarray:
 
 
 def first_difference(fields, fmt, x: np.ndarray) -> str | None:
-    got = _numtext.text([fields(x), "\n"], x.size)
+    got = "".join(_numtext.table([x, "\n"], x.size, fields))
     if got == "".join([fmt(value) + "\n" for value in x.tolist()]):
         return None
     value, text = next((v, t) for v, t in zip(x.tolist(), got.splitlines()) if t != fmt(v))
@@ -41,8 +43,10 @@ def main(argv: list[str]) -> int:
     rng = np.random.default_rng(seed)
     for name, fields, fmt, top in (("repr", _numtext.repr_fields, repr, 2046),
                                    ("%.6f", _numtext.fixed6_fields, "%.6f".__mod__, 1023 + 33)):
-        for done in range(0, count, BATCH):
-            n = min(BATCH, count - done)
+        done = 0
+        while done < count:
+            n = min(int(rng.integers(1, 2 * BATCH)), count - done)
+            done += n
             x = doubles(rng, n, top)
             x[: n // 10] = doubles(rng, n // 10, 2046)
             problem = first_difference(fields, fmt, x)

@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import re
+import tracemalloc
 import types
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -17,7 +18,7 @@ import pytest
 import agririsk as ar
 from agririsk.errors import ModelError
 
-from conftest import make_banded, run_python, single_sector
+from conftest import make_banded, single_sector
 from test_engine import poisson_sector
 
 
@@ -494,8 +495,7 @@ class TestReportFiles:
     @pytest.mark.parametrize("n", [9, 249, 250, 4097, 8193])
     def test_hostile_names_match_the_template_writer(self, n):
         # a NUL, a comma, a doubled quote, line breaks and non-ASCII text in ids and names; numbers of every
-        # sign and size, past 2**33 too; up to 249 rows of 4 numbers are written by the writers' own
-        # template, from 250 by the array kernels, over several chunk edges
+        # sign and size, past 2**33 too; 4 numbers a row, so 4097 and 8193 rows cross 4 and 8 chunk edges
         hostile = ["a\x00b", "c,d", 'say ""hi""', "two\nlines", "cr\rlf", "Ålborg 農協", "", "\x00", "%s"]
         rng = np.random.default_rng(n)
         values = rng.choice([-1.0, 1.0], (n, 4)) * np.exp(rng.uniform(-30.0, 30.0, (n, 4)))
@@ -518,13 +518,36 @@ class TestReportFiles:
             assert report.to_json() == template_json(report)
             assert report.contributions_csv() == template_contributions_csv(report)
 
-    def test_small_tables_leave_the_array_kernels_unloaded(self, tmp_path):
-        # the bundled data's 22-row tables are written by template, so analyze never imports _numtext
-        code = ("import sys; from agririsk.cli import main; "
-                "assert main(['analyze', '--out', 'out']) == 0; print('agririsk._numtext' in sys.modules)")
-        result = run_python(["-c", code], tmp_path)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "False"
+    def test_findings_past_a_chunk_edge(self, bundled_run):
+        # 4100 findings and no number column: the findings list's rows cross the writer's 4096-row chunk edge
+        run = bundled_run
+        hostile = ["a\x00b", "Ålborg 農協", "", "%s", '"%s"', "two\nlines"]
+        findings = tuple(ar.ValidationFinding("ratio_sum", "warning", f"{hostile[i % 6]}{i}", hostile[(i * 5) % 6])
+                         for i in range(4100))
+        report = ar.build_report(run.portfolio, run.banded, run.dist, [0.1, 0.01], run.config, findings)
+        assert report.to_json() == oracle_json(report)
+
+    def test_peak_memory_of_both_writers(self):
+        # 20,000 rows of 4 numbers: per-row strs are read a chunk at a time, never all held beside the text
+        n = 20_000
+        rng = np.random.default_rng(20)
+        values = rng.choice([-1.0, 1.0], (n, 4)) * np.exp(rng.uniform(-10.0, 10.0, (n, 4)))
+        table = ar.ContributionTable(
+            levels=(0.1, 0.05, 0.001), obligor_ids=tuple(f"B{i:06d}" for i in range(n)),
+            names=tuple(f"Book ESP, {i}" for i in range(n)), expected_loss=values[:, 0],
+            contributions=values[:, 1:], total_expected_loss=float(values[:, 0].sum()),
+            totals=tuple(values[:, 1:].sum(axis=0).tolist()))
+        report = ar.RiskReport(config={"unit": 1.0}, findings=(), moments=ar.Moments(1.5, 2.25, False),
+                               contributions=table)
+        for write, oracle in ((report.to_json, oracle_json), (report.contributions_csv, oracle_contributions_csv)):
+            tracemalloc.start()
+            try:
+                text = write()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * len(text)
+            assert text == oracle(report)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_config_value_refused(self, bundled_run, value):

@@ -14,14 +14,16 @@ from agririsk.errors import ModelError
 FINITE_MAX = np.finfo(np.float64).max
 
 
-def texts(words: np.ndarray) -> list[str]:
-    return _numtext.rows([words], words.shape[1])
+def texts(x, kernel=_numtext.repr_fields) -> list[str]:
+    """Each value's text as kernel writes it, one a line, by the report files' writer."""
+    x = np.asarray(x)
+    return "".join(_numtext.table([x, "\n"], x.size, kernel)).split("\n")[:-1]
 
 
 def assert_repr(x: np.ndarray) -> None:
     x = np.asarray(x, np.float64)
     want = [repr(v) for v in x.tolist()]
-    got = texts(_numtext.repr_fields(x))
+    got = texts(x)
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and not bad, bad[:10]
 
@@ -29,7 +31,7 @@ def assert_repr(x: np.ndarray) -> None:
 def assert_fixed6(x: np.ndarray) -> None:
     x = np.asarray(x, np.float64)
     want = ["%.6f" % v for v in x.tolist()]
-    got = texts(_numtext.fixed6_fields(x))
+    got = texts(x, _numtext.fixed6_fields)
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and not bad, bad[:10]
 
@@ -73,7 +75,7 @@ class TestRepr:
         # 1e-4 is the last 0.000ddd and 1e-5 the first e-notation below, 1e16 the first e-notation above
         edges = [1e-4, 1e-5, 1e-3, 0.1, 1.0, 1e15, 1e16, 1e17, 1e100, 1e-100, 123.0, 0.5, 1.5]
         assert_repr(np.concatenate((with_neighbours(edges), [0.0, -0.0])))
-        assert texts(_numtext.repr_fields(np.array([1e16, 1e-5, 1e-4, -0.0, 0.0]))) == [
+        assert texts(np.array([1e16, 1e-5, 1e-4, -0.0, 0.0])) == [
             "1e+16", "1e-05", "0.0001", "-0.0", "0.0"]
 
     def test_halfway_between_two_shortest(self):
@@ -84,7 +86,8 @@ class TestRepr:
         x = random_doubles(2, 6000).reshape(2, 3000)
         words = _numtext.repr_fields(x)
         assert words.shape[1:] == x.shape
-        assert texts(words[:, 1]) == [repr(v) for v in x[1].tolist()]
+        assert np.array_equal(words[:, 1], _numtext.repr_fields(x[1]))
+        assert texts(x[1]) == [repr(v) for v in x[1].tolist()]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_small_arrays(self, n):
@@ -93,7 +96,7 @@ class TestRepr:
 
     def test_integer_arrays_are_written_as_int_repr(self):
         ints = np.concatenate((np.arange(-300, 300), [0, 9, 10, 99, 10**15, 10**16 - 1, 10**16, 2**62, -(2**62)]))
-        assert texts(_numtext.repr_fields(ints)) == [repr(v) for v in ints.tolist()]
+        assert texts(ints) == [repr(v) for v in ints.tolist()]
 
 
 class TestFixed6:
@@ -110,12 +113,12 @@ class TestFixed6:
         # k/128 has 7 decimals, so its 7th is a tie between two 6-decimal neighbours: the even one
         k = np.arange(-2**17, 2**17)
         assert_fixed6(k / 128)
-        assert texts(_numtext.fixed6_fields(np.array([1 / 128, 3 / 128]))) == ["0.007812", "0.023438"]
+        assert texts([1 / 128, 3 / 128], _numtext.fixed6_fields) == ["0.007812", "0.023438"]
 
     def test_tiny_negatives_keep_their_sign(self):
         tiny = np.array([-1e-9, -0.0, -4.9e-7, -5e-7, -5.000001e-7, 1e-9, 0.0, 5e-7])
         assert_fixed6(tiny)
-        assert texts(_numtext.fixed6_fields(tiny))[:2] == ["-0.000000", "-0.000000"]
+        assert texts(tiny, _numtext.fixed6_fields)[:2] == ["-0.000000", "-0.000000"]
 
     def test_both_sides_of_the_2_to_the_33_limit(self):
         limit = 2.0**33
@@ -137,11 +140,44 @@ def test_non_finite_refused(kernel, bad, shown):
         kernel(x)
 
 
-def test_text_lays_rows_out_and_drops_only_the_padding():
+def test_table_lays_rows_out_and_drops_only_the_padding():
     x = np.array([1.5, -2.25, 1e-7])
-    words = _numtext.repr_fields(x)
-    assert _numtext.text(["<", words, ">\n"], x.size) == "".join(f"<{v!r}>\n" for v in x.tolist())
-    assert _numtext.rows([words, ";"], x.size) == [f"{v!r};" for v in x.tolist()]
+    assert "".join(_numtext.table(["<", x, ">\n"], x.size)) == "".join(f"<{v!r}>\n" for v in x.tolist())
+    assert _numtext.table([x, ";"], 0) == []
+
+
+HOSTILE = ["a\x00b", "Ålborg 農協", "", "%s", "\x00", '"q"', "\xff\x01"]
+# int64, float64 and object columns: the float64 pair is the largest group of one dtype
+STEP = _numtext.CHUNK_VALUES // 2
+
+
+@pytest.mark.parametrize("kernel, fmt", [(_numtext.repr_fields, repr), (_numtext.fixed6_fields, "%.6f".__mod__)])
+@pytest.mark.parametrize("n", [0, 1, STEP - 1, STEP, STEP + 1, 2 * STEP - 1, 2 * STEP, 2 * STEP + 1])
+def test_table_against_an_f_string_writer(kernel, fmt, n):
+    # a per-row column first, numbers of three dtypes, control bytes in a literal, and a run of literals only
+    # between two per-row columns
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-(10**18), 10**18, n)
+    floats = rng.choice([-1.0, 1.0], (2, n)) * np.exp(rng.uniform(-30.0, 30.0, (2, n)))
+    big = np.array([2**70 + i for i in range(n)], object)
+    ids = [f"{HOSTILE[i % 7]}{i}" for i in range(n)]
+    names = [HOSTILE[(i * 3) % 7] for i in range(n)]
+    notes = (HOSTILE[(i * 5) % 7] for i in range(n))
+    parts = [ids, ",", ints, ",", floats[0], ";\x01", names, "|", "-", notes, ",", big, ",", floats[1], "\n"]
+    want = "".join(f"{ids[i]},{fmt(ints[i].item())},{fmt(floats[0, i].item())};\x01{names[i]}|-"
+                   f"{HOSTILE[(i * 5) % 7]},{fmt(big[i])},{fmt(floats[1, i].item())}\n" for i in range(n))
+    chunks = _numtext.table(parts, n, kernel)
+    assert len(chunks) == -(-n // STEP)
+    assert "".join(chunks) == want
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+def test_table_of_per_row_text_only(n):
+    # no number column: a chunk is CHUNK_VALUES rows; the row ends in a per-row column
+    names = [HOSTILE[i % 7] for i in range(n)]
+    chunks = _numtext.table(["[", names, "]", (f"{i}\n" for i in range(n))], n)
+    assert len(chunks) == -(-n // _numtext.CHUNK_VALUES)
+    assert "".join(chunks) == "".join(f"[{name}]{i}\n" for i, name in enumerate(names))
 
 
 def test_scaled_powers_of_ten_and_the_floor_logarithms():
