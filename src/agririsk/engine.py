@@ -186,13 +186,16 @@ class LossDistribution:
         """Each grid point n's row: n, n * unit, pmf and cdf, each as repr writes it."""
         from . import _numtext  # here, not at the top: only a run that writes this file loads it
 
-        n = np.arange(self.pmf.size)
+        n, unit, after = np.arange(self.pmf.size), self.unit, ","
+        if isinstance(unit, float) and unit.is_integer() and 0.0 < unit and (n.size - 1) * unit < 2.0**53:
+            # every n * unit is a whole float below 2**53, whose repr is its integer's digits and ".0"
+            money, after = n * int(unit), ".0,"
         # an int unit's money is exact, as Python's n * unit is: in int64 while it fits, else in Python ints
-        if not isinstance(self.unit, int) or max(self.unit, (self.pmf.size - 1) * self.unit) < 2**63:
-            money = n * self.unit
+        elif not isinstance(unit, int) or max(unit, (n.size - 1) * unit) < 2**63:
+            money = n * unit
         else:
-            money = np.array([i * self.unit for i in range(self.pmf.size)], object)
-        rows = _numtext.table([n, ",", money, ",", self.pmf, ",", self.cdf, "\n"], n.size)
+            money = np.array([i * unit for i in range(n.size)], object)
+        rows = _numtext.table([n, ",", money, after, self.pmf, ",", self.cdf, "\n"], n.size)
         return "".join(["loss_units,loss_money,pmf,cdf\n", *rows])
 
 
@@ -321,7 +324,9 @@ class _Cumulant:
     zero-loss levels dropped, and every backend, the tail bound, the
     sampler, the moments and the variance contributions read these parts,
     these alpha_k and beta_k, sector_part (each sector's part) and
-    eps_total (each part's epsilon, summed in level order).
+    eps_total (each part's epsilon, summed in level order). Both backends
+    take the gamma parts in folded, one level and beta_k <= 1, from
+    series() instead, as one compound Poisson.
     K(t) = d_0(t) - sum_k alpha_k log(1 - beta_k d_k(t)), where
     d_k(t) = sum_v w_kv expm1(t v) with weight mu in part 0 and severity f_kv
     in part k, so one bincount gives every d_k. Markov's inequality gives
@@ -353,17 +358,54 @@ class _Cumulant:
         if not self.t_max > 0.0:  # a gamma scale near 1e304 or above, which only a hand-built portfolio has
             raise ModelError(f"gamma scale {float(self.beta.max())!r} leaves no t > 0 to bound the loss tail")
 
-    def parts(self):
+    def parts(self, fold: bool = False):
         """(levels, epsilon, expected counts mu, gamma) of each part that carries loss, part 0 first.
 
         gamma is the part's (alpha, beta), or None for the compound Poisson part 0;
-        part k >= 1 is the k-th sector with cv > 0.
+        part k >= 1 is the k-th sector with cv > 0. With fold, the parts that
+        series() holds are left out.
         """
         gammas = [None] + list(zip(self.alpha.tolist(), self.beta.tolist()))
-        bounds = np.searchsorted(self.part, np.arange(len(gammas) + 1)).tolist()
-        for gamma, lo, hi in zip(gammas, bounds, bounds[1:]):
-            if hi > lo:
-                yield self.v[lo:hi], self.eps[lo:hi], self.mu[lo:hi], gamma
+        bounds = np.searchsorted(self.part, np.arange(len(gammas) + 1))
+        live = bounds[1:] > bounds[:-1]
+        if fold:
+            live[1:] &= ~self.folded
+        bounds = bounds.tolist()
+        for k in np.flatnonzero(live).tolist():
+            lo, hi = bounds[k], bounds[k + 1]
+            yield self.v[lo:hi], self.eps[lo:hi], self.mu[lo:hi], gammas[k]
+
+    @cached_property
+    def folded(self) -> np.ndarray:
+        """Mask over the gamma parts 1..K that series() folds: one level, and beta <= 1 (rho <= 1/2)."""
+        return (np.bincount(self.part, minlength=self.alpha.size + 1)[1:] == 1) & (self.beta <= 1.0)
+
+    def series(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The folded parts as one compound Poisson: (levels, intensities, count).
+
+        A negative binomial count NB(alpha, beta) of one level v is a
+        Poisson(alpha log1p beta) number of logarithmic(rho) clusters of v,
+        rho = beta / (1 + beta), so it is intensity alpha rho^m / m at each
+        level m v (Quenouille 1949). Each part keeps the least M <= 61 terms
+        whose dropped tail, at most alpha rho^(M+1) / ((M+1) (1 - rho)), is at
+        most 2^-60 of its count alpha log1p beta; rho <= 1/2 makes M = 60
+        enough. count is the closed forms' sum, dropped terms included.
+        """
+        alpha, beta = self.alpha[self.folded], self.beta[self.folded]
+        v = self.v[np.append(False, self.folded)[self.part]]  # each folded part's one level, in part order
+        rho = beta / (1.0 + beta)
+        log_count = np.log1p(beta)
+        need = np.ldexp(log_count, -60) * (1.0 - rho)
+        terms, power = np.ones(rho.size, np.int64), rho * rho
+        for m in range(2, 62):  # power = rho^m: is the tail past m - 1 terms too large?
+            short = power > need * m
+            if not short.any():
+                break
+            terms += short
+            power *= rho
+        m = np.arange(1, terms.sum() + 1) - np.repeat(np.cumsum(terms) - terms, terms)
+        rates = np.repeat(alpha, terms) * np.repeat(rho, terms) ** m / m
+        return np.repeat(v, terms) * m, rates, float(alpha @ log_count)
 
     def _d(self, t: float) -> np.ndarray:
         return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
@@ -430,7 +472,7 @@ def _check_grid(grid_size: int, minimum: int, what: str) -> None:
 
 
 def _panjer(vs: np.ndarray, eps: np.ndarray, mu: np.ndarray, gamma: tuple[float, float] | None,
-            grid_size: int) -> np.ndarray:
+            grid_size: int, count: float | None = None) -> np.ndarray:
     """Compound pmf of bands at levels vs, losses eps and expected counts mu by the (a, b, 0) Panjer recursion.
 
     g_n = sum_j (a + b v_j / n) f_j g_{n - v_j} over the levels v_j <= n, with
@@ -438,7 +480,8 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, mu: np.ndarray, gamma: tuple[float,
     gamma = (alpha, beta), are negative binomial: rho = beta / (1 + beta),
     a = rho, b = rho (alpha - 1), g_0 = (1 + beta)^-alpha. Poisson counts
     (gamma None) are a = 0, b = sum(mu), so b f_j v_j = eps_j and
-    g_0 = exp(-sum(mu)).
+    g_0 = exp(-count), count sum(mu) unless given: a count that also holds
+    levels past the grid.
 
     g_n reads only g_{n - v_j} with v_j >= v_min, so each block of v_min
     points (fewer where a block would gather over _BLOCK_CELLS entries) is
@@ -450,7 +493,7 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, mu: np.ndarray, gamma: tuple[float,
     piece and the piece is convolved with itself m - 1 times, which is exact.
     """
     if gamma is None:
-        log_g0 = -float(mu.sum())
+        log_g0 = -float(mu.sum() if count is None else count)
     else:
         alpha, beta = gamma
         rho = beta / (1.0 + beta)
@@ -495,12 +538,26 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
 
     All unmixed bands form one compound Poisson and each gamma sector one
     compound negative binomial, each computed on the full grid; the parts
-    are then convolved, with the same parts' tail bound. With no part
+    are then convolved, with the same parts' tail bound. The gamma parts
+    that _Cumulant.series folds join the unmixed bands' recursion, with
+    their intensities below the grid and their whole count. With no part
     carrying loss the pmf is the point mass at zero.
     """
     _check_grid(grid_size, banded.max_v + 1, "the largest band")
     cumulant = banded._cumulant
-    pmfs = [_panjer(*part, grid_size) for part in cumulant.parts()]
+    parts, pmfs = list(cumulant.parts(fold=True)), []
+    if cumulant.folded.any():
+        levels, rates, count = cumulant.series()
+        below = levels < grid_size
+        eps = np.bincount(levels[below], weights=rates[below] * levels[below], minlength=grid_size)
+        if parts and parts[0][3] is None:  # part 0's bands join the same recursion
+            vs, part_eps, mu, _ = parts.pop(0)
+            eps[vs] += part_eps
+            count += float(mu.sum())
+        vs = np.flatnonzero(eps)
+        if vs.size:
+            pmfs.append(_panjer(vs, eps[vs], eps[vs] / vs, None, grid_size, count))
+    pmfs += [_panjer(*part, grid_size) for part in parts]
     raw = reduce(_convolve_pmfs, pmfs) if pmfs else np.eye(1, grid_size)[0]
     return LossDistribution(banded.unit, raw, tail_bound=cumulant.tail_bound(grid_size))
 
@@ -527,7 +584,8 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     _check_grid(grid_size, 2 * (banded.max_v + 1), "alias-safe FFT inversion")
     # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
     log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
-    for vs, _, mu, gamma in banded._cumulant.parts():
+    cumulant = banded._cumulant
+    for vs, _, mu, gamma in cumulant.parts(fold=True):
         count = mu.sum()
         q = np.fft.rfft(np.bincount(vs, weights=mu / count), grid_size)
         if gamma is None:
@@ -537,8 +595,14 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
             # Re(1-Q) >= 0, so the log1p is accurate and finite however small beta is
             alpha, beta = gamma
             log_g -= alpha * _log1p(beta * (1.0 - q))
+    if cumulant.folded.any():
+        # the folded parts' compound Poisson: log G gains sum_l r_l (w^(l j) - 1), a level l >= grid_size
+        # landing on l mod grid_size as the transform of one past the grid would
+        levels, rates, _ = cumulant.series()
+        r = np.bincount(levels % grid_size, weights=rates, minlength=grid_size)
+        log_g += np.fft.rfft(r) - r.sum()
     pmf = np.fft.irfft(np.exp(log_g), grid_size)
-    return LossDistribution(banded.unit, pmf, tail_bound=banded._cumulant.tail_bound(grid_size))
+    return LossDistribution(banded.unit, pmf, tail_bound=cumulant.tail_bound(grid_size))
 
 
 def _convolve_pmfs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -511,6 +511,21 @@ class TestReportFiles:
         assert report.contributions_csv() == template_contributions_csv(report)
         assert '"id": "a\\u0000b0",' in report.to_json() and "\na\x00b0,a\x00b," in report.contributions_csv()
 
+    @pytest.mark.parametrize("last", ["Book 19999", "Book, 19999", 'Book "19999"', "Book\n19999", "Book\r19999",
+                                      "Book\x0019999"])
+    def test_cells_that_need_no_quoting(self, last):
+        # 20,000 ids and names csv writes as they are, or all but a last name holding a character csv may quote
+        n = 20_000
+        values = np.random.default_rng(21).uniform(-1e6, 1e6, (n, 3))
+        table = ar.ContributionTable(
+            levels=(0.1, 0.01), obligor_ids=tuple(f"B{i:06d}" for i in range(n)),
+            names=tuple(f"Book {i}" for i in range(n - 1)) + (last,), expected_loss=values[:, 0],
+            contributions=values[:, 1:], total_expected_loss=float(values[:, 0].sum()),
+            totals=tuple(values[:, 1:].sum(axis=0).tolist()))
+        report = ar.RiskReport(config={"unit": 1.0}, findings=(), moments=ar.Moments(1.5, 2.25, False),
+                               contributions=table)
+        assert report.contributions_csv() == oracle_contributions_csv(report)
+
     def test_reports_match_the_template_writer(self, bundled_run):
         run = bundled_run
         for report in (ar.build_report(run.portfolio, run.banded, run.dist, run.levels, run.config, run.findings),

@@ -515,6 +515,141 @@ class TestLossDistFft:
             ar.loss_dist_fft(poisson_sector([(10, 1.0)]), 16)
 
 
+def per_part_fft(banded: ar.BandedPortfolio, grid_size: int) -> np.ndarray:
+    """loss_dist_fft's pmf as 0.17.0 computed it: one rfft per part, and one complex log1p per gamma part."""
+    log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
+    for vs, _, mu, gamma in banded._cumulant.parts():
+        count = mu.sum()
+        q = np.fft.rfft(np.bincount(vs, weights=mu / count), grid_size)
+        if gamma is None:
+            log_g += count * (q - 1.0)
+        else:
+            alpha, beta = gamma
+            log_g -= alpha * ar.engine._log1p(beta * (1.0 - q))
+    return np.fft.irfft(np.exp(log_g), grid_size)
+
+
+def nbinom_at_level(alpha: float, beta: float, v: int, size: int) -> np.ndarray:
+    """An NB(alpha, beta) count of one level v: scipy's pmf placed at the multiples of v below size."""
+    k = np.arange((size - 1) // v + 1)
+    pmf = np.zeros(size)
+    pmf[k * v] = nbinom.pmf(k, alpha, 1.0 / (1.0 + beta))
+    return pmf
+
+
+def oracle_pmf(banded: ar.BandedPortfolio, size: int) -> np.ndarray:
+    """The model's pmf on [0, size): each single-level gamma part from scipy, every other part from
+    scalar_panjer, combined by direct convolution."""
+    pmf = np.eye(1, size)[0]
+    for vs, eps, _, gamma in banded._cumulant.parts():
+        if gamma is not None and vs.size == 1:
+            part = nbinom_at_level(*gamma, int(vs[0]), size)
+        else:
+            part = scalar_panjer(vs, eps, 0.0 if gamma is None else gamma[0] ** -0.5, size)
+        pmf = np.convolve(pmf, part)[:size]
+    return pmf
+
+
+def per_obligor_book(n: int, seed: int, unit: float) -> ar.BandedPortfolio:
+    """n seeded obligors, each with a bundled row's rates and split and a lognormal exposure, one sector each."""
+    bundled = ar.load_portfolio(ar.bundled_dataset_path())
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(len(bundled.ids), size=n)
+    portfolio = ar.Portfolio(
+        ids=tuple(f"B{i}" for i in range(n)), names=tuple(f"Book {i}" for i in range(n)),
+        exposure=4.3 * rng.lognormal(0.0, 1.0, n), mean_loss_rate=bundled.mean_loss_rate[pick],
+        loss_rate_stddev=bundled.loss_rate_stddev[pick], crop_ratio=bundled.crop_ratio[pick],
+        livestock_ratio=bundled.livestock_ratio[pick], expected_loss_declared=np.full(n, np.nan))
+    return ar.band_exposures(ar.assign_sectors(portfolio, ar.SectorAssignment("per-obligor")), unit)
+
+
+class TestFoldedSeries:
+    """Single-level gamma parts with beta <= 1, folded into one compound Poisson by both backends."""
+
+    # beside part 0 and a multi-level gamma part: beta exactly 1 (folded), just above 1 (exact path),
+    # about 1e-12 (alpha 100) and 0.046
+    MIXED = [
+        ("p", 0.0, [(1, 0.5), (4, 1.0)]),
+        ("m", 0.7, [(2, 0.6), (5, 0.8)]),
+        ("one", 1.0, [(3, 3.0)]),
+        ("above", 1.0, [(2, 2.0 + 2.0**-39)]),
+        ("tiny", 0.1, [(6, 6e-10)]),
+        ("s", 0.9, [(7, 0.4)]),
+    ]
+
+    def test_mixed_book_matches_the_oracle(self):
+        banded = make_banded(self.MIXED)
+        c = banded._cumulant
+        assert c.beta[1] == 1.0 < c.beta[2] and 0.9e-12 < c.beta[3] < 1.1e-12
+        assert c.folded.tolist() == [False, True, False, True, True]
+        grid = ar.auto_grid_size(banded)
+        expected = oracle_pmf(banded, grid)
+        for backend in (ar.loss_dist_fft, ar.loss_dist_sector):
+            assert float(np.abs(backend(banded, grid).pmf - expected).max()) <= 1e-13
+
+    def test_levels_past_the_grid(self):
+        # beta 1 at level 30 keeps 55 terms, up to level 1650: the FFT wraps them onto its 64 points as the
+        # transform aliases the whole pmf, and Panjer's 64-point prefix counts their mass as truncated
+        banded = make_banded([("p", 0.0, [(1, 0.5)]), ("w", 1.0, [(30, 30.0)])])
+        levels, _, _ = banded._cumulant.series()
+        assert levels.max() == 55 * 30
+        whole = oracle_pmf(banded, 64 * 100)
+        fft, panjer = ar.loss_dist_fft(banded, 64), ar.loss_dist_sector(banded, 64)
+        assert float(np.abs(fft.pmf - whole.reshape(100, 64).sum(axis=0)).max()) <= 1e-15
+        assert float(np.abs(panjer.pmf - whole[:64]).max()) <= 1e-15
+        assert panjer.truncation_mass == pytest.approx(float(whole[64:].sum()), rel=1e-12)
+
+    def test_pooled_count_above_700_splits(self):
+        # two parts of alpha 2000 and beta 1/2, each a count alpha log1p beta = 811 of the series
+        banded = make_banded([("a", 2000**-0.5, [(1, 1000.0)]), ("b", 2000**-0.5, [(2, 2000.0)])])
+        _, _, count = banded._cumulant.series()
+        assert math.ceil(count / -ar.engine._LOG_G0_FLOOR) == 3
+        grid = ar.auto_grid_size(banded)
+        expected = oracle_pmf(banded, grid)
+        for backend in (ar.loss_dist_fft, ar.loss_dist_sector):
+            # the split count's convolutions round off relative to the peak, not to each entry
+            assert float(np.abs(backend(banded, grid).pmf - expected).max()) <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-12, 0.01, 0.3, 0.999, 1.0])
+    def test_least_terms_whose_tail_is_below_2_to_the_minus_60(self, beta):
+        banded = one_sector(0.5, [(3, 12.0 * beta)])  # alpha 4, beta = 0.25 * 4 beta
+        c = banded._cumulant
+        levels, rates, count = c.series()
+        alpha, beta, rho = 4.0, float(c.beta[0]), float(c.beta[0] / (1.0 + c.beta[0]))
+        m = levels // 3
+        terms = int(m.max())
+        assert m.tolist() == list(range(1, terms + 1)) and np.all(levels == 3 * m) and terms <= 61
+        np.testing.assert_allclose(rates, alpha * rho**m / m, rtol=1e-14)
+        assert count == alpha * math.log1p(beta)
+
+        def tail(k):  # a bound on the intensity past k terms
+            return alpha * rho ** (k + 1) / ((k + 1) * (1.0 - rho))
+
+        assert tail(terms) <= 2.0**-60 * count
+        assert terms == 1 or tail(terms - 1) > 2.0**-60 * count
+
+    def test_multi_level_parts_keep_their_own_code(self, bundled_portfolio):
+        # every part outside per-obligor mode spans several levels, so no run there folds one
+        for mode in ("crop-livestock", "single"):
+            c = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), 1.0)._cumulant
+            assert not c.folded.any()
+            assert [p[3] for p in c.parts(fold=True)] == [p[3] for p in c.parts()]
+        c = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor")), 2.0)._cumulant
+        assert c.folded.all() and not list(c.parts(fold=True))
+
+    def test_per_obligor_book_matches_the_per_part_fft(self):
+        banded = per_obligor_book(2000, 35, 10.0)
+        assert banded._cumulant.folded.all()
+        grid = ar.auto_grid_size(banded)
+        reference = ar.LossDistribution(10.0, per_part_fft(banded, grid))
+        levels = (0.1, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001)
+        for backend in (ar.loss_dist_fft, ar.loss_dist_sector):
+            dist = backend(banded, grid)
+            assert 0.5 * float(np.abs(dist.pmf - reference.pmf).sum()) <= 1e-8
+            assert [ar.exceedance_quantile(dist, lvl) for lvl in levels] == \
+                [ar.exceedance_quantile(reference, lvl) for lvl in levels]
+
+
 class TestLossDistribution:
     def test_negatives_clamped_and_bounded(self, bundled_banded, bundled_dist):
         assert float(bundled_dist.pmf.min()) >= 0.0
@@ -958,12 +1093,20 @@ class TestSerialization:
         assert first[0] == "0"
         assert float(first[2]) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
-    @pytest.mark.parametrize("unit", [3, 10**16, 2**70, 0.1, 1e300])
-    def test_csv_rows_match_the_f_string_writer(self, unit):
-        # an int unit keeps exact int money, as n * unit did, past int64 too; the pmf's tail spans e-notation
-        pmf = np.random.default_rng(11).random(5000) ** 40
+    @pytest.mark.parametrize("unit, size", [
+        (3, 5000), (10**16, 5000), (2**70, 5000), (0.1, 5000), (1e300, 5000), (1.0, 5000), (10.0, 5000),
+        (np.float64(10.0), 5000), (2.5, 5000),
+        # whole float units whose last money value is just below 2**53, and at or just above it
+        (2.0**40, 8192), (2.0**40, 8193), (1e12 + 1.0, 9008), (1e12 + 1.0, 9010),
+    ])
+    def test_csv_rows_match_the_f_string_writer(self, unit, size):
+        # an int unit keeps exact int money, as n * unit did, past int64 too; a whole float unit's money is
+        # written from ints below 2**53; the pmf's tail spans e-notation
+        pmf = np.random.default_rng(11).random(size) ** 40
         d = ar.LossDistribution(unit=unit, pmf=pmf / pmf.sum())
-        rows = (f"{n},{n * d.unit!r},{float(d.pmf[n])!r},{float(d.cdf[n])!r}\n" for n in range(d.pmf.size))
+        money = (n * d.unit for n in range(size))
+        rows = (f"{n},{float(m) if isinstance(m, float) else m!r},{float(d.pmf[n])!r},{float(d.cdf[n])!r}\n"
+                for n, m in enumerate(money))
         assert d.to_csv() == "loss_units,loss_money,pmf,cdf\n" + "".join(rows)
 
     def test_csv_peak_memory_and_rows(self):
