@@ -180,25 +180,14 @@ class RiskReport:
         # the header and the TOTAL row need no csv quoting
         header = ",".join(["id", "name", "expected_loss", *map(repr, table.levels)])
         total = ("TOTAL," + ",%.6f" * (1 + len(table.levels))) % (table.total_expected_loss, *table.totals)
-        # the numbers need no quoting, nor the id and name cells unless one holds a character csv may quote
-        cells = zip(table.obligor_ids, table.names)
-        if _plain_cells(table.obligor_ids, table.names):
-            parts = [map(",".join, cells)]
-        else:
-            # csv quotes them a row at a time: writerow returns what write does, here the line without
-            # its ending (a C slice, not a Python call per row)
-            writer = csv.writer(SimpleNamespace(write=itemgetter(slice(None, -1))), lineterminator="\n")
-            parts = [map(writer.writerow, cells)]
+        # csv quotes each row's id and name cells, a row at a time: writerow returns what write does, here
+        # the line without its ending (a C slice, not a Python call per row). The numbers need no quoting.
+        cells = csv.writer(SimpleNamespace(write=itemgetter(slice(None, -1))), lineterminator="\n")
+        parts = [map(cells.writerow, zip(table.obligor_ids, table.names))]
         for column in (table.expected_loss, *table.contributions.T):
             parts += [",", column]
         rows = _numtext.table(parts + ["\n"], len(table.obligor_ids), _numtext.fixed6_fields)
         return "".join([header, "\n", *rows, total, "\n"])
-
-
-def _plain_cells(*columns: tuple[str, ...]) -> bool:
-    """Whether no cell of the columns holds a comma, a quote, CR, LF or NUL, so csv.writer writes each as it is."""
-    text = "".join(map("".join, columns))
-    return not any(c in text for c in ',"\r\n\0')
 
 
 def moments(dist: LossDistribution) -> Moments:
