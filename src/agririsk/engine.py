@@ -325,8 +325,8 @@ class _Cumulant:
     sampler, the moments and the variance contributions read these parts,
     these alpha_k and beta_k, sector_part (each sector's part) and
     eps_total (each part's epsilon, summed in level order). Both backends
-    take the gamma parts in folded, one level and beta_k <= 1, from
-    series() instead, as one compound Poisson.
+    take part 0 and the gamma parts in folded, one level and beta_k <= 1,
+    from pool, the run's one compound Poisson.
     K(t) = d_0(t) - sum_k alpha_k log(1 - beta_k d_k(t)), where
     d_k(t) = sum_v w_kv expm1(t v) with weight mu in part 0 and severity f_kv
     in part k, so one bincount gives every d_k. Markov's inequality gives
@@ -363,13 +363,13 @@ class _Cumulant:
 
         gamma is the part's (alpha, beta), or None for the compound Poisson part 0;
         part k >= 1 is the k-th sector with cv > 0. With fold, the parts that
-        series() holds are left out.
+        pool holds, part 0 and the folded ones, are left out, so every gamma is a pair.
         """
         gammas = [None] + list(zip(self.alpha.tolist(), self.beta.tolist()))
         bounds = np.searchsorted(self.part, np.arange(len(gammas) + 1))
         live = bounds[1:] > bounds[:-1]
         if fold:
-            live[1:] &= ~self.folded
+            live &= ~np.append(True, self.folded)
         bounds = bounds.tolist()
         for k in np.flatnonzero(live).tolist():
             lo, hi = bounds[k], bounds[k + 1]
@@ -406,6 +406,17 @@ class _Cumulant:
         m = np.arange(1, terms.sum() + 1) - np.repeat(np.cumsum(terms) - terms, terms)
         rates = np.repeat(alpha, terms) * np.repeat(rho, terms) ** m / m
         return np.repeat(v, terms) * m, rates, float(alpha @ log_count)
+
+    @cached_property
+    def pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The run's one compound Poisson, part 0's bands then series(): (levels, epsilon, mu, count).
+
+        Part 0 keeps its epsilon as given; a series term's is its level times its intensity mu.
+        """
+        n0 = int(np.searchsorted(self.part, 1))
+        levels, rates, count = self.series()
+        return (np.append(self.v[:n0], levels), np.append(self.eps[:n0], levels * rates),
+                np.append(self.mu[:n0], rates), float(self.mu[:n0].sum()) + count)
 
     def _d(self, t: float) -> np.ndarray:
         return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
@@ -536,28 +547,21 @@ def loss_dist_poisson(banded: BandedPortfolio, grid_size: int) -> LossDistributi
 def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     """Aggregate loss pmf under gamma-mixed sectors, by Panjer recursion per independent part.
 
-    All unmixed bands form one compound Poisson and each gamma sector one
-    compound negative binomial, each computed on the full grid; the parts
-    are then convolved, with the same parts' tail bound. The gamma parts
-    that _Cumulant.series folds join the unmixed bands' recursion, with
-    their intensities below the grid and their whole count. With no part
-    carrying loss the pmf is the point mass at zero.
+    The run's one compound Poisson, _Cumulant.pool (the unmixed bands and
+    the folded gamma sectors), is one recursion, with its levels below the
+    grid and its whole count; each other gamma sector is one compound
+    negative binomial. Each is computed on the full grid, and they are then
+    convolved, with the same parts' tail bound. With no part carrying loss
+    the pmf is the point mass at zero.
     """
     _check_grid(grid_size, banded.max_v + 1, "the largest band")
     cumulant = banded._cumulant
-    parts, pmfs = list(cumulant.parts(fold=True)), []
-    if cumulant.folded.any():
-        levels, rates, count = cumulant.series()
-        below = levels < grid_size
-        eps = np.bincount(levels[below], weights=rates[below] * levels[below], minlength=grid_size)
-        if parts and parts[0][3] is None:  # part 0's bands join the same recursion
-            vs, part_eps, mu, _ = parts.pop(0)
-            eps[vs] += part_eps
-            count += float(mu.sum())
-        vs = np.flatnonzero(eps)
-        if vs.size:
-            pmfs.append(_panjer(vs, eps[vs], eps[vs] / vs, None, grid_size, count))
-    pmfs += [_panjer(*part, grid_size) for part in parts]
+    levels, eps, _, count = cumulant.pool
+    below = levels < grid_size
+    eps = np.bincount(levels[below], weights=eps[below], minlength=grid_size)
+    vs = np.flatnonzero(eps)
+    pmfs = [_panjer(vs, eps[vs], eps[vs] / vs, None, grid_size, count)] if vs.size else []
+    pmfs += [_panjer(*part, grid_size) for part in cumulant.parts(fold=True)]
     raw = reduce(_convolve_pmfs, pmfs) if pmfs else np.eye(1, grid_size)[0]
     return LossDistribution(banded.unit, raw, tail_bound=cumulant.tail_bound(grid_size))
 
@@ -585,20 +589,15 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
     log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
     cumulant = banded._cumulant
-    for vs, _, mu, gamma in cumulant.parts(fold=True):
-        count = mu.sum()
-        q = np.fft.rfft(np.bincount(vs, weights=mu / count), grid_size)
-        if gamma is None:
-            log_g += count * (q - 1.0)
-        else:
-            # alpha*(log(1-rho) - log(1-rho*Q)) with beta = rho/(1-rho); |Q| <= 1 keeps
-            # Re(1-Q) >= 0, so the log1p is accurate and finite however small beta is
-            alpha, beta = gamma
-            log_g -= alpha * _log1p(beta * (1.0 - q))
-    if cumulant.folded.any():
-        # the folded parts' compound Poisson: log G gains sum_l r_l (w^(l j) - 1), a level l >= grid_size
+    for vs, _, mu, (alpha, beta) in cumulant.parts(fold=True):
+        q = np.fft.rfft(np.bincount(vs, weights=mu / mu.sum()), grid_size)
+        # alpha*(log(1-rho) - log(1-rho*Q)) with beta = rho/(1-rho); |Q| <= 1 keeps
+        # Re(1-Q) >= 0, so the log1p is accurate and finite however small beta is
+        log_g -= alpha * _log1p(beta * (1.0 - q))
+    levels, _, rates, _ = cumulant.pool
+    if levels.size:
+        # the one compound Poisson: log G gains sum_l r_l (w^(l j) - 1), a level l >= grid_size
         # landing on l mod grid_size as the transform of one past the grid would
-        levels, rates, _ = cumulant.series()
         r = np.bincount(levels % grid_size, weights=rates, minlength=grid_size)
         log_g += np.fft.rfft(r) - r.sum()
     pmf = np.fft.irfft(np.exp(log_g), grid_size)

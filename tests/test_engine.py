@@ -650,6 +650,63 @@ class TestFoldedSeries:
                 [ar.exceedance_quantile(reference, lvl) for lvl in levels]
 
 
+class TestOnePool:
+    """Part 0's bands and the folded parts' series are the run's one compound Poisson, _Cumulant.pool."""
+
+    def test_fold_yields_only_negative_binomial_parts(self):
+        c = make_banded(TestFoldedSeries.MIXED)._cumulant
+        gammas = [gamma for *_, gamma in c.parts(fold=True)]
+        assert None not in gammas
+        assert gammas == [(c.alpha[k], c.beta[k]) for k in np.flatnonzero(~c.folded)]
+
+    def test_pool_is_part_0_then_the_series(self):
+        c = make_banded(TestFoldedSeries.MIXED)._cumulant
+        (v0, eps0, mu0, gamma), *_ = c.parts()
+        levels, rates, count = c.series()
+        pool_levels, pool_eps, pool_mu, pool_count = c.pool
+        assert gamma is None and v0.tolist() == [1, 4]
+        assert pool_levels.tolist() == v0.tolist() + levels.tolist()
+        assert pool_mu.tolist() == mu0.tolist() + rates.tolist()
+        assert pool_eps[:2].tolist() == eps0.tolist()  # as given, not mu * v
+        np.testing.assert_allclose(pool_eps[2:], levels * rates, rtol=1e-15)
+        assert pool_count == pytest.approx(float(mu0.sum()) + count, rel=1e-15)
+
+    @pytest.mark.parametrize("unit", [1.0, 10.0])
+    def test_poisson_backend_is_one_recursion_of_part_0(self, bundled_portfolio, unit):
+        banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment()), unit)
+        (vs, eps, mu, gamma), = dataclasses.replace(banded, cv=np.zeros(len(banded.names)))._cumulant.parts()
+        grid = ar.auto_grid_size(banded)
+        assert gamma is None
+        assert np.array_equal(ar.loss_dist_poisson(banded, grid).pmf, ar.engine._panjer(vs, eps, mu, None, grid))
+
+    @pytest.mark.parametrize("unit", [1.0, 10.0])
+    def test_part_0_beside_a_gamma_sector(self, unit):
+        # a zero stddev leaves crop unmixed, so part 0 sits beside livestock's multi-level gamma part
+        fft, panjer = (ar.run_pipeline(unit=unit, sector_rates={"crop": (0.02, 0.0)}, backend=backend)
+                       for backend in ("fft", "panjer"))
+        c = fft.banded._cumulant
+        assert [gamma is None for *_, gamma in c.parts()] == [True, False] and not c.folded.any()
+        assert fft.dist.pmf.size == panjer.dist.pmf.size
+        assert 0.5 * float(np.abs(fft.dist.pmf - panjer.dist.pmf).sum()) <= 1e-8
+
+    # crop-livestock has two gamma parts and an empty pool; per-obligor folds all 22 parts into the pool;
+    # an unmixed crop sector is part 0 in the pool, beside livestock's gamma part
+    @pytest.mark.parametrize("mode, unit, rates, calls", [
+        ("crop-livestock", 1.0, None, 2), ("per-obligor", 2.0, None, 1), ("crop-livestock", 10.0, {"crop": (0.02, 0.0)}, 2),
+    ])
+    def test_one_transform_and_one_recursion_per_part(self, bundled_portfolio, monkeypatch, mode, unit, rates, calls):
+        banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode, rates)), unit)
+        grid = ar.auto_grid_size(banded)
+        seen = []
+        rfft, panjer = np.fft.rfft, ar.engine._panjer
+        monkeypatch.setattr(np.fft, "rfft", lambda *a: seen.append("rfft") or rfft(*a))
+        ar.loss_dist_fft(banded, grid)
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        monkeypatch.setattr(ar.engine, "_panjer", lambda *a: seen.append("panjer") or panjer(*a))
+        ar.loss_dist_sector(banded, grid)
+        assert seen == ["rfft"] * calls + ["panjer"] * calls
+
+
 class TestLossDistribution:
     def test_negatives_clamped_and_bounded(self, bundled_banded, bundled_dist):
         assert float(bundled_dist.pmf.min()) >= 0.0
