@@ -409,10 +409,7 @@ class _Cumulant:
 
     @cached_property
     def pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The run's one compound Poisson, part 0's bands then series(): (levels, epsilon, mu, count).
-
-        Part 0 keeps its epsilon as given; a series term's is its level times its intensity mu.
-        """
+        """The run's one compound Poisson, part 0's bands (epsilon as given) then series(): (levels, eps, mu, count)."""
         n0 = int(np.searchsorted(self.part, 1))
         levels, rates, count = self.series()
         return (np.append(self.v[:n0], levels), np.append(self.eps[:n0], levels * rates),

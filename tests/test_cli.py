@@ -491,3 +491,20 @@ class TestDist:
         at = next(i for i, l in enumerate(lines) if l.startswith("truncation_mass"))
         assert lines[at + 1].startswith("tail_bound ")
         assert 0.0 < float(lines[at + 1].split()[1]) <= 1e-12
+
+
+def test_moments_do_not_move_with_the_openblas_thread_count(tmp_path, monkeypatch):
+    """report.json and dist's printed lines are byte-identical on one OpenBLAS thread and on two.
+
+    A BLAS dot of more than about 10,000 entries splits across threads and rounds differently; the moments
+    sum in numpy's own loop. A numpy not built on OpenBLAS ignores the variable, and the runs are then alike.
+    """
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = f"threads-{threads}"
+        analyze = run_cli(["analyze", "--unit", "1", "--out", out], tmp_path)
+        dist = run_cli(["dist", "--out", out], tmp_path)
+        assert analyze.returncode == dist.returncode == 0, analyze.stderr + dist.stderr
+        outputs.append(((tmp_path / out / "report.json").read_bytes(), dist.stdout.replace(out, "OUT")))
+    assert outputs[0] == outputs[1]
