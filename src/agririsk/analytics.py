@@ -194,7 +194,8 @@ def moments(dist: LossDistribution) -> Moments:
     """Mean and variance of the grid pmf, flagged when truncated or aliased mass could bias them."""
     n = np.arange(dist.pmf.size, dtype=float)
     # numpy's own loop, not a BLAS dot, whose rounding moves with the OpenBLAS thread count
-    mean_units, second = (float(np.einsum("i,i->", w, dist.pmf)) for w in (n, n * n))
+    mean_units = float(np.einsum("i,i->", n, dist.pmf))
+    second = float(np.einsum("i,i->", n * n, dist.pmf))
     variance = (second - mean_units**2) * (dist.unit * dist.unit)
     if not variance < math.inf:  # NaN too: a zero variance in units times an infinite unit * unit
         raise ModelError(f"pmf variance overflows at unit {dist.unit!r}; use a smaller unit (--unit)")
