@@ -325,8 +325,8 @@ class _Cumulant:
     sampler, the moments and the variance contributions read these parts,
     these alpha_k and beta_k, sector_part (each sector's part) and
     eps_total (each part's epsilon, summed in level order). Both backends
-    take part 0 and the gamma parts in folded, one level and beta_k <= 1,
-    from pool, the run's one compound Poisson.
+    and the sampler read pool, the run's one compound Poisson of part 0 and
+    the folded gamma parts (one level, beta_k <= 1), and then parts().
     K(t) = d_0(t) - sum_k alpha_k log(1 - beta_k d_k(t)), where
     d_k(t) = sum_v w_kv expm1(t v) with weight mu in part 0 and severity f_kv
     in part k, so one bincount gives every d_k. Markov's inequality gives
@@ -358,20 +358,14 @@ class _Cumulant:
         if not self.t_max > 0.0:  # a gamma scale near 1e304 or above, which only a hand-built portfolio has
             raise ModelError(f"gamma scale {float(self.beta.max())!r} leaves no t > 0 to bound the loss tail")
 
-    def parts(self, fold: bool = False):
-        """(levels, epsilon, expected counts mu, gamma) of each part that carries loss, part 0 first.
+    def parts(self):
+        """(levels, epsilon, expected counts mu, (alpha, beta)) of each gamma part with loss that pool does not hold.
 
-        gamma is the part's (alpha, beta), or None for the compound Poisson part 0;
-        part k >= 1 is the k-th sector with cv > 0. With fold, the parts that
-        pool holds, part 0 and the folded ones, are left out, so every gamma is a pair.
+        Part k >= 1 is the k-th sector with cv > 0: a compound negative binomial.
         """
-        gammas = [None] + list(zip(self.alpha.tolist(), self.beta.tolist()))
-        bounds = np.searchsorted(self.part, np.arange(len(gammas) + 1))
-        live = bounds[1:] > bounds[:-1]
-        if fold:
-            live &= ~np.append(True, self.folded)
-        bounds = bounds.tolist()
-        for k in np.flatnonzero(live).tolist():
+        bounds = np.searchsorted(self.part, np.arange(1, self.alpha.size + 2)).tolist()
+        gammas = list(zip(self.alpha.tolist(), self.beta.tolist()))
+        for k in np.flatnonzero((np.diff(bounds) > 0) & ~self.folded).tolist():
             lo, hi = bounds[k], bounds[k + 1]
             yield self.v[lo:hi], self.eps[lo:hi], self.mu[lo:hi], gammas[k]
 
@@ -558,7 +552,7 @@ def loss_dist_sector(banded: BandedPortfolio, grid_size: int) -> LossDistributio
     eps = np.bincount(levels[below], weights=eps[below], minlength=grid_size)
     vs = np.flatnonzero(eps)
     pmfs = [_panjer(vs, eps[vs], eps[vs] / vs, None, grid_size, count)] if vs.size else []
-    pmfs += [_panjer(*part, grid_size) for part in cumulant.parts(fold=True)]
+    pmfs += [_panjer(*part, grid_size) for part in cumulant.parts()]
     raw = reduce(_convolve_pmfs, pmfs) if pmfs else np.eye(1, grid_size)[0]
     return LossDistribution(banded.unit, raw, tail_bound=cumulant.tail_bound(grid_size))
 
@@ -586,7 +580,7 @@ def loss_dist_fft(banded: BandedPortfolio, grid_size: int) -> LossDistribution:
     # the pmf is real, so its spectrum is Hermitian and the half spectrum suffices
     log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
     cumulant = banded._cumulant
-    for vs, _, mu, (alpha, beta) in cumulant.parts(fold=True):
+    for vs, _, mu, (alpha, beta) in cumulant.parts():
         q = np.fft.rfft(np.bincount(vs, weights=mu / mu.sum()), grid_size)
         # alpha*(log(1-rho) - log(1-rho*Q)) with beta = rho/(1-rho); |Q| <= 1 keeps
         # Re(1-Q) >= 0, so the log1p is accurate and finite however small beta is

@@ -1,9 +1,10 @@
 """Seeded Monte Carlo simulation of the same portfolio model.
 
-An independent cross-check of the analytic engine: draws gamma scalings per
-sector and then either Poisson defaults on the banded portfolio (one count
-per sector with a band picked per default, or one count per band, whichever
-draws fewer variates) or exact Bernoulli defaults on the raw sub-exposures.
+An independent cross-check of the analytic engine: draws either Poisson
+defaults on the engine's parts, with a gamma scaling per part outside its one
+compound Poisson (one count per part with a level picked per default, or one
+count per level, whichever draws fewer variates), or exact Bernoulli defaults
+on the raw sub-exposures, with a gamma scaling per sector.
 The Bernoulli mode also quantifies the Poisson approximation itself, since
 its losses can never exceed total exposure while the Poisson model's can.
 """
@@ -209,15 +210,16 @@ def simulate(
     """Draw aggregate losses under the gamma-mixed portfolio model.
 
     poisson-banded pays v*unit per default of the banded model, drawing the
-    engine's parts in order: the compound Poisson pooling every unmixed
-    sector, then each gamma sector. Given a part's gamma scaling G (1 for
-    the pooled part), its bands' default counts are independent Poissons
+    parts both backends compute, in order: _Cumulant.pool, the one compound
+    Poisson of the unmixed bands and the folded gamma sectors' clusters, then
+    each gamma sector of _Cumulant.parts(). Given a part's gamma scaling G
+    (1 for the pool), its levels' default counts are independent Poissons
     with means mu_v*G, which is the same law as one total count
-    N ~ Poisson(G*sum(mu)) with each default in band v with probability
+    N ~ Poisson(G*sum(mu)) with each default at level v with probability
     mu_v/sum(mu). Each part draws whichever way takes fewer expected
     variates per draw: count-first (N, then one uniform per default picked
-    from a Walker/Vose alias table of mu) when 1 + sum(mu) < its band
-    count, one Poisson per band otherwise. A per-band part consumes the
+    from a Walker/Vose alias table of mu) when 1 + sum(mu) < its level
+    count, one Poisson per level otherwise. A per-band part consumes the
     random stream as version 0.1.0 did; a count-first part draws N for
     every draw of the chunk, then its picks in row order.
 
@@ -237,10 +239,12 @@ def simulate(
     """
     bernoulli = cfg.mode == "bernoulli-exact"
     if not bernoulli:
+        levels, _, rates, _ = banded._cumulant.pool
+        pool = [(levels, rates, None)] if levels.size else []  # drawn first, with no gamma scaling
         plans = []  # payouts in whole units, so that any order of summing them is exact
-        for vs, _, mu, gamma in banded._cumulant.parts():
+        for vs, mu, alpha in pool + [(vs, mu, gamma[0]) for vs, _, mu, gamma in banded._cumulant.parts()]:
             table = (float(mu.sum()), *_alias_table(mu)) if _count_first(mu) else None
-            plans.append((None if gamma is None else gamma[0], mu, vs.astype(float), table))
+            plans.append((alpha, mu, vs.astype(float), table))
     else:
         if sectored is None:
             raise InputError("bernoulli-exact mode needs the sectored (pre-banding) portfolio")

@@ -90,3 +90,15 @@ def make_banded(sectors, unit: float = 1.0) -> ar.BandedPortfolio:
         sub_level=level,
         sub_epsilon=epsilon.astype(float),
     )
+
+
+def raw_parts(banded: ar.BandedPortfolio) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]]:
+    """Each part that carries loss as (levels, epsilon, mu, gamma), part 0 first, none folded.
+
+    Read straight from the model's columns (part, v, eps, mu, alpha, beta), so
+    oracles built on it do not rest on the code that folds parts into the pool:
+    gamma is None for the unmixed part 0 and (alpha, beta) for the k-th gamma sector.
+    """
+    c = banded._cumulant
+    gammas = [None, *zip(c.alpha.tolist(), c.beta.tolist())]
+    return [(c.v[c.part == k], c.eps[c.part == k], c.mu[c.part == k], gammas[k]) for k in np.unique(c.part).tolist()]

@@ -13,7 +13,7 @@ from scipy.stats import nbinom
 import agririsk as ar
 from agririsk.errors import InputError, ModelError
 
-from conftest import REPO_ROOT, make_banded, single_sector
+from conftest import REPO_ROOT, make_banded, raw_parts, single_sector
 
 # regression constant: sum of eps_j / v_j on the bundled dataset, single
 # sector, unit = 1; recomputed independently in test_bundled_single_sector_rate
@@ -359,9 +359,9 @@ class TestParts:
 
     @pytest.mark.parametrize("mode", ar.portfolio.SECTOR_MODES)
     def test_parts_carry_each_level_expected_count(self, bundled_portfolio, mode):
-        # both backends and the sampler read mu from the parts, so it must be the quotient they divided
+        # both backends and the sampler read mu from the model's columns, so it must be the quotient they divided
         banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), 1.0)
-        parts = list(banded._cumulant.parts())
+        parts = raw_parts(banded)
         assert parts
         for vs, eps, mu, _ in parts:
             assert np.array_equal(mu, eps / vs)
@@ -518,7 +518,7 @@ class TestLossDistFft:
 def per_part_fft(banded: ar.BandedPortfolio, grid_size: int) -> np.ndarray:
     """loss_dist_fft's pmf as 0.17.0 computed it: one rfft per part, and one complex log1p per gamma part."""
     log_g = np.zeros(grid_size // 2 + 1, dtype=complex)
-    for vs, _, mu, gamma in banded._cumulant.parts():
+    for vs, _, mu, gamma in raw_parts(banded):
         count = mu.sum()
         q = np.fft.rfft(np.bincount(vs, weights=mu / count), grid_size)
         if gamma is None:
@@ -541,7 +541,7 @@ def oracle_pmf(banded: ar.BandedPortfolio, size: int) -> np.ndarray:
     """The model's pmf on [0, size): each single-level gamma part from scipy, every other part from
     scalar_panjer, combined by direct convolution."""
     pmf = np.eye(1, size)[0]
-    for vs, eps, _, gamma in banded._cumulant.parts():
+    for vs, eps, _, gamma in raw_parts(banded):
         if gamma is not None and vs.size == 1:
             part = nbinom_at_level(*gamma, int(vs[0]), size)
         else:
@@ -631,11 +631,12 @@ class TestFoldedSeries:
     def test_multi_level_parts_keep_their_own_code(self, bundled_portfolio):
         # every part outside per-obligor mode spans several levels, so no run there folds one
         for mode in ("crop-livestock", "single"):
-            c = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), 1.0)._cumulant
+            banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), 1.0)
+            c = banded._cumulant
             assert not c.folded.any()
-            assert [p[3] for p in c.parts(fold=True)] == [p[3] for p in c.parts()]
+            assert [p[3] for p in c.parts()] == [p[3] for p in raw_parts(banded)]
         c = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor")), 2.0)._cumulant
-        assert c.folded.all() and not list(c.parts(fold=True))
+        assert c.folded.all() and not list(c.parts())
 
     def test_per_obligor_book_matches_the_per_part_fft(self):
         banded = per_obligor_book(2000, 35, 10.0)
@@ -655,13 +656,14 @@ class TestOnePool:
 
     def test_fold_yields_only_negative_binomial_parts(self):
         c = make_banded(TestFoldedSeries.MIXED)._cumulant
-        gammas = [gamma for *_, gamma in c.parts(fold=True)]
+        gammas = [gamma for *_, gamma in c.parts()]
         assert None not in gammas
         assert gammas == [(c.alpha[k], c.beta[k]) for k in np.flatnonzero(~c.folded)]
 
     def test_pool_is_part_0_then_the_series(self):
-        c = make_banded(TestFoldedSeries.MIXED)._cumulant
-        (v0, eps0, mu0, gamma), *_ = c.parts()
+        banded = make_banded(TestFoldedSeries.MIXED)
+        c = banded._cumulant
+        (v0, eps0, mu0, gamma), *_ = raw_parts(banded)
         levels, rates, count = c.series()
         pool_levels, pool_eps, pool_mu, pool_count = c.pool
         assert gamma is None and v0.tolist() == [1, 4]
@@ -674,7 +676,7 @@ class TestOnePool:
     @pytest.mark.parametrize("unit", [1.0, 10.0])
     def test_poisson_backend_is_one_recursion_of_part_0(self, bundled_portfolio, unit):
         banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment()), unit)
-        (vs, eps, mu, gamma), = dataclasses.replace(banded, cv=np.zeros(len(banded.names)))._cumulant.parts()
+        (vs, eps, mu, gamma), = raw_parts(dataclasses.replace(banded, cv=np.zeros(len(banded.names))))
         grid = ar.auto_grid_size(banded)
         assert gamma is None
         assert np.array_equal(ar.loss_dist_poisson(banded, grid).pmf, ar.engine._panjer(vs, eps, mu, None, grid))
@@ -685,7 +687,7 @@ class TestOnePool:
         fft, panjer = (ar.run_pipeline(unit=unit, sector_rates={"crop": (0.02, 0.0)}, backend=backend)
                        for backend in ("fft", "panjer"))
         c = fft.banded._cumulant
-        assert [gamma is None for *_, gamma in c.parts()] == [True, False] and not c.folded.any()
+        assert [gamma is None for *_, gamma in raw_parts(fft.banded)] == [True, False] and not c.folded.any()
         assert fft.dist.pmf.size == panjer.dist.pmf.size
         assert 0.5 * float(np.abs(fft.dist.pmf - panjer.dist.pmf).sum()) <= 1e-8
 

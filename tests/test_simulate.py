@@ -15,8 +15,8 @@ from agririsk.engine import _MAX_GAMMA_SCALE
 from agririsk.errors import InputError, ModelError
 from agririsk.simulate import BLOCK_VARIATES, CHUNK_DRAWS, _alias_table, _count_first, _pick, _quantile_band
 
-from conftest import HEADER, make_banded, single_sector
-from test_engine import poisson_sector
+from conftest import HEADER, make_banded, raw_parts, single_sector
+from test_engine import TestFoldedSeries, poisson_sector
 
 
 def sample_distribution(dist: ar.LossDistribution, n_draws: int, seed: int) -> ar.EmpiricalDistribution:
@@ -57,7 +57,8 @@ class TestSimulate:
 
     def test_banded_loss_past_the_largest_float_refused(self):
         # one obligor of 1.5e308 at unit 1e306: two sectors at level 75, so three defaults are 225 units, past
-        # 1.79e308 in money; the multiply by the unit made them inf with a RuntimeWarning
+        # 1.79e308 in money; the multiply by the unit made them inf with a RuntimeWarning. Both sectors fold
+        # into the pool, and seed 0's 25 draws reach three defaults but not four
         portfolio = ar.parse_portfolio(HEADER.rsplit(",", 1)[0] + "\nA,a,1.5e308,0.5,0.1,0.5,0.5\n")
         sectored = ar.assign_sectors(portfolio, ar.SectorAssignment("crop-livestock", None))
         banded = ar.band_exposures(sectored, 1e306)
@@ -65,7 +66,7 @@ class TestSimulate:
             warnings.simplefilter("error")
             message = "a sampled loss of 225 units overflows at unit 1e+306; use a smaller unit (--unit)"
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-                ar.simulate(banded, ar.SimConfig(n_draws=20, seed=0))
+                ar.simulate(banded, ar.SimConfig(n_draws=25, seed=0))
             # each bernoulli-exact sample is at most the total exposure, which the portfolio keeps finite
             exact = ar.simulate(banded, ar.SimConfig(n_draws=20, seed=0, mode="bernoulli-exact"), sectored)
             assert exact.samples[-1] == 1.5e308
@@ -130,9 +131,19 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ar.portfolio.MC_MODES)
     def test_gamma_shapes_are_the_engines(self, bundled_portfolio, monkeypatch, mode):
-        # per-obligor on the bundled data: one sector's scalar cv**-2 differs from numpy's in the last bit
-        sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
-        banded = ar.band_exposures(sectored, 10.0)
+        # bernoulli-exact scales each sector by its part's shape; per-obligor on the bundled data, one
+        # sector's scalar cv**-2 differs from numpy's in the last bit. poisson-banded scales only the parts
+        # outside the pool: on the mixed book, its multi-level part and its single-level part with beta > 1
+        if mode == "bernoulli-exact":
+            sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
+            banded = ar.band_exposures(sectored, 10.0)
+            alpha = banded._cumulant.alpha.tolist()
+            assert len(alpha) == 22
+        else:
+            sectored, banded = None, make_banded(TestFoldedSeries.MIXED)
+            c = banded._cumulant
+            alpha = c.alpha[~c.folded].tolist()
+            assert len(alpha) == 2
         module = importlib.import_module("agririsk.simulate")
         shapes, draw = [], module._gamma_scalings
 
@@ -142,8 +153,6 @@ class TestSimulate:
 
         monkeypatch.setattr(module, "_gamma_scalings", recorded)
         ar.simulate(banded, ar.SimConfig(n_draws=10, seed=1, mode=mode), sectored)
-        alpha = banded._cumulant.alpha.tolist()
-        assert len(alpha) == 22
         assert shapes == alpha
 
     def test_clamped_probabilities_are_counted(self):
@@ -195,9 +204,11 @@ class TestBlockedDraws:
         (64, CHUNK_DRAWS + 4096, BLOCK_VARIATES), (1100, 4096, BLOCK_VARIATES), (1100, 4096, 1000)])
     def test_blocks_are_bounded(self, monkeypatch, mode, cols, n_draws, block_variates):
         # one gamma sector drawn over cols columns: bands with mu = 2 (per band) or sub-exposures;
-        # at 1000 variates a block holds less than one row of 1100 columns
+        # at 1000 variates a block holds less than one row of 1100 columns. cv 1 gives one band the
+        # gamma scale beta = 2 > 1, so it stays a part of its own and is not folded into the pool
         if mode == "poisson-banded":
-            sectored, banded = None, make_banded([("g", 0.5, [(v, 2.0 * v) for v in range(1, cols + 1)])])
+            sectored, banded = None, make_banded([("g", 1.0, [(v, 2.0 * v) for v in range(1, cols + 1)])])
+            assert not banded._cumulant.folded.any()
             assert not _count_first(_part_mu(banded))
         else:
             sectored, banded = single_sector("".join(f"O{i},O{i},{1 + i},0.02,0.01,1,0\n" for i in range(cols)))
@@ -269,7 +280,7 @@ class TestCountFirst:
             ("g", 0.8, [(1, 0.3), (4, 0.7)]),
             ("b", 0.0, [(2, 0.6), (3, 0.4), (5, 0.8)]),
         ])
-        pooled, gamma_part = banded._cumulant.parts()
+        pooled, gamma_part = raw_parts(banded)
         assert (pooled[0].tolist(), pooled[3]) == ([1, 2, 3, 5, 7], None)
         assert (gamma_part[0].tolist(), gamma_part[3][0]) == ([1, 4], banded._cumulant.alpha[0])
         n = 200_000
@@ -367,7 +378,7 @@ class TestThreads:
         sectored, banded = two_sectors(
             "".join(f"C{i},C{i},{10 + i},0.02,0.01,1,0\n" for i in range(8))
             + "".join(f"L{i},L{i},{5 + 3 * i},0.9,0.9,0,1\n" for i in range(3)))
-        assert [_count_first(mu) for _, _, mu, _ in banded._cumulant.parts()] == [True, False]
+        assert [_count_first(mu) for _, _, mu, _ in raw_parts(banded)] == [True, False]
         module = importlib.import_module("agririsk.simulate")
         cfg = ar.SimConfig(n_draws=2 * CHUNK_DRAWS + 17, seed=29, mode=mode)
         threads, draw_chunk = set(), module._draw_chunk
