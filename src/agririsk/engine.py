@@ -289,7 +289,8 @@ def analytic_moments(banded: BandedPortfolio) -> tuple[float, float]:
     term only for a gamma part; the gamma mixing leaves the mean at sum(eps).
     """
     c = banded._cumulant
-    var_u = float(c.eps @ c.v) + float(c.eps_total[1:] ** 2 @ (1.0 / c.alpha))
+    # numpy's own loops, not a threaded BLAS dot, so the sums do not move with the thread count
+    var_u = float(np.einsum("i,i->", c.eps, c.v)) + float(np.einsum("i,i->", c.eps_total[1:] ** 2, 1.0 / c.alpha))
     mean, variance = float(c.eps_total.sum()) * banded.unit, var_u * (banded.unit * banded.unit)
     if not (mean < math.inf and variance < math.inf):  # NaN too: a zero variance times an infinite unit * unit
         raise ModelError(f"model moments overflow at unit {banded.unit!r}; use a smaller unit (--unit)")
@@ -399,7 +400,7 @@ class _Cumulant:
             power *= rho
         m = np.arange(1, terms.sum() + 1) - np.repeat(np.cumsum(terms) - terms, terms)
         rates = np.repeat(alpha, terms) * np.repeat(rho, terms) ** m / m
-        return np.repeat(v, terms) * m, rates, float(alpha @ log_count)
+        return np.repeat(v, terms) * m, rates, float(np.einsum("i,i->", alpha, log_count))
 
     @cached_property
     def pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -418,7 +419,7 @@ class _Cumulant:
             x = self.beta * d[1:]
         if not np.all(x < 1.0):
             return math.inf
-        return float(d[0] - self.alpha @ np.log1p(-x))
+        return float(d[0] - np.einsum("i,i->", self.alpha, np.log1p(-x)))
 
     def grid_need(self) -> float:
         """Least n the bound certifies at TAIL_EPS: min over t of (K(t) + log(1/TAIL_EPS)) / t."""

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from scipy.stats import nbinom
 import agririsk as ar
 from agririsk.errors import InputError, ModelError
 
-from conftest import REPO_ROOT, make_banded, raw_parts, single_sector
+from conftest import REPO_ROOT, make_banded, raw_parts, run_python, single_sector
 
 # regression constant: sum of eps_j / v_j on the bundled dataset, single
 # sector, unit = 1; recomputed independently in test_bundled_single_sector_rate
@@ -1142,6 +1143,33 @@ class TestMomentConservation:
         message = f"model moments overflow at unit {unit!r}; use a smaller unit (--unit)"
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             ar.analytic_moments(banded)
+
+    def test_model_sums_do_not_move_with_the_openblas_thread_count(self, tmp_path, monkeypatch):
+        """The benchmark's 20,000-obligor book, per-obligor at unit 10: analytic_moments, the pool's count,
+        the grid need and a tail bound read the same on one OpenBLAS thread and on two.
+
+        Their dots run over 20,000 gamma parts and levels; a BLAS dot that long splits across threads and
+        rounds differently, so _Cumulant sums in numpy's own loop. A numpy not built on OpenBLAS ignores
+        the variable, and the runs are then alike.
+        """
+        spec = importlib.util.spec_from_file_location("book", REPO_ROOT / "perfbench" / "book.py")
+        book = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(book)
+        (tmp_path / "book.csv").write_text(book.generate(ar.bundled_dataset_path(), 20000, 1), encoding="utf-8")
+        script = (
+            "import agririsk as ar\n"
+            "port = ar.discount_exposures(ar.load_portfolio('book.csv'), ar.DiscountSpec(0.03, 1.0))\n"
+            "banded = ar.band_exposures(ar.assign_sectors(port, ar.SectorAssignment('per-obligor')), 10.0)\n"
+            "print(repr(ar.analytic_moments(banded)), repr(banded._cumulant.pool[3]))\n"
+            "print(repr(banded._cumulant.grid_need()), repr(banded._cumulant.tail_bound(500)))\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            result = run_python(["-c", script], tmp_path)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestSerialization:
