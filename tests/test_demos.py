@@ -1,10 +1,12 @@
 """Smoke test: the demos run to completion against this checkout.
 
 Demo 05 rewrites the committed files under reports/, so it runs in a copy
-of demos/ and data/, and its JSON is compared with the committed one.
+of demos/ and data/, and its JSON and Markdown are compared with the
+committed ones.
 """
 
 import json
+import re
 import shutil
 
 import pytest
@@ -40,3 +42,9 @@ def test_reference_reproduction_matches_committed_report(tmp_path):
         got_mean, want_mean = got.pop("mean"), want.pop("mean")
         assert got_mean == pytest.approx(want_mean, rel=1e-9, abs=0.0)
     assert fresh == committed
+    # the Markdown too, whose version line would otherwise go stale unseen; only its truncation masses are round-off
+    fresh_md, committed_md = (
+        re.sub(r"truncation mass \S+", "truncation mass X", (root / "reports" / "tail_reproduction.md").read_text())
+        for root in (tmp_path, REPO_ROOT)
+    )
+    assert fresh_md == committed_md

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency, chisquare, nbinom
 
 import agririsk as ar
 from agririsk.engine import _MAX_GAMMA_SCALE
@@ -16,7 +17,7 @@ from agririsk.errors import InputError, ModelError
 from agririsk.simulate import BLOCK_VARIATES, CHUNK_DRAWS, _alias_table, _count_first, _pick, _quantile_band
 
 from conftest import HEADER, make_banded, raw_parts, single_sector
-from test_engine import TestFoldedSeries, poisson_sector
+from test_engine import poisson_sector
 
 
 def sample_distribution(dist: ar.LossDistribution, n_draws: int, seed: int) -> ar.EmpiricalDistribution:
@@ -24,6 +25,17 @@ def sample_distribution(dist: ar.LossDistribution, n_draws: int, seed: int) -> a
     rng = np.random.default_rng(seed)
     idx = np.minimum(np.searchsorted(dist.cdf, rng.random(n_draws), side="right"), dist.pmf.size - 1)
     return ar.EmpiricalDistribution(samples=np.sort(idx * dist.unit), mode="inverse-cdf", seed=seed)
+
+
+# part 0, a multi-level gamma part, and single-level gamma parts of mu 1 with beta 1/4 and 1 (both folded
+# into the pool) and 9/4 (a part of its own)
+POOL_BOOK = [
+    ("p", 0.0, [(1, 0.5), (4, 1.0)]),
+    ("m", 0.7, [(2, 0.6), (5, 0.8)]),
+    ("low", 0.5, [(3, 3.0)]),
+    ("one", 1.0, [(2, 2.0)]),
+    ("high", 1.5, [(3, 3.0)]),
+]
 
 
 class TestSimulate:
@@ -133,14 +145,14 @@ class TestSimulate:
     def test_gamma_shapes_are_the_engines(self, bundled_portfolio, monkeypatch, mode):
         # bernoulli-exact scales each sector by its part's shape; per-obligor on the bundled data, one
         # sector's scalar cv**-2 differs from numpy's in the last bit. poisson-banded scales only the parts
-        # outside the pool: on the mixed book, its multi-level part and its single-level part with beta > 1
+        # outside the pool: on POOL_BOOK, its multi-level part and its single-level part with beta > 1
         if mode == "bernoulli-exact":
             sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
             banded = ar.band_exposures(sectored, 10.0)
             alpha = banded._cumulant.alpha.tolist()
             assert len(alpha) == 22
         else:
-            sectored, banded = None, make_banded(TestFoldedSeries.MIXED)
+            sectored, banded = None, make_banded(POOL_BOOK)
             c = banded._cumulant
             alpha = c.alpha[~c.folded].tolist()
             assert len(alpha) == 2
@@ -363,6 +375,61 @@ class TestCountFirst:
         assert np.all(np.isfinite(emp.samples)) and emp.samples[0] >= 0.0
 
 
+def per_part_reference(banded: ar.BandedPortfolio, n: int, seed: int) -> np.ndarray:
+    """Losses in units drawn part by part with numpy alone: a mean-1 gamma scaling G for each gamma part,
+    then one Poisson count per level at mean mu * G, with no part folded and no alias table."""
+    rng = np.random.default_rng(seed)
+    loss = np.zeros(n, np.int64)
+    for vs, _, mu, gamma in raw_parts(banded):
+        scale = np.ones(n) if gamma is None else rng.gamma(gamma[0], 1.0 / gamma[0], n)
+        loss += (rng.poisson(np.outer(scale, mu)) * vs).sum(axis=1)
+    return loss.astype(float)
+
+
+def homogeneity_p(a: np.ndarray, b: np.ndarray) -> float:
+    """Chi-square p-value that two samples of whole numbers share one law: runs of values, left to right,
+    are merged into cells of at least 40 samples of both together."""
+    size = int(max(a.max(), b.max())) + 1
+    counts = np.stack([np.bincount(x.astype(np.int64), minlength=size) for x in (a, b)])
+    cells, cell = [], np.zeros(2)
+    for column in counts.T:
+        cell = cell + column
+        if cell.sum() >= 40:
+            cells.append(cell)
+            cell = np.zeros(2)
+    cells[-1] = cells[-1] + cell
+    return float(chi2_contingency(np.array(cells).T).pvalue)
+
+
+class TestPooledDraws:
+    """poisson-banded draws the engine's pool; these checks rest on neither the folding code nor the series."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pooled_draws_match_per_part_draws(self, seed):
+        banded = make_banded(POOL_BOOK)
+        c = banded._cumulant
+        assert c.beta[1:].tolist() == [0.25, 1.0, 2.25] and c.folded.tolist() == [False, True, True, False]
+        n = 200_000
+        pooled = ar.simulate(banded, ar.SimConfig(n_draws=n, seed=seed)).samples
+        reference = per_part_reference(banded, n, 1000 + seed)
+        assert homogeneity_p(pooled, reference) > 1e-3
+
+    @pytest.mark.parametrize("cv, eps", [(0.5, 6.0), (1.0, 3.0)])
+    def test_folded_count_is_negative_binomial(self, cv, eps):
+        # one part at level 3 with mu eps / 3: alpha 4 and beta 1/2, or alpha 1 and beta 1, drawn from the pool
+        banded = make_banded([("f", cv, [(3, eps)])])
+        c = banded._cumulant
+        alpha, beta = float(c.alpha[0]), float(c.beta[0])
+        assert c.folded.all() and not list(c.parts())
+        n = 200_000
+        count = (ar.simulate(banded, ar.SimConfig(n_draws=n, seed=47)).samples / 3.0).astype(np.int64)
+        p = 1.0 / (1.0 + beta)
+        top = int(nbinom.isf(1e-4, alpha, p))  # the tail from here on is one cell of about 20 expected draws
+        observed = np.bincount(np.minimum(count, top), minlength=top + 1)
+        expected = n * np.append(nbinom.pmf(np.arange(top), alpha, p), nbinom.sf(top - 1, alpha, p))
+        assert chisquare(observed, expected).pvalue > 1e-3
+
+
 def two_sectors(rows: str) -> tuple[ar.SectoredPortfolio, ar.BandedPortfolio]:
     """Sectored and banded crop-livestock views of portfolio CSV rows, without expected_loss."""
     portfolio = ar.parse_portfolio(HEADER.rsplit(",", 1)[0] + "\n" + rows)
@@ -372,13 +439,17 @@ def two_sectors(rows: str) -> tuple[ar.SectoredPortfolio, ar.BandedPortfolio]:
 
 class TestThreads:
     @pytest.mark.parametrize("mode", ar.portfolio.MC_MODES)
-    def test_samples_do_not_depend_on_the_worker_count(self, monkeypatch, mode):
+    def test_samples_do_not_depend_on_the_worker_count(self, bundled_portfolio, monkeypatch, mode):
         # a count-first crop sector and a per-band livestock one whose 0.9 rates clamp under
-        # scalings above 1.12, over three chunks, the last of 17 draws
+        # scalings above 1.12, over three chunks, the last of 17 draws; then the bundled per-obligor
+        # book, whose 22 sectors all fold into the pool
         sectored, banded = two_sectors(
             "".join(f"C{i},C{i},{10 + i},0.02,0.01,1,0\n" for i in range(8))
             + "".join(f"L{i},L{i},{5 + 3 * i},0.9,0.9,0,1\n" for i in range(3)))
         assert [_count_first(mu) for _, _, mu, _ in raw_parts(banded)] == [True, False]
+        per_obligor = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
+        books = [(sectored, banded), (per_obligor, ar.band_exposures(per_obligor, 1.0))]
+        assert books[1][1]._cumulant.folded.all()
         module = importlib.import_module("agririsk.simulate")
         cfg = ar.SimConfig(n_draws=2 * CHUNK_DRAWS + 17, seed=29, mode=mode)
         threads, draw_chunk = set(), module._draw_chunk
@@ -388,21 +459,24 @@ class TestThreads:
             return draw_chunk(*args)
 
         monkeypatch.setattr(module, "_draw_chunk", recorded)
-        runs = []
+        clamped = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more thread switches than the default 5 ms allows
         try:
-            for workers in (1, 2, 3):
-                threads.clear()
-                monkeypatch.setattr(module, "_cpu_count", lambda workers=workers: workers)
-                runs.append(ar.simulate(banded, cfg, sectored))
-                assert len(threads) == workers and threading.get_ident() in threads
+            for sectored, banded in books:
+                runs = []
+                for workers in (1, 2, 3):
+                    threads.clear()
+                    monkeypatch.setattr(module, "_cpu_count", lambda workers=workers: workers)
+                    runs.append(ar.simulate(banded, cfg, sectored))
+                    assert len(threads) == workers and threading.get_ident() in threads
+                for run in runs[1:]:
+                    np.testing.assert_array_equal(run.samples, runs[0].samples)
+                    assert run.clamp_count == runs[0].clamp_count
+                clamped.append(runs[0].clamp_count)
         finally:
             sys.setswitchinterval(interval)
-        for run in runs[1:]:
-            np.testing.assert_array_equal(run.samples, runs[0].samples)
-            assert run.clamp_count == runs[0].clamp_count
-        assert (runs[0].clamp_count > 0) is (mode == "bernoulli-exact")
+        assert (clamped[0] > 0) is (mode == "bernoulli-exact")
 
     def test_one_chunk_is_drawn_by_the_caller(self, bundled_banded, monkeypatch):
         module = importlib.import_module("agririsk.simulate")
