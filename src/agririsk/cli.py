@@ -18,6 +18,10 @@ from .simulate import SimConfig, compare as mc_compare, simulate as mc_simulate
 
 _DEFAULTS = run_pipeline.__kwdefaults__  # every pipeline keyword is keyword-only and has a flag
 
+# A command's result, which main alone writes and prints: exit status, files in --out (name: text, in
+# write order), printed lines, and texts for paths of their own (--dump-samples: text).
+Output = tuple[int, dict[str, str], list[str], dict[str, str]]
+
 
 def _parse_levels(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     try:
@@ -121,47 +125,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_validate(args, parser) -> int:
+def cmd_validate(args, parser) -> Output:
     port = pf.load_portfolio(args.input or pf.bundled_dataset_path())
     findings = pf.validate_portfolio(port, args.tolerance)
-    for f in findings:
-        print(f"{f.severity} {f.kind} {f.obligor_id}: {f.message}")
-    print(f"{len(findings)} finding(s)")
-    return 1 if any(f.severity == "error" for f in findings) else 0
+    lines = [f"{f.severity} {f.kind} {f.obligor_id}: {f.message}" for f in findings]
+    status = 1 if any(f.severity == "error" for f in findings) else 0
+    return status, {}, [*lines, f"{len(findings)} finding(s)"], {}
 
 
-def cmd_analyze(args, parser) -> int:
+def cmd_analyze(args, parser) -> Output:
     run = run_pipeline(**_pipeline_args(args, parser))
     report = analytics.build_report(run.portfolio, run.banded, run.dist, run.levels, run.config, run.findings)
-    report_json = report.to_json()  # before --out is made: a refused report writes nothing
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report_json, encoding="utf-8")
-    quantiles = report.quantiles_csv()
-    (out / "quantiles.csv").write_text(quantiles, encoding="utf-8")
-    (out / "contributions.csv").write_text(report.contributions_csv(), encoding="utf-8")
-    print(f"portfolio expected loss {report.contributions.total_expected_loss:.6f}")
-    print(f"distribution mean {report.moments.mean:.6f} variance {report.moments.variance:.6f}")
-    print(quantiles, end="")
-    print(f"wrote report.json, quantiles.csv, contributions.csv to {out}")
-    return 0
+    files = {"report.json": report.to_json(), "quantiles.csv": report.quantiles_csv(),
+             "contributions.csv": report.contributions_csv()}
+    lines = [f"portfolio expected loss {report.contributions.total_expected_loss:.6f}",
+             f"distribution mean {report.moments.mean:.6f} variance {report.moments.variance:.6f}",
+             *files["quantiles.csv"].splitlines()]
+    return 0, files, lines, {}
 
 
-def cmd_dist(args, parser) -> int:
+def cmd_dist(args, parser) -> Output:
     dist = run_pipeline(**_pipeline_args(args, parser)).dist
     mom = analytics.moments(dist)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "distribution.csv").write_text(dist.to_csv(), encoding="utf-8")
-    print(f"mean {mom.mean!r}")
-    print(f"variance {mom.variance!r}")
-    print(f"truncation_mass {dist.truncation_mass!r}")
-    print(f"tail_bound {dist.tail_bound!r}")
-    print(f"wrote distribution.csv to {out}")
-    return 0
+    lines = [f"mean {mom.mean!r}", f"variance {mom.variance!r}",
+             f"truncation_mass {dist.truncation_mass!r}", f"tail_bound {dist.tail_bound!r}"]
+    return 0, {"distribution.csv": dist.to_csv()}, lines, {}
 
 
-def cmd_simulate(args, parser) -> int:
+def cmd_simulate(args, parser) -> Output:
     cfg = SimConfig(n_draws=args.n_draws, seed=args.seed, mode=args.mc_mode)
     run = run_pipeline(**_pipeline_args(args, parser))
     empirical = mc_simulate(run.banded, cfg, run.sectored)
@@ -176,21 +167,12 @@ def cmd_simulate(args, parser) -> int:
     except ValueError:  # JSON has no inf or NaN
         raise ModelError("mc_summary.json would hold a number that is not finite, "
                          "such as a sample mean or stddev past the largest float") from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "mc_summary.json").write_text(summary + "\n", encoding="utf-8")
-    if args.dump_samples:
-        Path(args.dump_samples).write_text(empirical.to_csv(), encoding="utf-8")
-    print("level,analytic,empirical,stderr_loss,flagged")
-    for row in comparison.rows:
-        print(
-            f"{row.level!r},{row.analytic_quantile:.6f},{row.empirical_quantile:.6f},"
-            f"{row.stderr_loss:.6f},{row.flagged}"
-        )
-    print(f"clamped probabilities: {empirical.clamp_count}")
-    print(f"flags: {comparison.flag_count}")
-    print(f"wrote mc_summary.json to {out}")
-    return 0
+    lines = ["level,analytic,empirical,stderr_loss,flagged"]
+    lines += [f"{row.level!r},{row.analytic_quantile:.6f},{row.empirical_quantile:.6f},"
+              f"{row.stderr_loss:.6f},{row.flagged}" for row in comparison.rows]
+    lines += [f"clamped probabilities: {empirical.clamp_count}", f"flags: {comparison.flag_count}"]
+    samples = {args.dump_samples: empirical.to_csv()} if args.dump_samples else {}
+    return 0, {"mc_summary.json": summary + "\n"}, lines, samples
 
 
 _COMMANDS = {
@@ -205,13 +187,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
-    except ModelError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except (InputError, OSError, UnicodeDecodeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        status, files, lines, elsewhere = _COMMANDS[args.command](args, parser)
+        if files:  # made only now that every text exists, so a refused run writes nothing
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (out / name).write_text(text, encoding="utf-8")
+            lines.append(f"wrote {', '.join(files)} to {out}")
+        for path, text in elsewhere.items():  # after --out is made, which may hold the path
+            Path(path).write_text(text, encoding="utf-8")
+        print(*lines, sep="\n")
+    except (ModelError, InputError, OSError, UnicodeDecodeError) as exc:
+        print(exc, file=sys.stderr)
+        return 1 if isinstance(exc, ModelError) else 2
+    return status
 
 
 if __name__ == "__main__":

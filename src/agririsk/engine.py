@@ -226,7 +226,8 @@ def exceedance_quantile(dist: LossDistribution, eps: float) -> float:
 
 def units_ceiling(amount, unit: float):
     """Band level ceiling(amount/unit), snapped to exact multiples: an int, or int64s for an array."""
-    q = np.asarray(amount, dtype=float) / unit
+    with np.errstate(over="ignore"):  # an amount past the largest float in units is refused below
+        q = np.asarray(amount, dtype=float) / unit
     if not np.all(q < _MAX_LEVEL):
         raise ModelError(f"an exposure spans {np.max(q):.4g} units; use a larger unit (--unit)")
     nearest = np.round(q)
@@ -353,7 +354,8 @@ class _Cumulant:
         self.alpha = cv**-2
         self.beta = cv**2 * totals[1:]
         first = np.flatnonzero(np.diff(self.part, prepend=0))
-        with np.errstate(divide="ignore"):  # a beta that underflowed to 0 has no pole
+        # beta 0 has no pole; where 1/beta overflows (beta < 5.6e-309) the pole lies past 700 / max_v anyway
+        with np.errstate(divide="ignore", over="ignore"):
             poles = np.log1p(1.0 / self.beta[self.part[first] - 1]) / self.v[first]
         self.t_max = float(min(_EXPM1_CAP / self.v.max(initial=1), poles.min(initial=math.inf)))
         if not self.t_max > 0.0:  # a gamma scale near 1e304 or above, which only a hand-built portfolio has
@@ -500,8 +502,8 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, mu: np.ndarray, gamma: tuple[float,
     else:
         alpha, beta = gamma
         rho = beta / (1.0 + beta)
-        if not 0.0 < rho < 1.0:
-            raise ModelError(f"rho must lie in (0, 1), got {rho!r}")
+        if not 0.0 <= rho < 1.0:  # 0 where beta underflowed: the count is 0, and g is the point mass at 0
+            raise ModelError(f"rho must lie in [0, 1), got {rho!r}")
         log_g0 = -alpha * math.log1p(beta)
     pieces = max(1, math.ceil(log_g0 / _LOG_G0_FLOOR))
     if gamma is None:

@@ -433,7 +433,8 @@ def assign_sectors(portfolio: Portfolio, assignment: SectorAssignment) -> Sector
         sector, obligor = np.nonzero(amounts > 0.0)  # sector by sector, obligors in order
         amount = amounts[sector, obligor]
         weight = np.bincount(sector, amount)  # sums in table order
-        rates = [np.bincount(sector, amount * r[obligor]) / weight for r in (mean, stddev)]
+        with np.errstate(over="ignore"):  # a volatility sum past the largest float: band_exposures refuses its inf
+            rates = [np.bincount(sector, amount * r[obligor]) / weight for r in (mean, stddev)]
         for name in set(overrides) & set(names):
             k = names.index(name)
             rates[0][k], rates[1][k] = overrides[name]

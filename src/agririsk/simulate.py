@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +262,10 @@ def simulate(
     n_chunks = math.ceil(cfg.n_draws / CHUNK_DRAWS)
     children = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     workers = min(_cpu_count(), n_chunks)
+    start = threading.Barrier(workers)  # no share draws before each has its thread: a pool reuses an idle one
 
     def draw_share(share: int) -> int:
+        start.wait()
         # chunks share, share + workers, ...; each adds into its own slice of losses
         return sum(_draw_chunk(children[i], losses[i * CHUNK_DRAWS : (i + 1) * CHUNK_DRAWS], plans, bernoulli)
                    for i in range(share, n_chunks, workers))
@@ -273,8 +276,12 @@ def simulate(
         from concurrent.futures import ThreadPoolExecutor  # at module level it would slow every CLI start
 
         with ThreadPoolExecutor(workers - 1) as pool:
-            others = [pool.submit(draw_share, share) for share in range(1, workers)]
-            clamped = draw_share(0) + sum(f.result() for f in others)
+            try:
+                others = [pool.submit(draw_share, share) for share in range(1, workers)]
+                clamped = draw_share(0) + sum(f.result() for f in others)
+            except BaseException:  # a thread that could not start, or an interrupt, must not leave shares waiting
+                start.abort()
+                raise
     losses.sort()
     if not bernoulli:
         top = float(losses[-1])

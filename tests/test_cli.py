@@ -183,6 +183,44 @@ def test_gamma_scale_refused_where_cv_or_its_square_overflows(tmp_path, mean):
     assert result.stderr == "sector 'AAA': rate volatility 100000000.0 is too large for a gamma scale\n"
 
 
+def test_gamma_scale_underflowing_to_zero_runs_on_both_backends(tmp_path, capsys):
+    # crop's gamma scale cv**2 * mu underflows to 0, so its count is 0: the FFT took its factor as 1, and Panjer
+    # refused with "rho must lie in (0, 1), got 0.0"
+    book = tmp_path / "zero-scale.csv"
+    book.write_text(f"{HEADER.rsplit(',', 1)[0]}\nA,a,100,1e-20,1e-20,1,0\nC,c,300,1e-20,1e-20,1,0\nB,b,100,0.05,0.02,0,1\n")
+    for backend in ("fft", "panjer"):
+        args = ["analyze", "--input", str(book), "--backend", backend, "--sector-rate", "crop=1e-10,2e-164"]
+        assert main([*args, "--out", str(tmp_path / backend)]) == 0, capsys.readouterr().err
+    assert (tmp_path / "fft" / "quantiles.csv").read_bytes() == (tmp_path / "panjer" / "quantiles.csv").read_bytes()
+
+
+def test_subnormal_gamma_scale_warns_nothing(tmp_path, capsys):
+    # beta is about 1e-320, so 1/beta overflowed in the tail bound's pole with a RuntimeWarning on a run that succeeds
+    book = tmp_path / "subnormal.csv"
+    book.write_text(f"{HEADER.rsplit(',', 1)[0]}\nA,a,100,1e-20,1e-170,1,0\nB,b,100,0.05,0.02,0,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["analyze", "--input", str(book), "--sector-mode", "per-obligor", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert status == 0, captured.err
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("row, args, status, message", [
+    # 1e307 * 1e8 overflowed in the amount-weighted sector volatility, with a RuntimeWarning before the refusal
+    ("A,a,1e307,0.5,1e8,1,0", ["--sector-mode", "single", "--unit", "1e300"], 2,
+     "sector 'portfolio': rate volatility inf is too large for a gamma scale"),
+    # 1.5e308 / 0.2 overflowed in the band levels, with a RuntimeWarning before the refusal
+    ("A,a,1.5e308,0.5,0.01,0,1", ["--unit", "0.2"], 1, "an exposure spans inf units; use a larger unit (--unit)"),
+], ids=["volatility", "level"])
+def test_overflow_refused_in_one_line(tmp_path, row, args, status, message):
+    (tmp_path / "big.csv").write_text(f"{HEADER.rsplit(',', 1)[0]}\n{row}\n")
+    result = run_python(["-W", "error", "-m", "agririsk.cli", "analyze", "--input", "big.csv", *args], tmp_path)
+    assert result.returncode == status, result.stdout + result.stderr
+    assert result.stderr == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_gamma_pole_overflow_warns_nothing(tmp_path):
     # beta * d(t) overflows to inf near the top of the pole search, which is only "above the pole"
     result = run_cli(["analyze", "--unit", "1e4", "--sector-rate", "crop=0.03,1000"], tmp_path)
@@ -463,6 +501,27 @@ class TestSimulate:
         run = ar.run_pipeline(unit=10.0)
         expected = ar.simulate(run.banded, ar.SimConfig(n_draws=1000, seed=42), run.sectored).samples
         assert [float(line) for line in lines[1:]] == expected.tolist()
+
+    def test_dump_samples_inside_out(self, tmp_path, capsys):
+        # the samples are written after --out is made, and the wrote line names only --out's own file
+        out = tmp_path / "out"
+        status = main(["simulate", "--unit", "10", "--n-draws", "1000", "--out", str(out),
+                       "--dump-samples", str(out / "s.csv")])
+        captured = capsys.readouterr()
+        assert status == 0, captured.err
+        assert sorted(path.name for path in out.iterdir()) == ["mc_summary.json", "s.csv"]
+        assert captured.out.splitlines()[-1] == f"wrote mc_summary.json to {out}"
+
+    def test_dump_samples_into_a_missing_directory_exit_2(self, tmp_path, capsys):
+        # --out's files are written first; the samples' path of its own then fails, and nothing is printed
+        out = tmp_path / "out"
+        status = main(["simulate", "--unit", "10", "--n-draws", "1000", "--out", str(out),
+                       "--dump-samples", str(tmp_path / "nodir" / "s.csv")])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.count("\n") == 1 and "No such file or directory" in captured.err
+        assert captured.out == ""
+        assert [path.name for path in out.iterdir()] == ["mc_summary.json"]
 
 
 class TestDist:

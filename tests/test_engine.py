@@ -216,7 +216,7 @@ class TestLossDistSector:
 
     def test_hand_built_rho_rounding_to_one_refused(self):
         # cv 1e9 on a count of 1: beta = 1e18; band_exposures refuses such a sector, a hand-built one stops here
-        with pytest.raises(ModelError, match=r"rho must lie in \(0, 1\), got 1.0"):
+        with pytest.raises(ModelError, match=r"rho must lie in \[0, 1\), got 1.0"):
             ar.engine._panjer(np.array([1]), np.array([1.0]), np.array([1.0]), (1e-18, 1e18), 64)
 
     def test_poisson_limit(self):

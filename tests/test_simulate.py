@@ -491,6 +491,31 @@ class TestThreads:
         ar.simulate(bundled_banded, ar.SimConfig(n_draws=CHUNK_DRAWS, seed=1))
         assert threads == [threading.get_ident()]
 
+    def test_a_thread_that_cannot_start_raises_from_simulate(self, bundled_banded, monkeypatch):
+        # each share waits until every share has a thread; one that could not start must not leave them waiting
+        from concurrent.futures import ThreadPoolExecutor
+
+        submit, calls, outcome = ThreadPoolExecutor.submit, [], []
+
+        def failing(pool, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("can't start new thread")
+            return submit(pool, *args)
+
+        def run():
+            try:
+                ar.simulate(bundled_banded, ar.SimConfig(n_draws=2 * CHUNK_DRAWS + 17, seed=1))
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", failing)
+        monkeypatch.setattr(importlib.import_module("agririsk.simulate"), "_cpu_count", lambda: 3)
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive() and outcome == ["can't start new thread"]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_chunk_raises_from_simulate(self, bundled_banded, monkeypatch, workers):
         module = importlib.import_module("agririsk.simulate")
