@@ -237,14 +237,14 @@ def _fallback(w: np.ndarray, where: np.ndarray, texts: list[str]) -> np.ndarray:
 def repr_fields(x: np.ndarray) -> np.ndarray:
     """(w, *x.shape) uint64: [:, i] holds repr(x[i]) as ASCII words, NUL bytes where it has no character.
 
-    A float array's entries are float.__repr__, an integer array's int.__repr__;
-    an object array's, such as Python ints past int64, are Python's own repr.
+    A float array's entries are float.__repr__, an integer array's int.__repr__; an integer of 10**16 or
+    more in magnitude, which no report file holds, raises IndexError.
     """
     x = np.asarray(x)
     flat = x.ravel()
     if flat.dtype.kind == "f":
         _check_finite(flat)
-    words = _python_words(list(map(repr, flat.tolist()))) if flat.dtype.kind == "O" else _repr_words(flat)
+    words = _repr_words(flat)
     return words.reshape(len(words), *x.shape)
 
 
@@ -261,10 +261,7 @@ def _repr_words(x: np.ndarray) -> np.ndarray:
     """repr_fields' words for a flat array: an integer's digits, a float's shortest digits as repr lays them out."""
     if x.dtype.kind in "iu":
         u = np.abs(x).astype(_U)
-        big = u >= _P10[16]
-        u[big] = 0
-        w = _unpadded(_signed16(u, x < 0), np.searchsorted(_P10, u, side="right"), 16)
-        return _fallback(w, big, list(map(repr, x[big].tolist()))) if big.any() else w
+        return _unpadded(_signed16(u, x < 0), np.searchsorted(_P10, u, side="right"), 16)
     x = x.astype(np.float64, copy=False)
     w, n, point = _digits(x.view(_U) & _U((1 << 63) - 1))
     body = _laid_out(w, n, point)

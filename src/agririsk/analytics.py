@@ -231,8 +231,9 @@ def risk_contributions(
 
     contribution_i = EL_i + (VaR - EL_total) * VC_i / sum(VC), where VC_i is
     the obligor's analytic variance contribution. Columns therefore sum to
-    the portfolio VaR at every level. names run aligned with
-    banded.obligor_ids; they default to the ids.
+    the portfolio VaR at every level. A book with no variance is refused
+    unless every VaR is EL_total (loss rates all 0): contribution_i is EL_i.
+    names run aligned with banded.obligor_ids; they default to the ids.
     """
     levels = tuple(float(lvl) for lvl in levels)
     expected = np.bincount(banded.sub_obligor, weights=banded.sub_epsilon, minlength=len(banded.obligor_ids))
@@ -241,8 +242,6 @@ def risk_contributions(
     # both totals add left to right: the builtin sum is compensated since Python 3.12
     el_total = float(np.cumsum(expected)[-1])
     vc_total = float(np.cumsum(vc)[-1])
-    if vc_total <= 0.0:
-        raise ModelError("degenerate portfolio: total variance contribution is zero")
     if not vc_total < math.inf:  # NaN too: 0 * inf where unit * unit overflowed
         raise ModelError(
             f"total variance contribution overflows at unit {banded.unit!r}; use a smaller unit (--unit)"
@@ -250,12 +249,15 @@ def risk_contributions(
 
     vars_at = [exceedance_quantile(dist, lvl) for lvl in levels]
     unexpected = np.array(vars_at) - el_total
+    if vc_total <= 0.0 and unexpected.any():
+        raise ModelError("degenerate portfolio: total variance contribution is zero")
+    shares = vc / vc_total if vc_total > 0.0 else vc  # no variance: every VC_i is 0
     return ContributionTable(
         levels=levels,
         obligor_ids=banded.obligor_ids,
         names=banded.obligor_ids if names is None else names,
         expected_loss=expected,
-        contributions=expected[:, None] + unexpected[None, :] * (vc / vc_total)[:, None],
+        contributions=expected[:, None] + unexpected[None, :] * shares[:, None],
         total_expected_loss=el_total,
         totals=tuple(vars_at),
     )

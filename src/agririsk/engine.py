@@ -79,7 +79,7 @@ class BandedPortfolio:
     sub_* arrays run over sub-exposures: the obligor's index in obligor_ids,
     the sector's index in names and cv, the band level (int64, at least 1)
     and expected loss epsilon in units (finite, >= 0). Sub-exposures sharing
-    a sector and a level form one band.
+    a sector and a level form one band; unit, L, is held as a Python float.
     """
 
     unit: float
@@ -92,6 +92,7 @@ class BandedPortfolio:
     sub_epsilon: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "unit", float(self.unit))
         object.__setattr__(self, "cv", np.asarray(self.cv, np.float64))
         columns = (self.sub_obligor, self.sub_sector, self.sub_level, self.sub_epsilon)
         if self.cv.shape != (len(self.names),) or len({np.shape(c) for c in columns}) != 1:
@@ -134,10 +135,10 @@ class BandedPortfolio:
 class LossDistribution:
     """Aggregate loss pmf on the grid {0, L, 2L, ...}, checked when built: round-off in [-1e-14, 0) reads as 0.
 
-    A lower or NaN entry, a sum above 1 + 1e-9, or a last grid point (size - 1) * unit past the largest float
-    raises ModelError. The mass past the grid, 1 - sum(pmf), is truncation_mass, never renormalized away: that
-    would silently distort quantiles. tail_bound (keyword-only) is a Chernoff bound on P(loss >= grid size),
-    which also bounds the FFT's aliasing; 0.0 marks none.
+    unit, L, is held as a Python float. A lower or NaN entry, a sum above 1 + 1e-9, or a last grid point
+    (size - 1) * unit past the largest float raises ModelError. The mass past the grid, 1 - sum(pmf), is
+    truncation_mass, never renormalized away: that would silently distort quantiles. tail_bound (keyword-only)
+    is a Chernoff bound on P(loss >= grid size), which also bounds the FFT's aliasing; 0.0 marks none.
     """
 
     unit: float
@@ -146,8 +147,9 @@ class LossDistribution:
     tail_bound: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
+        object.__setattr__(self, "unit", float(self.unit))
         pmf = np.asarray(self.pmf, dtype=float)
-        if not (pmf.size - 1) * float(self.unit) < math.inf:  # in Python floats, which overflow without a warning
+        if not (pmf.size - 1) * self.unit < math.inf:  # in Python floats, which overflow without a warning
             raise ModelError(
                 f"a {pmf.size}-point loss grid overflows at unit {self.unit!r}; use a smaller unit (--unit)"
             )
@@ -186,15 +188,10 @@ class LossDistribution:
         """Each grid point n's row: n, n * unit, pmf and cdf, each as repr writes it."""
         from . import _numtext  # here, not at the top: only a run that writes this file loads it
 
-        n, unit, after = np.arange(self.pmf.size), self.unit, ","
-        if isinstance(unit, float) and unit.is_integer() and 0.0 < unit and (n.size - 1) * unit < 2.0**53:
-            # every n * unit is a whole float below 2**53, whose repr is its integer's digits and ".0"
-            money, after = n * int(unit), ".0,"
-        # an int unit's money is exact, as Python's n * unit is: in int64 while it fits, else in Python ints
-        elif not isinstance(unit, int) or max(unit, (n.size - 1) * unit) < 2**63:
-            money = n * unit
-        else:
-            money = np.array([i * unit for i in range(n.size)], object)
+        n, unit = np.arange(self.pmf.size), self.unit
+        # where every n * unit is a whole float below 2**53, its repr is its integer's digits and ".0"
+        whole = unit.is_integer() and 0.0 < unit and (n.size - 1) * unit < 2.0**53
+        money, after = (n * int(unit), ".0,") if whole else (n * unit, ",")
         rows = _numtext.table([n, ",", money, after, self.pmf, ",", self.cdf, "\n"], n.size)
         return "".join(["loss_units,loss_money,pmf,cdf\n", *rows])
 
@@ -658,16 +655,16 @@ def run_pipeline(
     banded = band_exposures(sectored, unit)
     grid_size = auto_grid_size(banded) if grid is None else grid
     dist = _BACKENDS[backend](banded, grid_size)
-    config = {
+    config = {  # the numbers the run used, as Python numbers, so that json can write any of them
         "input": str(source),
-        "unit": unit,
+        "unit": banded.unit,
         "sector_mode": sector_mode,
-        "sector_rates": None if sector_rates is None else {k: list(v) for k, v in sector_rates.items()},
-        "rate": rate,
-        "horizon": horizon,
+        "sector_rates": None if sector_rates is None else {k: list(map(float, v)) for k, v in sector_rates.items()},
+        "rate": float(rate),
+        "horizon": float(horizon),
         "backend": backend,
-        "grid_size": grid_size,
+        "grid_size": int(grid_size),
         "levels": list(levels),
-        "tolerance": tolerance,
+        "tolerance": float(tolerance),
     }
     return Run(discounted, findings, sectored, banded, dist, levels, config)

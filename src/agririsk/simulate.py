@@ -285,7 +285,7 @@ def simulate(
     losses.sort()
     if not bernoulli:
         top = float(losses[-1])
-        if not top * float(banded.unit) < math.inf:  # in Python floats, which overflow without a warning
+        if not top * banded.unit < math.inf:  # in Python floats, which overflow without a warning
             raise ModelError(
                 f"a sampled loss of {top:.0f} units overflows at unit {banded.unit!r}; use a smaller unit (--unit)"
             )

