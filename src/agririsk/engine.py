@@ -334,7 +334,11 @@ class _Cumulant:
     the golden search runs on (0, t_max] with t_max = min(700 / max_v,
     log1p(1/beta_k) / v_k over the gamma parts, v_k the part's lowest level):
     expm1(t v) stays finite, and since part k's weights sum to 1,
-    d_k(t) >= expm1(t v_k), so each pole lies at or below its term.
+    d_k(t) >= expm1(t v_k), so each pole lies at or below its term. _k
+    evaluates K under np.errstate(over="ignore"), which __call__ enters per
+    call and each golden search once for its 66 evaluations: a product
+    that overflows reads inf, past a pole, or near t_max where one part 0
+    level's mu passes about 1.8e4 and mu expm1(700) leaves the doubles.
     """
 
     def __init__(self, banded: BandedPortfolio):
@@ -409,29 +413,32 @@ class _Cumulant:
         return (np.append(self.v[:n0], levels), np.append(self.eps[:n0], levels * rates),
                 np.append(self.mu[:n0], rates), float(self.mu[:n0].sum()) + count)
 
-    def _d(self, t: float) -> np.ndarray:
-        return np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
-
-    def __call__(self, t: float) -> float:
-        d = self._d(t)
-        with np.errstate(over="ignore"):  # a product that overflows to inf is past its pole, as it should be
-            x = self.beta * d[1:]
-        if not np.all(x < 1.0):
+    def _k(self, t: float) -> float:
+        """K(t), for a caller inside np.errstate(over="ignore"): a term that overflows makes K(t) inf, as it is."""
+        d = np.bincount(self.part, weights=self.w * np.expm1(t * self.v), minlength=self.alpha.size + 1)
+        x = self.beta * d[1:]
+        if not (x < 1.0).all():
             return math.inf
         return float(d[0] - np.einsum("i,i->", self.alpha, np.log1p(-x)))
+
+    def __call__(self, t: float) -> float:
+        with np.errstate(over="ignore"):
+            return self._k(t)
 
     def grid_need(self) -> float:
         """Least n the bound certifies at TAIL_EPS: min over t of (K(t) + log(1/TAIL_EPS)) / t."""
         if not self.v.size:
             return 0.0
         log_inv_eps = -math.log(TAIL_EPS)
-        return _golden_min(lambda t: (self(t) + log_inv_eps) / t, self.t_max)
+        with np.errstate(over="ignore"):
+            return _golden_min(lambda t: (self._k(t) + log_inv_eps) / t, self.t_max)
 
     def tail_bound(self, n: int) -> float:
         """min over t of exp(K(t) - t n), an upper bound on P(S >= n), at most 1."""
         if not self.v.size:
             return 0.0
-        return math.exp(min(0.0, _golden_min(lambda t: self(t) - t * n, self.t_max)))
+        with np.errstate(over="ignore"):
+            return math.exp(min(0.0, _golden_min(lambda t: self._k(t) - t * n, self.t_max)))
 
 
 def _smooth_length(n: int) -> int:
@@ -488,9 +495,13 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, mu: np.ndarray, gamma: tuple[float,
     g_n reads only g_{n - v_j} with v_j >= v_min, so each block of v_min
     points (fewer where a block would gather over _BLOCK_CELLS entries) is
     one gather from a shifted view of a zero-padded g (negative indices
-    read 0), one np.dot with the stacked (a f_j, b f_j v_j), the same dgemm
-    as @ with less dispatch, and one add written in place into g. Where g_0
-    would fall below exp(-700) the count is the sum of m independent pieces,
+    read 0), one ndarray.dot with the stacked (a f_j, b f_j v_j), the same
+    dgemm as np.dot without its dispatch wrapper, one division of the b
+    column by n and one add of the a column written straight into g. Each
+    call writes into a buffer made before the loop, and the block rows of n
+    and g are cut once as (blocks, block) views, so a step slices only for
+    its gather. Where g_0 would fall below exp(-700) the count is the sum
+    of m independent pieces,
     each with rate (or gamma shape) divided by m: the recursion runs for one
     piece and the piece is convolved with itself m - 1 times, which is exact.
     """
@@ -516,10 +527,18 @@ def _panjer(vs: np.ndarray, eps: np.ndarray, mu: np.ndarray, gamma: tuple[float,
     g = padded[v_max:]
     g[0] = math.exp(log_g0 / pieces)
     offsets = v_max + np.arange(block)[:, None] - vs  # row i, column j of padded[n:] is g[n + i - v_j]
-    ns = np.arange(grid_size + block, dtype=float)
-    for n in range(1, grid_size, block):
-        terms = np.dot(padded[n:].take(offsets), coef).T
-        np.add(terms[0], terms[1] / ns[n:n + block], out=g[n:n + block])
+    blocks = -(-(grid_size - 1) // block)
+    # row k of each is block k: the points n = 1 + k block onwards, their n as floats, and their g
+    ns = np.arange(1, 1 + blocks * block, dtype=float).reshape(blocks, block)
+    rows = g[1:1 + blocks * block].reshape(blocks, block)
+    x, terms, quotient = np.empty(offsets.shape), np.empty((block, 2)), np.empty(block)
+    fa_terms, fbv_terms = terms[:, 0], terms[:, 1]
+    for n, n_row, g_row in zip(range(1, grid_size, block), ns, rows):
+        # every index lies inside padded, so "clip" clips nothing: it spares the copy of x that "raise" makes
+        padded[n:].take(offsets, out=x, mode="clip")
+        x.dot(coef, out=terms)
+        np.divide(fbv_terms, n_row, out=quotient)
+        np.add(fa_terms, quotient, out=g_row)
     g = piece = g[:grid_size]
     for _ in range(pieces - 1):
         g = _convolve_pmfs(g, piece)

@@ -368,12 +368,15 @@ class TestParts:
             assert np.array_equal(mu, eps / vs)
 
 
-def scalar_panjer(vs, eps, cv, grid_size):
-    """Reference (a, b, 0) recursion: one Python step per grid point, summing the levels v_j <= n."""
+def scalar_panjer(vs, eps, cv, grid_size, count=None):
+    """Reference (a, b, 0) recursion: one Python step per grid point, summing the levels v_j <= n.
+
+    A Poisson count (cv 0) starts from g_0 = exp(-count), count sum(eps / vs) unless given.
+    """
     mu = eps / vs
     if cv == 0.0:
         fa, fbv = np.zeros(vs.size), eps
-        log_g0 = -float(mu.sum())
+        log_g0 = -float(mu.sum() if count is None else count)
     else:
         beta = cv**2 * mu.sum()
         alpha, rho = cv**-2, beta / (1.0 + beta)
@@ -397,6 +400,10 @@ class TestBlockedPanjer:
         "single band": ([(5, 2.0)], 256),
         "v_min above half the grid": ([(40, 3.0), (45, 1.5)], 64),
         "block capped by its gather size": ([(v, 0.01 * v) for v in range(300, 600)], 1500),
+        # block 218 = 65536 // 300, and grid - 1 is seven whole blocks: the last block ends on the grid's end
+        "capped blocks filling the grid": ([(v, 0.01 * v) for v in range(300, 600)], 1 + 218 * 7),
+        # the least grid _check_grid accepts, max level + 1: blocks of v_min = 3, the last one point past the grid
+        "least grid": ([(3, 0.6), (5, 1.1), (8, 0.4)], 9),
     }
 
     @pytest.mark.parametrize("cv", [0.0, 0.8])
@@ -412,6 +419,29 @@ class TestBlockedPanjer:
         live = expected >= 1e-300
         assert np.all(np.abs(got[live] - expected[live]) <= 1e-13 * expected[live])
         assert np.all(np.abs(got[~live]) <= 1e-300)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pool_count_past_the_grid_matches_scalar_recursion(self, case):
+        # loss_dist_sector passes the pool's whole count, which also holds the levels past the grid
+        bands, grid = self.CASES[case]
+        vs = np.array([v for v, _ in bands], dtype=np.int64)
+        eps = np.array([e for _, e in bands])
+        count = float((eps / vs).sum()) + 0.75
+        expected = scalar_panjer(vs, eps, 0.0, grid, count)
+        assert expected[0] == math.exp(-count)
+        got = ar.engine._panjer(vs, eps, eps / vs, None, grid, count)
+        live = expected >= 1e-300
+        assert np.all(np.abs(got[live] - expected[live]) <= 1e-13 * expected[live])
+        assert np.all(np.abs(got[~live]) <= 1e-300)
+
+    @pytest.mark.parametrize("cv", [0.0, 0.8])
+    def test_least_grid_is_the_largest_level_plus_one(self, cv):
+        bands, grid = self.CASES["least grid"]
+        banded = one_sector(cv, bands)
+        assert banded.max_v + 1 == grid
+        with pytest.raises(ModelError, match=f"grid_size {grid - 1} too small for the largest band"):
+            ar.loss_dist_sector(banded, grid - 1)
+        assert ar.loss_dist_sector(banded, grid).pmf.shape == (grid,)
 
     @pytest.mark.parametrize("cv", [0.0, 0.8])
     def test_zero_loss_bands_match_scalar_recursion(self, cv):
@@ -792,6 +822,18 @@ class TestTailBound:
         for t in (pole, pole * (1.0 + 1e-12), 2.0 * pole, 700.0):
             assert cumulant(t) == math.inf
 
+    def test_cumulant_at_its_cap_is_inf_without_a_warning(self):
+        # 20,000 unit exposures losing 0.9 each: one level at 1 with mu 18,000, so t_max is the cap
+        # 700 and mu * expm1(700) overflows; the searches stay far below it and run as before
+        _, banded = single_sector("".join(f"R{i},r{i},1,0.9,0,1,0\n" for i in range(20000)))
+        cumulant = banded._cumulant
+        assert cumulant.t_max == 700.0 and float(cumulant.mu.sum()) == pytest.approx(18000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cumulant(cumulant.t_max) == math.inf
+            assert math.isfinite(cumulant.grid_need())
+            assert 0.0 < cumulant.tail_bound(18500) < 1.0
+
     def test_pole_far_inside_the_bracket_matches_a_dense_scan(self):
         # weight 0.01 at level 1 and 0.99 at level 1000: the pole sits near log1p(1/beta) / 1000,
         # about 400 times below t_max = 700 / 1000, the closed-form bracket
@@ -936,6 +978,20 @@ def test_auto_grid_on_bundled_configs(bundled_portfolio, mode, unit):
             assert [[lvl, ar.exceedance_quantile(dist, lvl)] for lvl, _ in frozen] == frozen
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("unit", [1.0, 10.0])
+@pytest.mark.parametrize("mode", ["crop-livestock", "single", "per-obligor"])
+def test_searches_minimize_the_public_cumulant(bundled_portfolio, mode, unit):
+    """grid_need and tail_bound run the golden search over the same K(t) as cumulant(t), float for float."""
+    banded = ar.band_exposures(ar.assign_sectors(bundled_portfolio, ar.SectorAssignment(mode)), unit)
+    cumulant = banded._cumulant
+    log_inv_eps = -math.log(ar.engine.TAIL_EPS)
+    need = ar.engine._golden_min(lambda t: (cumulant(t) + log_inv_eps) / t, cumulant.t_max)
+    assert cumulant.grid_need() == need
+    for n in (math.ceil(need) // 4, math.ceil(need)):
+        bound = math.exp(min(0.0, ar.engine._golden_min(lambda t: cumulant(t) - t * n, cumulant.t_max)))
+        assert cumulant.tail_bound(n) == bound
 
 
 class TestLog1p:
