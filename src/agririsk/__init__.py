@@ -59,7 +59,7 @@ from .simulate import (
     simulate,
 )
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 # every class and function imported above, so each public name is written once, and the dtype
 __all__ = sorted(

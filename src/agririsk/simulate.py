@@ -1,10 +1,11 @@
 """Seeded Monte Carlo simulation of the same portfolio model.
 
 An independent cross-check of the analytic engine: draws either Poisson
-defaults on the engine's parts, with a gamma scaling per part outside its one
-compound Poisson (one count per part with a level picked per default, or one
-count per level, whichever draws fewer variates), or exact Bernoulli defaults
-on the raw sub-exposures, with a gamma scaling per sector.
+defaults on the engine's parts (one count per part, from its own Poisson or
+negative binomial law with any gamma scaling integrated out, and a level picked
+per default; or a gamma scaling and one count per level, whichever draws fewer
+variates), or exact Bernoulli defaults on the raw sub-exposures, with a gamma
+scaling per sector.
 The Bernoulli mode also quantifies the Poisson approximation itself, since
 its losses can never exceed total exposure while the Poisson model's can.
 """
@@ -31,6 +32,10 @@ CHUNK_DRAWS = 65536
 # 512 KiB of float64, which stays in a core's L2 cache and bounds memory whatever
 # the column count. Row-blocked draws consume the RNG stream in the same order.
 BLOCK_VARIATES = 1 << 16
+# A count-first part's count is drawn by a search of its CDF table, of at most this many entries; a part
+# whose tail needs more draws a gamma scaling and a Poisson count. A constant of its own, so that no
+# sample depends on the block size.
+MAX_TABLE = BLOCK_VARIATES
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,44 @@ def _gamma_scalings(rng: np.random.Generator, alpha: float, size: int) -> np.nda
     return rng.gamma(alpha, 1.0 / alpha, size=size)
 
 
+def _count_cdf(total: float, alpha: float | None) -> np.ndarray | None:
+    """CDF table of a count-first part's count, or None if it would pass MAX_TABLE entries.
+
+    The count is Poisson(total) for the pool (alpha None) and, with the gamma
+    scaling integrated out, negative binomial NB(alpha, beta = total / alpha)
+    otherwise: P(n) / P(n-1) is total / n, or (alpha + n - 1) / n * q with
+    q = beta / (1 + beta). The log ratios are summed outward from the mode,
+    so no weight underflows where the mass is and the sums stay small there.
+    Where r = max(P(n+1) / P(n), q) is below 1, it bounds every later ratio,
+    so the mass past n is at most P(n) r / (1 - r). The table ends at the
+    first n where that is below 2**-53 of the mass up to n, in exactly 1.0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # a total of 0 has log -inf and a count of 0
+        if alpha is None:
+            log_q, spread = -math.inf, total
+        else:
+            beta = total / alpha
+            log_q, spread = float(np.log(beta) - np.log1p(beta)), total * (1.0 + beta)
+        n = int(min(total + 8.0 * math.sqrt(spread) + 32.0, MAX_TABLE))  # the mean plus 8 sd, doubled if short
+        while True:
+            k = np.arange(1.0, n)
+            steps = np.log(total) - np.log(k) if alpha is None else np.log1p((alpha - 1.0) / k) + log_q
+            mode = int(np.count_nonzero(steps > 0.0))  # the ratios fall through 1 or stay below it
+            log_w = np.concatenate((-steps[:mode][::-1].cumsum()[::-1], [0.0], steps[mode:].cumsum()))
+            cdf = np.exp(log_w).cumsum()
+            log_r = np.maximum(steps, log_q)
+            # the log of the bound on the mass past each n, over the mass up to n; NaN where r passes 1
+            past = log_w[:-1] + log_r - np.log(-np.expm1(log_r)) - np.log(cdf[:-1])
+            ends = np.flatnonzero(past <= -53.0 * math.log(2.0))
+            if ends.size:
+                break
+            if n == MAX_TABLE:
+                return None
+            n = min(2 * n, MAX_TABLE)
+    size = int(ends[0]) + 1
+    return cdf[:size] / cdf[size - 1]  # a new array of the table's own length
+
+
 def _count_first(mu: np.ndarray) -> bool:
     # a total count plus one pick per default against one Poisson per band, per draw
     return 1.0 + float(mu.sum()) < mu.size
@@ -166,11 +209,16 @@ def _pick(rng: np.random.Generator, picks: int, keep: np.ndarray, alias: np.ndar
     return np.where(x < keep[col], col, alias[col])
 
 
-def _add_count_first(rng: np.random.Generator, scale: np.ndarray, table: tuple[float, np.ndarray, np.ndarray],
-                     payouts: np.ndarray, acc: np.ndarray) -> None:
-    # one Poisson total per draw at sum(mu) = total, then a band per default from mu's alias table
-    total, keep, alias = table
-    counts = rng.poisson(total * scale)
+def _add_count_first(rng: np.random.Generator, alpha: float | None, table: tuple, payouts: np.ndarray,
+                     acc: np.ndarray) -> None:
+    # one total per draw, by a search of its CDF table or, where there is none, a Poisson at sum(mu) = total
+    # times a gamma scaling; then a band per default from mu's alias table
+    cdf, total, keep, alias = table
+    m = acc.size
+    if cdf is not None:
+        counts = cdf.searchsorted(rng.random(m), side="right")
+    else:
+        counts = rng.poisson(total if alpha is None else total * _gamma_scalings(rng, alpha, m), m)
     for lo, hi, picks in _row_blocks(counts):
         paid = payouts[_pick(rng, picks, keep, alias)]
         acc[lo:hi] += np.bincount(np.repeat(np.arange(hi - lo), counts[lo:hi]), paid, hi - lo)
@@ -183,18 +231,20 @@ def _draw_chunk(child: np.random.SeedSequence, acc: np.ndarray, plans: list, ber
     m = acc.size
     clamped = 0
     for alpha, per_unit, payouts, table in plans:
-        scale = _gamma_scalings(rng, alpha, m) if alpha is not None else np.ones(m)
         if table is not None:
-            _add_count_first(rng, scale, table, payouts, acc)
+            _add_count_first(rng, alpha, table, payouts, acc)
             continue
+        scale = _gamma_scalings(rng, alpha, m) if alpha is not None else np.ones(m)
         for rs in _rate_blocks(m, per_unit.size):
             rates = np.outer(scale[rs], per_unit)
             # the hits overwrite their rates, so the sum makes no float64 copy of them
             if bernoulli:
-                over = rates > 1.0
-                if over.any():
-                    clamped += int(over.sum())
-                    np.minimum(rates, 1.0, out=rates)
+                # rounding is monotone: no rate passes 1 unless the largest scaling times the largest rate does
+                if scale[rs].max() * per_unit.max() > 1.0:
+                    over = rates > 1.0
+                    if over.any():
+                        clamped += int(over.sum())
+                        np.minimum(rates, 1.0, out=rates)
                 np.less(rng.random(rates.shape), rates, out=rates)
             else:
                 np.copyto(rates, rng.poisson(rates))
@@ -220,9 +270,14 @@ def simulate(
     mu_v/sum(mu). Each part draws whichever way takes fewer expected
     variates per draw: count-first (N, then one uniform per default picked
     from a Walker/Vose alias table of mu) when 1 + sum(mu) < its level
-    count, one Poisson per level otherwise. A per-band part consumes the
-    random stream as version 0.1.0 did; a count-first part draws N for
-    every draw of the chunk, then its picks in row order.
+    count, G and one Poisson per level otherwise. The picks depend on G
+    only through N, so a count-first part draws N from its own law with G
+    integrated out, Poisson(sum(mu)) for the pool and negative binomial
+    NB(alpha, sum(mu)/alpha) for a gamma part: one uniform per draw,
+    searched in a CDF table built once per run. A part whose table would
+    pass MAX_TABLE entries draws G, then N ~ Poisson(G*sum(mu)). A per-band
+    part consumes the random stream as version 0.1.0 did; a count-first
+    part draws N for every draw of the chunk, then its picks in row order.
 
     bernoulli-exact needs the pre-banding sectored view that banded was
     built from and pays the raw sub-exposure on each Bernoulli default,
@@ -244,7 +299,8 @@ def simulate(
         pool = [(levels, rates, None)] if levels.size else []  # drawn first, with no gamma scaling
         plans = []  # payouts in whole units, so that any order of summing them is exact
         for vs, mu, alpha in pool + [(vs, mu, gamma[0]) for vs, _, mu, gamma in banded._cumulant.parts()]:
-            table = (float(mu.sum()), *_alias_table(mu)) if _count_first(mu) else None
+            total = float(mu.sum())
+            table = (_count_cdf(total, alpha), total, *_alias_table(mu)) if _count_first(mu) else None
             plans.append((alpha, mu, vs.astype(float), table))
     else:
         if sectored is None:

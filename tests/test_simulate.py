@@ -9,12 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency, chisquare, nbinom
+from scipy.stats import chi2_contingency, chisquare, nbinom, poisson
 
 import agririsk as ar
 from agririsk.engine import _MAX_GAMMA_SCALE
 from agririsk.errors import InputError, ModelError
-from agririsk.simulate import BLOCK_VARIATES, CHUNK_DRAWS, _alias_table, _count_first, _pick, _quantile_band
+from agririsk.simulate import (
+    BLOCK_VARIATES, CHUNK_DRAWS, MAX_TABLE, _alias_table, _count_cdf, _count_first, _pick, _quantile_band)
 
 from conftest import HEADER, make_banded, raw_parts, single_sector
 from test_engine import poisson_sector
@@ -144,8 +145,9 @@ class TestSimulate:
     @pytest.mark.parametrize("mode", ar.portfolio.MC_MODES)
     def test_gamma_shapes_are_the_engines(self, bundled_portfolio, monkeypatch, mode):
         # bernoulli-exact scales each sector by its part's shape; per-obligor on the bundled data, one
-        # sector's scalar cv**-2 differs from numpy's in the last bit. poisson-banded scales only the parts
-        # outside the pool: on POOL_BOOK, its multi-level part and its single-level part with beta > 1
+        # sector's scalar cv**-2 differs from numpy's in the last bit. poisson-banded mixes only the parts
+        # outside the pool: on POOL_BOOK, its multi-level part, drawn count-first from a negative binomial
+        # table of its shape, and its single-level part with beta > 1, scaled per band
         if mode == "bernoulli-exact":
             sectored = ar.assign_sectors(bundled_portfolio, ar.SectorAssignment("per-obligor"))
             banded = ar.band_exposures(sectored, 10.0)
@@ -157,15 +159,23 @@ class TestSimulate:
             alpha = c.alpha[~c.folded].tolist()
             assert len(alpha) == 2
         module = importlib.import_module("agririsk.simulate")
-        shapes, draw = [], module._gamma_scalings
+        shapes, tables, draw, count_cdf = [], [], module._gamma_scalings, module._count_cdf
 
         def recorded(rng, alpha, size):
             shapes.append(alpha)
             return draw(rng, alpha, size)
 
+        def recorded_table(total, alpha):
+            tables.append(alpha)
+            return count_cdf(total, alpha)
+
         monkeypatch.setattr(module, "_gamma_scalings", recorded)
+        monkeypatch.setattr(module, "_count_cdf", recorded_table)
         ar.simulate(banded, ar.SimConfig(n_draws=10, seed=1, mode=mode), sectored)
-        assert shapes == alpha
+        if mode == "bernoulli-exact":
+            assert (shapes, tables) == (alpha, [])
+        else:  # the pool's Poisson table, then the multi-level part's
+            assert (tables, shapes) == ([None, alpha[0]], [alpha[1]])
 
     def test_clamped_probabilities_are_counted(self):
         # huge volatility makes p * scaling exceed 1 in some draws
@@ -375,6 +385,90 @@ class TestCountFirst:
         assert np.all(np.isfinite(emp.samples)) and emp.samples[0] >= 0.0
 
 
+def count_law(alpha: float | None, total: float):
+    """scipy's law of a count-first part's count: Poisson(total), or NB(alpha, beta = total / alpha)."""
+    return poisson(total) if alpha is None else nbinom(alpha, 1.0 / (1.0 + total / alpha))
+
+
+def two_levels(cv: float, total: float) -> ar.BandedPortfolio:
+    """One part at levels 1000 and 1001 with mu total / 2 each: its loss // 1000 is its count below 1000."""
+    return make_banded([("g", cv, [(1000, 500.0 * total), (1001, 500.5 * total)])])
+
+
+class TestCountTable:
+    """A count-first part draws its count from the CDF table of its own law, with the gamma integrated out."""
+
+    @pytest.mark.parametrize("total", [1e-3, 0.5, 5.0, 200.0, 1000.0])
+    @pytest.mark.parametrize("alpha", [None, 0.05, 0.25, 1.0, 4.0, 100.0])
+    def test_table_is_the_law(self, alpha, total):
+        law = count_law(alpha, total)
+        cdf = _count_cdf(total, alpha)
+        if cdf is None:  # a tail the table cannot hold: the mass past its largest length passes 2**-53
+            assert law.sf(MAX_TABLE - 1) > 2.0**-53
+            return
+        assert 1 < cdf.size <= MAX_TABLE and cdf.base is None
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        assert law.sf(cdf.size - 1) <= 2.0**-53  # the mass dropped past the last entry
+        np.testing.assert_allclose(cdf[:-1], law.cdf(np.arange(cdf.size - 1)), rtol=0.0, atol=1e-12)
+
+    def test_bundled_tables_are_short(self, bundled_banded):
+        sizes = [_count_cdf(float(mu.sum()), gamma[0]).size for _, _, mu, gamma in bundled_banded._cumulant.parts()]
+        assert sizes == [32, 37]
+
+    @pytest.mark.parametrize("total", [0.0, 5e-324])
+    @pytest.mark.parametrize("alpha", [None, 2.0])
+    def test_no_mass_is_a_count_of_zero(self, alpha, total):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _count_cdf(total, alpha).tolist() == [1.0]
+
+    @pytest.mark.parametrize("tabled", [True, False], ids=["table", "past-the-table"])
+    @pytest.mark.parametrize("cv", [0.0, 0.5, 2.0], ids=["poisson-pool", "alpha-4", "alpha-0.25"])
+    def test_count_matches_its_law(self, monkeypatch, cv, tabled):
+        # chi-square of the count, the tail from about 20 expected draws on in one cell. A table draws no
+        # gamma scaling; with at most 8 entries allowed, none of these tables fits, and each chunk of a
+        # gamma part draws a scaling and a Poisson count, the pool a Poisson count alone
+        banded = two_levels(cv, 0.9)
+        ((_, _, mu, gamma),) = raw_parts(banded)
+        assert _count_first(mu) and (gamma is None) is (cv == 0.0)
+        alpha = None if gamma is None else gamma[0]
+        module = importlib.import_module("agririsk.simulate")
+        scalings, draw = [], module._gamma_scalings
+
+        def recorded(rng, alpha, size):
+            scalings.append(alpha)
+            return draw(rng, alpha, size)
+
+        monkeypatch.setattr(module, "_gamma_scalings", recorded)
+        if not tabled:
+            monkeypatch.setattr(module, "MAX_TABLE", 8)
+        n = 200_000
+        count = (ar.simulate(banded, ar.SimConfig(n_draws=n, seed=53)).samples // 1000.0).astype(np.int64)
+        assert scalings == ([] if tabled or alpha is None else [alpha] * math.ceil(n / CHUNK_DRAWS))
+        law = count_law(alpha, float(mu.sum()))
+        top = int(law.isf(1e-4))
+        observed = np.bincount(np.minimum(count, top), minlength=top + 1)
+        expected = n * np.append(law.pmf(np.arange(top)), law.sf(top - 1))
+        assert observed.size == top + 1 and chisquare(observed, expected).pvalue > 1e-3
+
+    def test_a_tail_past_the_table_draws_a_gamma_scaling(self, monkeypatch):
+        # alpha 1e-4 and beta 5000: the table would need about 1.8e5 entries, so the part keeps the gamma
+        # scaling and the Poisson count, one scaling per draw of each chunk
+        banded = two_levels(100.0, 0.5)
+        ((_, _, mu, (alpha, beta)),) = raw_parts(banded)
+        assert _count_first(mu) and _count_cdf(float(mu.sum()), alpha) is None and beta == pytest.approx(5000.0)
+        module = importlib.import_module("agririsk.simulate")
+        calls, draw = [], module._gamma_scalings
+
+        def recorded(rng, alpha, size):
+            calls.append((alpha, size))
+            return draw(rng, alpha, size)
+
+        monkeypatch.setattr(module, "_gamma_scalings", recorded)
+        ar.simulate(banded, ar.SimConfig(n_draws=CHUNK_DRAWS + 17, seed=59))
+        assert sorted(calls) == [(alpha, 17), (alpha, CHUNK_DRAWS)]
+
+
 def per_part_reference(banded: ar.BandedPortfolio, n: int, seed: int) -> np.ndarray:
     """Losses in units drawn part by part with numpy alone: a mean-1 gamma scaling G for each gamma part,
     then one Poisson count per level at mean mu * G, with no part folded and no alias table."""
@@ -519,14 +613,14 @@ class TestThreads:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_chunk_raises_from_simulate(self, bundled_banded, monkeypatch, workers):
         module = importlib.import_module("agririsk.simulate")
-        draw = module._gamma_scalings
+        draw_chunk = module._draw_chunk
 
-        def failing(rng, alpha, size):
-            if size == 17:  # the second chunk, a pool thread's when there are two workers
+        def failing(child, acc, *args):
+            if acc.size == 17:  # the second chunk, a pool thread's when there are two workers
                 raise RuntimeError("chunk failed")
-            return draw(rng, alpha, size)
+            return draw_chunk(child, acc, *args)
 
-        monkeypatch.setattr(module, "_gamma_scalings", failing)
+        monkeypatch.setattr(module, "_draw_chunk", failing)
         monkeypatch.setattr(module, "_cpu_count", lambda: workers)
         with pytest.raises(RuntimeError, match="chunk failed"):
             ar.simulate(bundled_banded, ar.SimConfig(n_draws=CHUNK_DRAWS + 17, seed=1))
