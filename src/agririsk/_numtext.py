@@ -40,9 +40,11 @@ _POINTS = range(-4, 18)  # a repr's decimal point position, 0.d1d2... 10**point,
 _EXPONENTS = range(-400, 400)  # e-notation exponents, with room on both sides
 
 
-def _words(rows: list[bytes], n: int) -> np.ndarray:
-    """(n, len(rows)) uint64: column i holds rows[i], NUL-padded to n little-endian words."""
-    return np.frombuffer(b"".join(row.ljust(8 * n, b"\0") for row in rows), _LE).reshape(len(rows), n).T
+def _words(texts: list[str] | list[bytes]) -> np.ndarray:
+    """(w, len(texts)) words of the ASCII str or bytes texts, NUL-padded; w holds each up to its last byte not NUL."""
+    packed = np.array(texts, "S")
+    width = -(-packed.itemsize // 8)
+    return np.ascontiguousarray(packed.astype(f"S{8 * width}")).view(_LE).reshape(len(texts), width).T
 
 
 class _Tables(NamedTuple):
@@ -88,18 +90,12 @@ def _tables() -> _Tables:
                 shift, dot, end = 1, 2, n + 2 if n > 1 else 2
             words = (bytes([8 * shift]), b"\0" + b"0" * (shift - 1), b"\xff" * dot, b"\0" * dot + b".", b"\xff" * end)
             layout.append(b"".join(w.ljust(size, b"\0") for w, size in zip(words, (8, 8, 24, 24, 24))))
-    layout = _words(layout, 11)
-    exponent = _words([b"e%+03d" % e for e in _EXPONENTS], 1)[0]
-    unpad = _words([b"\xff" + b"\0" * z + b"\xff" * (23 - z) for z in range(16)], 3)
+    layout = _words(layout)
+    exponent = _words([b"e%+03d" % e for e in _EXPONENTS])[0]
+    unpad = _words([b"\xff" + b"\0" * z + b"\xff" * (23 - z) for z in range(16)])
     for lookup in (g, four, layout, exponent, unpad):
         lookup.setflags(write=False)
     return _Tables(g, four, layout, exponent, unpad)
-
-
-def _check_finite(x: np.ndarray) -> None:
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise ModelError(f"cannot write a number that is not finite: {float(x[bad][0])!r}")
 
 
 def _round_to_odd(mid: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -218,16 +214,9 @@ def _unpadded(w: np.ndarray, digits: np.ndarray, width: int) -> np.ndarray:
     return w
 
 
-def _python_words(texts: list[str]) -> np.ndarray:
-    """(w, len(texts)) words of the ASCII texts, NUL-padded."""
-    packed = np.array(texts, "S")
-    width = -(-packed.itemsize // 8)
-    return np.ascontiguousarray(packed.astype(f"S{8 * width}")).view(_LE).reshape(len(texts), width).T
-
-
 def _fallback(w: np.ndarray, where: np.ndarray, texts: list[str]) -> np.ndarray:
     """w with the columns where is set replaced by texts, widened to hold them."""
-    wide = _python_words(texts)
+    wide = _words(texts)
     w = np.concatenate((w, np.zeros((max(0, len(wide) - len(w)), w.shape[1]), _U)))
     w[:, where] = 0
     w[: len(wide), where] = wide
@@ -240,21 +229,21 @@ def repr_fields(x: np.ndarray) -> np.ndarray:
     A float array's entries are float.__repr__, an integer array's int.__repr__; an integer of 10**16 or
     more in magnitude, which no report file holds, raises IndexError.
     """
-    x = np.asarray(x)
-    flat = x.ravel()
-    if flat.dtype.kind == "f":
-        _check_finite(flat)
-    words = _repr_words(flat)
-    return words.reshape(len(words), *x.shape)
+    return _fields(np.asarray(x), _repr_words)
 
 
 def fixed6_fields(x: np.ndarray) -> np.ndarray:
     """(w, *x.shape) uint64: [:, i] holds '%.6f' % x[i] as ASCII words, NUL bytes where it has no character."""
-    x = np.asarray(x, dtype=np.float64)
+    return _fields(np.asarray(x, dtype=np.float64), _fixed6_words)
+
+
+def _fields(x: np.ndarray, words) -> np.ndarray:
+    """words(x.ravel()), a float array's values checked finite first, as (w, *x.shape)."""
     flat = x.ravel()
-    _check_finite(flat)
-    words = _fixed6_words(flat)
-    return words.reshape(len(words), *x.shape)
+    if flat.dtype.kind == "f" and not np.isfinite(flat).all():
+        raise ModelError(f"cannot write a number that is not finite: {float(flat[~np.isfinite(flat)][0])!r}")
+    w = words(flat)
+    return w.reshape(len(w), *x.shape)
 
 
 def _repr_words(x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ from .simulate import SimConfig, compare as mc_compare, simulate as mc_simulate
 _DEFAULTS = run_pipeline.__kwdefaults__  # every pipeline keyword is keyword-only and has a flag
 
 # A command's result, which main alone writes and prints: exit status, files in --out (name: text, in
-# write order), printed lines, and texts for paths of their own (--dump-samples: text).
+# write order), printed lines, and texts for paths of their own (--dump-samples: text), which come only
+# with --out files.
 Output = tuple[int, dict[str, str], list[str], dict[str, str]]
 
 
@@ -191,11 +192,12 @@ def main(argv: list[str] | None = None) -> int:
         if files:  # made only now that every text exists, so a refused run writes nothing
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
+            # after --out is made, which may hold a path, and before --out's files, so that a failed path leaves none
+            for path, text in elsewhere.items():
+                Path(path).write_text(text, encoding="utf-8")
             for name, text in files.items():
                 (out / name).write_text(text, encoding="utf-8")
             lines.append(f"wrote {', '.join(files)} to {out}")
-        for path, text in elsewhere.items():  # after --out is made, which may hold the path
-            Path(path).write_text(text, encoding="utf-8")
         print(*lines, sep="\n")
     except (ModelError, InputError, OSError, UnicodeDecodeError) as exc:
         print(exc, file=sys.stderr)

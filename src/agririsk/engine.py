@@ -45,11 +45,6 @@ class Band:
     v: int
     epsilon: float
 
-    @property
-    def mu(self) -> float:
-        """Expected number of defaults in the band (epsilon / v)."""
-        return self.epsilon / self.v
-
 
 @dataclass(frozen=True)
 class SectorParams:

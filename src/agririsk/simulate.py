@@ -35,7 +35,7 @@ BLOCK_VARIATES = 1 << 16
 # A count-first part's count is drawn by a search of its CDF table, of at most this many entries; a part
 # whose tail needs more draws a gamma scaling and a Poisson count. A constant of its own, so that no
 # sample depends on the block size.
-MAX_TABLE = BLOCK_VARIATES
+MAX_TABLE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Sorted sample of aggregate losses plus clamping metadata."""
+    """Sorted sample of aggregate losses plus the count of scaled Bernoulli probabilities above 1."""
 
     samples: np.ndarray
     clamp_count: int = 0
@@ -239,12 +239,10 @@ def _draw_chunk(child: np.random.SeedSequence, acc: np.ndarray, plans: list, ber
             rates = np.outer(scale[rs], per_unit)
             # the hits overwrite their rates, so the sum makes no float64 copy of them
             if bernoulli:
+                # a uniform on [0, 1) falls below a rate of 1 or more, so such a rate needs no clamp, only a count;
                 # rounding is monotone: no rate passes 1 unless the largest scaling times the largest rate does
                 if scale[rs].max() * per_unit.max() > 1.0:
-                    over = rates > 1.0
-                    if over.any():
-                        clamped += int(over.sum())
-                        np.minimum(rates, 1.0, out=rates)
+                    clamped += int(np.count_nonzero(rates > 1.0))
                 np.less(rng.random(rates.shape), rates, out=rates)
             else:
                 np.copyto(rates, rng.poisson(rates))
@@ -281,7 +279,7 @@ def simulate(
 
     bernoulli-exact needs the pre-banding sectored view that banded was
     built from and pays the raw sub-exposure on each Bernoulli default,
-    clamping (and counting) scaled probabilities above 1.
+    a sure default where a scaled probability passes 1; it counts those.
 
     The per-band and Bernoulli draws build each part's (draws x columns)
     rates in row blocks of at most BLOCK_VARIATES variates, small enough

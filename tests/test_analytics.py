@@ -341,6 +341,40 @@ class TestRiskContributions:
         assert [r.contributions for r in table.rows] == list(map(tuple, contributions.tolist()))
 
 
+@pytest.fixture(scope="module")
+def doubled_book(tmp_path_factory) -> str:
+    """The bundled data with each exposure and declared expected_loss times 2, exact in binary."""
+    rows = list(csv.reader(io.StringIO(ar.bundled_dataset_path().read_text(encoding="utf-8"))))
+    columns = [rows[0].index("exposure"), rows[0].index("expected_loss")]
+    for row in rows[1:]:
+        for j in columns:
+            row[j] = repr(2.0 * float(row[j]))
+    path = tmp_path_factory.mktemp("scale") / "doubled.csv"
+    with path.open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    return str(path)
+
+
+# both backends share parsing, sectors, banding, _Cumulant and the contributions, so the cross-backend
+# check cannot see a fault there; a scale relation between two runs can
+@pytest.mark.parametrize("backend, mode, unit", [
+    *(("fft", mode, unit) for mode in ar.portfolio.SECTOR_MODES for unit in (1.0, 10.0)),
+    *(("panjer", mode, 10.0) for mode in ar.portfolio.SECTOR_MODES),
+    ("panjer", "crop-livestock", 1.0),
+])
+def test_doubled_book_at_doubled_unit_doubles_every_amount(doubled_book, backend, mode, unit):
+    # every amount and the unit times 2 leave each band's level and epsilon as they were, so the pmf in
+    # units is the same bits and each money figure is exactly twice
+    base, twice = (ar.run_pipeline(input=book, unit=u, sector_mode=mode, backend=backend)
+                   for book, u in ((None, unit), (doubled_book, 2.0 * unit)))
+    np.testing.assert_array_equal(twice.dist.pmf, base.dist.pmf)
+    tables = [ar.risk_contributions(run.banded, run.dist, run.levels) for run in (base, twice)]
+    assert tables[1].totals == tuple(2.0 * q for q in tables[0].totals)
+    assert tables[1].total_expected_loss == 2.0 * tables[0].total_expected_loss
+    np.testing.assert_array_equal(tables[1].expected_loss, 2.0 * tables[0].expected_loss)
+    np.testing.assert_array_equal(tables[1].contributions, 2.0 * tables[0].contributions)
+
+
 # two unmixed sectors around a gamma sector whose every level carries no loss, then a gamma sector
 # with a zero-loss level and a repeated one: part 0 pools "u1" and "u2", and "g" is part 2
 PARTED_BOOK = [("u1", 0.0, [(1, 0.3), (4, 0.5), (4, 0.2)]), ("zero", 0.9, [(2, 0.0), (6, 0.0)]),

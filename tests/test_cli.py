@@ -553,7 +553,7 @@ class TestSimulate:
         assert captured.out.splitlines()[-1] == f"wrote mc_summary.json to {out}"
 
     def test_dump_samples_into_a_missing_directory_exit_2(self, tmp_path, capsys):
-        # --out's files are written first; the samples' path of its own then fails, and nothing is printed
+        # --out is made, then the samples' path of its own fails before any --out file is written
         out = tmp_path / "out"
         status = main(["simulate", "--unit", "10", "--n-draws", "1000", "--out", str(out),
                        "--dump-samples", str(tmp_path / "nodir" / "s.csv")])
@@ -561,7 +561,15 @@ class TestSimulate:
         assert status == 2
         assert captured.err.count("\n") == 1 and "No such file or directory" in captured.err
         assert captured.out == ""
-        assert [path.name for path in out.iterdir()] == ["mc_summary.json"]
+        assert list(out.iterdir()) == []
+
+    def test_dump_samples_at_an_out_file_path_loses_to_it(self, tmp_path, capsys):
+        # the samples are written first, so --out's own file of the same path replaces them
+        out = tmp_path / "out"
+        status = main(["simulate", "--unit", "10", "--n-draws", "1000", "--out", str(out),
+                       "--dump-samples", str(out / "mc_summary.json")])
+        assert status == 0, capsys.readouterr().err
+        assert json.loads((out / "mc_summary.json").read_text())["sample"]["n_draws"] == 1000
 
 
 class TestDist:

@@ -67,7 +67,7 @@ class TestBanding:
         band = banded.sectors[0].bands[0]
         assert band.v == 801
         assert band.epsilon == pytest.approx(24.96, abs=1e-6)
-        assert band.mu == pytest.approx(24.96 / 801, rel=1e-9)
+        assert band.epsilon / band.v == pytest.approx(24.96 / 801, rel=1e-9)
 
     def test_same_level_bands_merge(self):
         _, banded = single_sector("A,A,250,0.1,0.0,1.0,0.0\nB,B,201,0.2,0.0,1.0,0.0\n", unit=100.0)

@@ -270,7 +270,7 @@ class TestBlockedDraws:
 
 def _part_mu(banded: ar.BandedPortfolio) -> np.ndarray:
     (sector,) = banded.sectors
-    return np.array([b.mu for b in sector.bands])
+    return np.array([b.epsilon / b.v for b in sector.bands])
 
 
 # hand-made gamma parts, one on each side of the sampling rule 1 + sum(mu) < bands:
